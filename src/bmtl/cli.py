@@ -16,7 +16,7 @@ from . import fieldio
 from .coeff import phi_synthesis, phi_transform
 from .dyadic import CubeRange
 from .fields import SampledField, l2_norm
-from .harness import ExperimentConfig, emit_report, load_report, run_experiment
+from .harness import ExperimentConfig, Report, emit_report, load_report, run_experiment
 from .lpa import band_filter, bessel_potential, make_admissible_pair, make_inhom_partition
 from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, bm_norm,
                      approx_norm, glambda_norm, lusin_norm, peetre_norm, seq_norm, tl_norm)
@@ -62,12 +62,10 @@ def cmd_norm(args) -> int:
     grid = f.grid
     rng = _range_from(params, grid)
     if args.space == "bm":
-        val = bm_norm(f, params["p"], params["t"], params["r"], rng)
+        val = bm_norm(f, params["p"], params["t"], float(params["r"]), rng)
         print(json.dumps({"value": val}, indent=1))
         return 0
-    sp = SpaceParams(params["s"], params["p"], params["q"], params["t"],
-                     float(params.get("r", "inf")),
-                     bool(params.get("homogeneous", not rng.inhomogeneous)))
+    sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
     bank = make_admissible_pair() if sp.homogeneous else make_inhom_partition()
@@ -124,9 +122,7 @@ def cmd_bound(args) -> int:
     f = fieldio.read_field(args.field)
     params = _load_params(args.params)
     rng = _range_from(params, f.grid)
-    sp = SpaceParams(params["s"], params["p"], params["q"], params["t"],
-                     float(params.get("r", "inf")),
-                     bool(params.get("homogeneous", not rng.inhomogeneous)))
+    sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(f.grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
     bank = make_admissible_pair() if sp.homogeneous else make_inhom_partition()
@@ -182,13 +178,9 @@ def cmd_equiv(args) -> int:
 def cmd_report(args) -> int:
     data = load_report(args.infile)
     if args.format == "csv":
-        from .harness import _csv_cell
-        rows = data["rows"]
-        cols = sorted({k for r in rows for k in r}) or ["case"]
-        with open(args.out, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in rows:
-                fh.write(",".join(_csv_cell(r.get(c, "")) for c in cols) + "\n")
+        report = Report(data.get("config", {}), data["rows"], data.get("summary", {}),
+                        data.get("passed", False))
+        emit_report(report, args.out, fmt="csv")
     else:
         with open(args.out, "w") as fh:
             json.dump(data, fh, sort_keys=True, indent=1)

@@ -3,9 +3,11 @@ operators on cube-indexed sequences, molecule condition measurement, and the
 atomic rearrangement of wavelet expansions.
 
 Coefficients for cube level j are corner samples of the level-j band output
-(see lpa.BAND_LEVEL_OFFSET): s_Q = |Q|^(1/2) * (conj-reflected analysis filter
-applied to f)(x_Q).  With the alias-safe band pairing, synthesis after analysis
-is the identity on fields whose spectrum lies in the covered annuli.
+(lpa.band_outputs with the bank's analysis multiplier): s_Q = |Q|^(1/2) *
+(conj-reflected analysis filter applied to f)(x_Q).  Synthesis runs each
+level's coefficient comb through the bank's synthesis multiplier.  With the
+alias-safe band pairing, synthesis after analysis is the identity on fields
+whose spectrum lies in the covered annuli.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import numpy as np
 
 from .coeffseq import CoeffSequence
 from .dyadic import CubeRange, DyadicCube, cubes_at_level
-from .fields import (SampledField, SpectralField, from_spectral,
-                     spectral_derivative, to_spectral)
+from .fields import SampledField, spectral_derivative, to_spectral
 from .grid import TorusGrid
-from .lpa import BAND_LEVEL_OFFSET, AdmissiblePair
+from .lpa import band_outputs
 
 
 def _corner_view(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
@@ -28,25 +29,6 @@ def _corner_view(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     if grid.dim == 1:
         return values[::step]
     return values[::step, ::step]
-
-
-def _analysis_multiplier(bank, rho: np.ndarray, j: int, inhomogeneous: bool) -> np.ndarray:
-    from .lpa import InhomPartition
-
-    if isinstance(bank, InhomPartition):
-        if not inhomogeneous:
-            raise ValueError("partition banks go with inhomogeneous ranges")
-        return bank.level(j)(rho * 2.0 ** BAND_LEVEL_OFFSET)
-    return np.conj(bank.phi(rho * 2.0 ** (BAND_LEVEL_OFFSET - j)))
-
-
-def _synthesis_multiplier(bank, rho: np.ndarray, j: int, inhomogeneous: bool) -> np.ndarray:
-    from .lpa import InhomPartition
-
-    if isinstance(bank, InhomPartition):
-        # the dual stays inside phi_j's band, so comb replicas cannot leak in
-        return bank.dual(j)(rho * 2.0 ** BAND_LEVEL_OFFSET)
-    return bank.psi(rho * 2.0 ** (BAND_LEVEL_OFFSET - j))
 
 
 def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence:
@@ -58,42 +40,34 @@ def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence
     """
     grid = f.grid
     cube_range.validate(grid)
-    F = to_spectral(f)
-    rho = grid.freq_radius()
+    if not (bank.homogeneous or cube_range.inhomogeneous):
+        raise ValueError("partition banks go with inhomogeneous ranges")
     entries = {}
-    for j in cube_range.band_levels():
-        mult = _analysis_multiplier(bank, rho, j, cube_range.inhomogeneous)
-        band = from_spectral(SpectralField(grid, F.coeffs * mult[..., None]))
-        samples = _corner_view(grid, band.values, j) * 2.0 ** (-j * grid.dim / 2.0)
+    for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels()):
+        samples = _corner_view(grid, band, j) * 2.0 ** (-j * grid.dim / 2.0)
         for k in np.ndindex(samples.shape[: grid.dim]):
             entries[DyadicCube(j, k)] = samples[k]
     return CoeffSequence(grid, entries, f.channels)
 
 
-def phi_synthesis(coeffs: CoeffSequence, bank, levels=None,
-                  inhomogeneous: bool = False) -> SampledField:
-    """sum_Q s_Q psi_Q, realized per level as a spectral product with the comb of coefficients."""
+def _comb_spectrum(coeffs: CoeffSequence, j: int):
+    """Spectrum of sum_Q s_Q |Q|^(-1/2) delta_(x_Q) over the level-j cubes."""
     grid = coeffs.grid
+    comb = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
+    scale = 2.0 ** (-j * grid.dim / 2.0) / grid.cell_measure
+    _corner_view(grid, comb, j)[...] = coeffs.level_array(j) * scale
+    return to_spectral(SampledField(grid, comb))
+
+
+def phi_synthesis(coeffs: CoeffSequence, bank, levels=None) -> SampledField:
+    """sum_Q s_Q psi_Q, realized per level as a spectral product with the comb of coefficients."""
     if levels is None:
         levels = coeffs.levels()
-    rho = grid.freq_radius()
-    acc = None
-    for j in levels:
-        dense = coeffs.level_array(j)          # (count,)*n + (m,)
-        step = 1 << (grid.res_log2 - j)
-        comb = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
-        scale = 2.0 ** (-j * grid.dim / 2.0) / grid.cell_measure
-        if grid.dim == 1:
-            comb[::step] = dense * scale
-        else:
-            comb[::step, ::step] = dense * scale
-        C = np.fft.fftn(comb, axes=tuple(range(grid.dim))) * grid.cell_measure
-        mult = _synthesis_multiplier(bank, rho, j, inhomogeneous)
-        piece = np.fft.ifftn(C * mult[..., None], axes=tuple(range(grid.dim))) / grid.cell_measure
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        acc = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
-    return SampledField(grid, acc)
+    acc = np.zeros(coeffs.grid.shape + (coeffs.channels,), dtype=complex)
+    for _, piece in band_outputs(lambda j: _comb_spectrum(coeffs, j), bank, levels,
+                                 synthesis=True):
+        acc += piece
+    return SampledField(coeffs.grid, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,3 @@ class CoeffSequence:
             if cube.level == j:
                 arr[cube.index] = vec
         return arr
-
-    @staticmethod
-    def from_level_array(grid: TorusGrid, j: int, arr: np.ndarray,
-                         drop_tol: float = 0.0) -> "CoeffSequence":
-        channels = arr.shape[-1]
-        entries = {}
-        for k in np.ndindex(arr.shape[:-1]):
-            v = arr[k]
-            if drop_tol == 0.0 or np.max(np.abs(v)) > drop_tol:
-                entries[DyadicCube(j, k)] = v
-        return CoeffSequence(grid, entries, channels)

@@ -82,11 +82,6 @@ def from_spectral(F: SpectralField) -> SampledField:
     return SampledField(F.grid, values)
 
 
-def from_spectral_real(F: SpectralField) -> SampledField:
-    """Inverse transform dropping the (numerically zero) imaginary part."""
-    return SampledField(F.grid, from_spectral(F).values.real)
-
-
 def quad_integral(g: SampledField, region=None) -> float:
     """Midpoint quadrature h^n * sum of a scalar field, over the torus or one dyadic cube."""
     vals = g.scalar()

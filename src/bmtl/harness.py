@@ -52,15 +52,7 @@ class ExperimentConfig:
         return CubeRange(self.j_min, self.j_max, self.inhomogeneous)
 
     def spaces(self) -> list:
-        out = []
-        for sp in self.space_params:
-            d = dict(sp)
-            d.setdefault("homogeneous", not self.inhomogeneous)
-            r = d.get("r", float("inf"))
-            if isinstance(r, str):
-                d["r"] = float(r)
-            out.append(SpaceParams(**d))
-        return out
+        return [SpaceParams.from_dict(sp, not self.inhomogeneous) for sp in self.space_params]
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":

@@ -10,7 +10,10 @@ Cube-paired machinery (norms, phi-transform) associates cube level j with the
 profile dilated to the band (2^(j-3), 2^(j-1)): with the cyclic Fourier
 convention, that is the widest dyadic band whose cube-corner samples at spacing
 2^-j stay alias-free, so analysis followed by synthesis is exact.  The offset
-between cube level and profile dilation is BAND_LEVEL_OFFSET.
+between cube level and profile dilation is BAND_LEVEL_OFFSET.  The pairing
+lives only in the banks' analysis and synthesis methods (AdmissiblePair for
+homogeneous levels, InhomPartition for levels j >= 0 with a low-pass slot at
+0); band_outputs applies them level by level for every norm and transform.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .grid import TorusGrid
 BAND_LEVEL_OFFSET = 2
 
 _SUPPORT_TOL = 1e-14
-_LOWER_BOUND = 0.1  # admissibility floor on the inner annulus [3/5, 5/3]
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -55,20 +57,6 @@ def _phi_profile(rho: np.ndarray) -> np.ndarray:
     return up * down
 
 
-def _dyadic_square_sum(rho: np.ndarray) -> np.ndarray:
-    """sum_v phi(2^-v rho)^2; at most three dyadic dilates meet any rho > 0."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    pos = rho > 0
-    if np.any(pos):
-        v0 = np.floor(np.log2(rho[pos])).astype(int)
-        acc = np.zeros(v0.shape)
-        for dv in (-1, 0, 1, 2):
-            acc += _phi_profile(rho[pos] * 2.0 ** (-(v0 + dv))) ** 2
-        out[pos] = acc
-    return out
-
-
 @dataclass
 class AdmissiblePair:
     """Analysis/synthesis profiles with supp in the annulus [1/2, 2] and
@@ -76,7 +64,15 @@ class AdmissiblePair:
 
     phi: RadialProfile
     psi: RadialProfile
-    lower_bound: float = _LOWER_BOUND
+    homogeneous = True          # the bank of homogeneous spaces (class attribute)
+
+    def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
+        """Level-j analysis multiplier: conj-reflected phi on cube level j's band."""
+        return np.conj(self.phi(rho * 2.0 ** (BAND_LEVEL_OFFSET - j)))
+
+    def synthesis(self, rho: np.ndarray, j: int) -> np.ndarray:
+        """Level-j synthesis multiplier: psi on cube level j's band."""
+        return self.psi(rho * 2.0 ** (BAND_LEVEL_OFFSET - j))
 
     def calderon_sum(self, rho, levels) -> np.ndarray:
         """sum over v in levels of conj(phi(2^-v rho)) * psi(2^-v rho)."""
@@ -133,6 +129,16 @@ class InhomPartition:
     phi_j = phi0(2^-j xi) - phi0(2^-j+1 xi) for j >= 1; sums telescope to 1."""
 
     phi0: RadialProfile
+    homogeneous = False         # the bank of inhomogeneous spaces (class attribute)
+
+    def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
+        """Level-j analysis multiplier: phi_j on cube level j's band (j >= 0)."""
+        return self.level(j)(rho * 2.0 ** BAND_LEVEL_OFFSET)
+
+    def synthesis(self, rho: np.ndarray, j: int) -> np.ndarray:
+        """Level-j synthesis multiplier: the dual, which stays inside phi_j's band
+        so comb replicas cannot leak in."""
+        return self.dual(j)(rho * 2.0 ** BAND_LEVEL_OFFSET)
 
     def level(self, j: int) -> RadialProfile:
         if j < 0:
@@ -205,14 +211,21 @@ def band_filter(f: SampledField, profile: RadialProfile, j: int) -> SampledField
     return out
 
 
-def level_filter(f: SampledField, profile: RadialProfile, j: int) -> SampledField:
-    """Band output paired with cube level j: profile dilated by the alias-safe offset."""
-    return band_filter(f, profile, j - BAND_LEVEL_OFFSET)
+def band_outputs(F, bank, levels, synthesis: bool = False):
+    """Yield (j, band_j) for j in levels, one level at a time: the spectrum times
+    bank's level-j analysis multiplier (synthesis multiplier if synthesis is
+    set), back on the grid with shape grid.shape + (channels,).
 
-
-def level_multiplier(grid: TorusGrid, profile: RadialProfile, j: int) -> np.ndarray:
-    """The lattice multiplier used by level_filter (FFT order)."""
-    return profile(grid.freq_radius() * 2.0 ** (BAND_LEVEL_OFFSET - j))
+    F is a SpectralField, or a function j -> SpectralField when each level has
+    its own input (the coefficient combs of phi_synthesis).
+    """
+    spectrum = F if callable(F) else (lambda j: F)
+    multiplier = bank.synthesis if synthesis else bank.analysis
+    for j in levels:
+        S = spectrum(j)
+        mult = multiplier(S.grid.freq_radius(), j)
+        axes = tuple(range(S.grid.dim))
+        yield j, np.fft.ifftn(S.coeffs * mult[..., None], axes=axes) / S.grid.cell_measure
 
 
 def covered_band(range_levels) -> tuple:

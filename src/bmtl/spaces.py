@@ -2,9 +2,12 @@
 maximal operators, and the Peetre / Lusin / g-lambda-star / approximation variants.
 
 Outer norms aggregate |Q|^(1/t - 1/p) ||. chi_Q||_Lp over every cube of the level
-window in l^r (sup at r = infinity).  Inner level sums follow the cube <-> band
-pairing of lpa.level_filter.  Balls for the maximal operator are sup-metric
-windows with grid-multiple radii, wrapped on the torus.
+window in l^r (sup at r = infinity).  Every level-summed norm yields one
+weighted magnitude per level into a single driver, _level_sum, which takes the
+pointwise l^q sum over levels and the Bourgain-Morrey norms.  Band outputs come
+from lpa.band_outputs, so the cube <-> band pairing is the bank's.  Balls for
+the maximal operator are sup-metric windows with grid-multiple radii, wrapped
+on the torus.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .coeffseq import CoeffSequence
 from .dyadic import CubeRange, cube_sums, level_block_view, spread_to_grid
 from .fields import SampledField, SpectralField, to_spectral
 from .grid import TorusGrid
-from .lpa import BAND_LEVEL_OFFSET, AdmissiblePair, InhomPartition
+from .lpa import InhomPartition, band_outputs
 from .weights import MatrixWeight, ReducingFamily
 
 
@@ -36,6 +39,15 @@ class SpaceParams:
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
         check_nontrivial(self.p, self.t, self.r)
+
+    @staticmethod
+    def from_dict(params: dict, homogeneous: bool) -> "SpaceParams":
+        """From JSON-style params: s, p, q, t, optional r (a number or a string
+        such as "inf"; default infinity) and optional homogeneous (default:
+        the given value).  Other keys are ignored."""
+        return SpaceParams(params["s"], params["p"], params["q"], params["t"],
+                           float(params.get("r", "inf")),
+                           bool(params.get("homogeneous", homogeneous)))
 
 
 def check_nontrivial(p: float, t: float, r: float):
@@ -105,25 +117,6 @@ def _check_weighting(w, f_channels: int):
         raise ValueError(f"weighting has {w.channels} channels, field has {f_channels}")
 
 
-class _QAccumulator:
-    """Pointwise (sum_j x_j^q)^(1/q), with sup at q = infinity."""
-
-    def __init__(self, q: float, shape):
-        self.q = q
-        self.acc = np.zeros(shape)
-
-    def add(self, x: np.ndarray):
-        if np.isinf(self.q):
-            np.maximum(self.acc, x, out=self.acc)
-        else:
-            self.acc += x ** self.q
-
-    def result(self) -> np.ndarray:
-        if np.isinf(self.q):
-            return self.acc
-        return self.acc ** (1.0 / self.q)
-
-
 def _nonneg_scalar(g: SampledField) -> np.ndarray:
     vals = g.scalar()
     if np.iscomplexobj(vals):
@@ -155,6 +148,33 @@ def bm_array_norm(grid: TorusGrid, vals: np.ndarray, p: float, t: float, r: floa
     return total ** (1.0 / r)
 
 
+def _level_sum(grid: TorusGrid, magnitudes, p: float, t: float, r: float, q: float,
+               cube_range: CubeRange, per_level: bool = True) -> NormReport:
+    """The skeleton of every level-summed norm: magnitudes yields (j, weighted
+    level-j magnitude) one level at a time; the value is the BM norm of their
+    pointwise l^q sum, and per_level adds each level's own BM norm."""
+    levels = cube_range.cube_levels()
+    acc = np.zeros(grid.shape)        # sum_j mag_j^q, or max_j mag_j at q = infinity
+    by_level = {}
+    for j, mag in magnitudes:
+        if np.isinf(q):
+            np.maximum(acc, mag, out=acc)
+        else:
+            acc += mag ** q
+        if per_level:
+            by_level[j] = bm_array_norm(grid, mag, p, t, r, levels)
+    total = acc if np.isinf(q) else acc ** (1.0 / q)
+    return NormReport(bm_array_norm(grid, total, p, t, r, levels), by_level)
+
+
+def _truncation_ratio(value: float, grid: TorusGrid, cube_range: CubeRange, norm_on):
+    """norm_on(widened range) / value, or None when the range cannot widen."""
+    wide = cube_range.widened(grid)
+    if wide == cube_range:
+        return None
+    return norm_on(wide).value / value if value > 0 else 1.0
+
+
 def bm_norm(g: SampledField, p: float, t: float, r: float, cube_range: CubeRange) -> float:
     """|| { |Q|^(1/t-1/p) ||g chi_Q||_Lp } ||_lr over the cubes of the range."""
     check_nontrivial(p, t, r)
@@ -168,11 +188,8 @@ def bm_seq_norm(gs, p: float, t: float, r: float, q: float, cube_range: CubeRang
     if not gs:
         return 0.0
     check_nontrivial(p, t, r)
-    grid = gs[0].grid
-    acc = _QAccumulator(q, grid.shape)
-    for g in gs:
-        acc.add(_nonneg_scalar(g))
-    return bm_array_norm(grid, acc.result(), p, t, r, cube_range.cube_levels())
+    mags = enumerate(map(_nonneg_scalar, gs))
+    return _level_sum(gs[0].grid, mags, p, t, r, q, cube_range, per_level=False).value
 
 
 def hl_maximal(g: SampledField, eta: float = 1.0) -> SampledField:
@@ -209,23 +226,15 @@ def averaging(g: SampledField, j: int) -> SampledField:
     return SampledField(grid, spread_to_grid(grid, means, j)[..., None])
 
 
-def _level_multiplier(grid: TorusGrid, bank, j: int, homogeneous: bool) -> np.ndarray:
-    rho = grid.freq_radius()
-    if homogeneous:
-        return bank.phi(rho * 2.0 ** (BAND_LEVEL_OFFSET - j))
-    return bank.level(j)(rho * 2.0 ** BAND_LEVEL_OFFSET)
-
-
-def _band_values(F: SpectralField, mult: np.ndarray) -> np.ndarray:
-    axes = tuple(range(F.grid.dim))
-    return np.fft.ifftn(F.coeffs * mult[..., None], axes=axes) / F.grid.cell_measure
-
-
-def _resolve_bank(bank, sp: SpaceParams):
-    if sp.homogeneous and not isinstance(bank, AdmissiblePair):
-        raise ValueError("homogeneous norms need an AdmissiblePair")
-    if not sp.homogeneous and not isinstance(bank, InhomPartition):
+def _prologue(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange) -> SpectralField:
+    """Checks shared by the function-side norms; returns the spectrum of f."""
+    _check_weighting(w, f.channels)
+    if getattr(bank, "homogeneous", None) != sp.homogeneous:
+        if sp.homogeneous:
+            raise ValueError("homogeneous norms need an AdmissiblePair")
         raise ValueError("inhomogeneous norms need an InhomPartition")
+    cube_range.validate(f.grid)
+    return to_spectral(f)
 
 
 def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
@@ -235,28 +244,14 @@ def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
     Pointwise weighting gives the W-version; Cubewise gives the A_Q-version
     (matrix locked per cube of the band's level).
     """
-    _check_weighting(w, f.channels)
-    _resolve_bank(bank, sp)
-    cube_range.validate(f.grid)
-    grid = f.grid
-    F = to_spectral(f)
-    acc = _QAccumulator(sp.q, grid.shape)
-    per_level = {}
-    for j in cube_range.band_levels():
-        mult = _level_multiplier(grid, bank, j, sp.homogeneous)
-        mag = w.magnitude(j, _band_values(F, mult))
-        weighted = 2.0 ** (j * sp.s) * mag
-        acc.add(weighted)
-        per_level[j] = bm_array_norm(grid, weighted, sp.p, sp.t, sp.r,
-                                     cube_range.cube_levels())
-    value = bm_array_norm(grid, acc.result(), sp.p, sp.t, sp.r, cube_range.cube_levels())
-    trunc = None
+    F = _prologue(f, w, sp, bank, cube_range)
+    mags = ((j, 2.0 ** (j * sp.s) * w.magnitude(j, band))
+            for j, band in band_outputs(F, bank, cube_range.band_levels()))
+    rep = _level_sum(f.grid, mags, sp.p, sp.t, sp.r, sp.q, cube_range)
     if truncation_check:
-        wide = cube_range.widened(grid)
-        if wide != cube_range:
-            wide_val = tl_norm(f, w, sp, bank, wide).value
-            trunc = wide_val / value if value > 0 else 1.0
-    return NormReport(value, per_level, trunc)
+        rep.truncation = _truncation_ratio(rep.value, f.grid, cube_range,
+                                           lambda wide: tl_norm(f, w, sp, bank, wide))
+    return rep
 
 
 def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
@@ -269,39 +264,33 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
     _check_weighting(w, coeffs.channels)
     cube_range.validate(coeffs.grid)
     grid = coeffs.grid
-    bad = [c for c in coeffs.entries if not (cube_range.band_levels().start <= c.level
-                                             <= cube_range.band_levels().stop - 1)]
+    levels = cube_range.band_levels()
+    bad = [c for c in coeffs.entries if c.level not in levels]
     if bad:
         raise ValueError(f"coefficients outside the range window: {bad[:3]}")
-    acc = _QAccumulator(sp.q, grid.shape)
-    per_level = {}
-    for j in cube_range.band_levels():
-        dense = coeffs.level_array(j)
-        if isinstance(w, CubewiseWeighting):
-            A = w.family.level_array(j)
-            per_cube = np.linalg.norm(np.einsum("...ab,...b->...a", A, dense), axis=-1)
-            mag = spread_to_grid(grid, per_cube, j)
-        else:
-            spread = spread_to_grid(grid, dense, j)
-            mag = w.magnitude(j, spread)
-        if masks:
-            keep = np.ones(grid.shape, dtype=bool)
-            level_masks = [(c, mk) for c, mk in masks.items() if c.level == j]
-            for cube, mk in level_masks:
-                keep[cube.grid_slices(grid)] = mk
-            mag = mag * keep
-        weighted = 2.0 ** (j * (sp.s + grid.dim / 2.0)) * mag
-        acc.add(weighted)
-        per_level[j] = bm_array_norm(grid, weighted, sp.p, sp.t, sp.r,
-                                     cube_range.cube_levels())
-    value = bm_array_norm(grid, acc.result(), sp.p, sp.t, sp.r, cube_range.cube_levels())
-    trunc = None
+
+    def magnitudes():
+        for j in levels:
+            dense = coeffs.level_array(j)
+            if isinstance(w, CubewiseWeighting):
+                A = w.family.level_array(j)
+                per_cube = np.linalg.norm(np.einsum("...ab,...b->...a", A, dense), axis=-1)
+                mag = spread_to_grid(grid, per_cube, j)
+            else:
+                mag = w.magnitude(j, spread_to_grid(grid, dense, j))
+            if masks:
+                keep = np.ones(grid.shape, dtype=bool)
+                for cube, mk in masks.items():
+                    if cube.level == j:
+                        keep[cube.grid_slices(grid)] = mk
+                mag = mag * keep
+            yield j, 2.0 ** (j * (sp.s + grid.dim / 2.0)) * mag
+
+    rep = _level_sum(grid, magnitudes(), sp.p, sp.t, sp.r, sp.q, cube_range)
     if truncation_check:
-        wide = cube_range.widened(grid)
-        if wide != cube_range:
-            trunc_val = seq_norm(coeffs, w, sp, wide, masks).value
-            trunc = trunc_val / value if value > 0 else 1.0
-    return NormReport(value, per_level, trunc)
+        rep.truncation = _truncation_ratio(rep.value, grid, cube_range,
+                                           lambda wide: seq_norm(coeffs, w, sp, wide, masks))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -334,39 +323,30 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
     |W^(1/p)(x) band(y)| / (1 + 2^j |x-y|)^a, then the usual aggregation."""
     if a <= 0:
         raise ValueError("a must be positive")
-    _check_weighting(w, f.channels)
-    _resolve_bank(bank, sp)
-    cube_range.validate(f.grid)
+    F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
-    F = to_spectral(f)
-    m = f.channels
     P = _pointwise_sq_mats(w)
-    acc = _QAccumulator(sp.q, grid.shape)
-    per_level = {}
     xs = grid.axis_coords()
-    for j in cube_range.band_levels():
-        mult = _level_multiplier(grid, bank, j, sp.homogeneous)
-        v = _band_values(F, mult).reshape(-1, m)
-        if grid.dim == 1:
-            G = _gram(v)
-            n = v.shape[0]
-            out = np.empty(n)
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                sq = P[lo:hi] @ G.T
-                np.maximum(sq, 0.0, out=sq)
-                dist = _axis_dist_matrix(grid, xs[lo:hi], xs)
-                pen = (1.0 + 2.0 ** j * dist) ** a
-                out[lo:hi] = np.max(np.sqrt(sq) / pen, axis=1)
-            sup = out.reshape(grid.shape)
-        else:
-            sup = _peetre_sup_2d(grid, w, v.reshape(grid.shape + (m,)), j, a, tail_tol)
-        weighted = 2.0 ** (j * sp.s) * sup
-        acc.add(weighted)
-        per_level[j] = bm_array_norm(grid, weighted, sp.p, sp.t, sp.r,
-                                     cube_range.cube_levels())
-    value = bm_array_norm(grid, acc.result(), sp.p, sp.t, sp.r, cube_range.cube_levels())
-    return NormReport(value, per_level)
+
+    def sups():
+        for j, band in band_outputs(F, bank, cube_range.band_levels()):
+            if grid.dim == 1:
+                G = _gram(band)
+                n = band.shape[0]
+                out = np.empty(n)
+                for lo in range(0, n, chunk):
+                    hi = min(lo + chunk, n)
+                    sq = P[lo:hi] @ G.T
+                    np.maximum(sq, 0.0, out=sq)
+                    dist = _axis_dist_matrix(grid, xs[lo:hi], xs)
+                    pen = (1.0 + 2.0 ** j * dist) ** a
+                    out[lo:hi] = np.max(np.sqrt(sq) / pen, axis=1)
+                sup = out.reshape(grid.shape)
+            else:
+                sup = _peetre_sup_2d(grid, w, band, j, a, tail_tol)
+            yield j, 2.0 ** (j * sp.s) * sup
+
+    return _level_sum(grid, sups(), sp.p, sp.t, sp.r, sp.q, cube_range)
 
 
 def _offsets_within(grid: TorusGrid, radius: float) -> list:
@@ -433,29 +413,20 @@ def lusin_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
     the weight frozen at the center."""
     if np.isinf(sp.q):
         raise ValueError("lusin norm needs q < infinity")
-    _check_weighting(w, f.channels)
-    _resolve_bank(bank, sp)
-    cube_range.validate(f.grid)
+    F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
-    F = to_spectral(f)
     root = w.W.power(1.0 / w.p)
-    acc = _QAccumulator(sp.q, grid.shape)
-    per_level = {}
-    for j in cube_range.band_levels():
-        radius = 2.0 ** (-j)
-        if radius < grid.spacing:
-            continue
-        mult = _level_multiplier(grid, bank, j, sp.homogeneous)
-        v = _band_values(F, mult)
-        offsets = _offsets_within(grid, radius)
-        total = _shifted_magnitudes_sum(grid, root, v, offsets, sp.q)
-        u = 2.0 ** (j * grid.dim) * grid.cell_measure * total
-        weighted = (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
-        acc.add(weighted)
-        per_level[j] = bm_array_norm(grid, weighted, sp.p, sp.t, sp.r,
-                                     cube_range.cube_levels())
-    value = bm_array_norm(grid, acc.result(), sp.p, sp.t, sp.r, cube_range.cube_levels())
-    return NormReport(value, per_level)
+    # levels whose ball radius 2^-j is below the grid spacing are skipped
+    levels = [j for j in cube_range.band_levels() if 2.0 ** (-j) >= grid.spacing]
+
+    def areas():
+        for j, band in band_outputs(F, bank, levels):
+            offsets = _offsets_within(grid, 2.0 ** (-j))
+            total = _shifted_magnitudes_sum(grid, root, band, offsets, sp.q)
+            u = 2.0 ** (j * grid.dim) * grid.cell_measure * total
+            yield j, (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
+
+    return _level_sum(grid, areas(), sp.p, sp.t, sp.r, sp.q, cube_range)
 
 
 def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: float,
@@ -467,59 +438,45 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
     if lam <= 1.0 / min(1.0, sp.p, sp.q) + delta_cap / f.grid.dim:
         warnings.warn("lambda below the boundedness threshold; value still computed",
                       stacklevel=2)
-    _check_weighting(w, f.channels)
-    _resolve_bank(bank, sp)
-    cube_range.validate(f.grid)
+    F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
-    F = to_spectral(f)
     m = f.channels
     n = grid.dim
-    acc = _QAccumulator(sp.q, grid.shape)
-    per_level = {}
     coords = np.stack(grid.coords(), axis=-1).reshape(-1, n)
     dist0 = grid.torus_dist(coords, np.zeros(n)).reshape(grid.shape)
-    for j in cube_range.band_levels():
-        mult = _level_multiplier(grid, bank, j, sp.homogeneous)
-        v = _band_values(F, mult)
-        if sp.q == 2.0:
-            # kernel is a function of x - y: contract via cyclic convolution
-            kern = (1.0 + 2.0 ** j * dist0) ** (-lam * n * sp.q) * grid.cell_measure
-            Kf = np.fft.fftn(kern)
-            P = w.W.power(2.0 / w.p)
-            G = np.einsum("...a,...b->...ab", v, np.conj(v)).real
-            axes = tuple(range(n))
-            conv = np.fft.ifftn(np.fft.fftn(G, axes=axes) * Kf[..., None, None],
-                                axes=axes).real
-            u = 2.0 ** (j * n) * np.maximum(np.einsum("...ab,...ab->...", P, conv), 0.0)
-        else:
-            flat_v = v.reshape(-1, m)
-            P = _pointwise_sq_mats(w)
-            G = _gram(flat_v)
-            npts = flat_v.shape[0]
-            xs = grid.axis_coords()
-            u = np.empty(npts)
-            if n == 1:
-                for lo in range(0, npts, chunk):
-                    hi = min(lo + chunk, npts)
-                    sq = np.maximum(P[lo:hi] @ G.T, 0.0)
-                    dist = _axis_dist_matrix(grid, xs[lo:hi], xs)
-                    pen = (1.0 + 2.0 ** j * dist) ** (-lam * n * sp.q)
-                    u[lo:hi] = np.sum(sq ** (sp.q / 2.0) * pen, axis=1)
+
+    def areas():
+        for j, v in band_outputs(F, bank, cube_range.band_levels()):
+            if sp.q == 2.0:
+                # kernel is a function of x - y: contract via cyclic convolution
+                kern = (1.0 + 2.0 ** j * dist0) ** (-lam * n * sp.q) * grid.cell_measure
+                Kf = np.fft.fftn(kern)
+                P = w.W.power(2.0 / w.p)
+                G = np.einsum("...a,...b->...ab", v, np.conj(v)).real
+                axes = tuple(range(n))
+                conv = np.fft.ifftn(np.fft.fftn(G, axes=axes) * Kf[..., None, None],
+                                    axes=axes).real
+                u = 2.0 ** (j * n) * np.maximum(np.einsum("...ab,...ab->...", P, conv), 0.0)
             else:
-                allc = coords
+                flat_v = v.reshape(-1, m)
+                P = _pointwise_sq_mats(w)
+                G = _gram(flat_v)
+                npts = flat_v.shape[0]
+                xs = grid.axis_coords()
+                u = np.empty(npts)
                 for lo in range(0, npts, chunk):
                     hi = min(lo + chunk, npts)
                     sq = np.maximum(P[lo:hi] @ G.T, 0.0)
-                    d = grid.torus_dist(allc[lo:hi][:, None, :], allc[None, :, :])
+                    if n == 1:
+                        d = _axis_dist_matrix(grid, xs[lo:hi], xs)
+                    else:
+                        d = grid.torus_dist(coords[lo:hi][:, None, :], coords[None, :, :])
                     pen = (1.0 + 2.0 ** j * d) ** (-lam * n * sp.q)
                     u[lo:hi] = np.sum(sq ** (sp.q / 2.0) * pen, axis=1)
-            u = 2.0 ** (j * n) * grid.cell_measure * u.reshape(grid.shape)
-        weighted = (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
-        acc.add(weighted)
-        per_level[j] = bm_array_norm(grid, weighted, sp.p, sp.t, sp.r,
-                                     cube_range.cube_levels())
-    value = bm_array_norm(grid, acc.result(), sp.p, sp.t, sp.r, cube_range.cube_levels())
-    return NormReport(value, per_level)
+                u = 2.0 ** (j * n) * grid.cell_measure * u.reshape(grid.shape)
+            yield j, (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
+
+    return _level_sum(grid, areas(), sp.p, sp.t, sp.r, sp.q, cube_range)
 
 
 def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,
@@ -536,25 +493,18 @@ def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,
     if sp.s <= thresh:
         warnings.warn(f"s = {sp.s} below the approximation threshold {thresh}",
                       stacklevel=2)
-    _check_weighting(w, f.channels)
-    cube_range.validate(f.grid)
+    F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
-    F = to_spectral(f)
-    acc = _QAccumulator(sp.q, grid.shape)
-    u = np.zeros_like(f.values, dtype=complex)
-    term1 = None
-    per_level = {}
-    for k in cube_range.band_levels():
-        mult = _level_multiplier(grid, bank, k, homogeneous=False)
-        u = u + _band_values(F, mult)
-        if term1 is None:
-            term1 = bm_array_norm(grid, w.magnitude(k, u), sp.p, sp.t, sp.r,
-                                  cube_range.cube_levels())
-        tail = w.magnitude(k, f.values - u)
-        weighted = 2.0 ** (k * sp.s) * tail
-        acc.add(weighted)
-        per_level[k] = bm_array_norm(grid, weighted, sp.p, sp.t, sp.r,
-                                     cube_range.cube_levels())
-    tail_norm = bm_array_norm(grid, acc.result(), sp.p, sp.t, sp.r,
-                              cube_range.cube_levels())
-    return NormReport((term1 or 0.0) + tail_norm, per_level)
+    term1 = []   # ||W^(1/p) u_0||_bm, filled at the first level
+
+    def tails():
+        u = np.zeros_like(f.values, dtype=complex)
+        for k, band in band_outputs(F, bank, cube_range.band_levels()):
+            u = u + band
+            if not term1:
+                term1.append(bm_array_norm(grid, w.magnitude(k, u), sp.p, sp.t, sp.r,
+                                           cube_range.cube_levels()))
+            yield k, 2.0 ** (k * sp.s) * w.magnitude(k, f.values - u)
+
+    tail = _level_sum(grid, tails(), sp.p, sp.t, sp.r, sp.q, cube_range)
+    return NormReport(sum(term1) + tail.value, tail.per_level)

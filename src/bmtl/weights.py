@@ -79,10 +79,6 @@ class MatrixWeight:
                 f"weight is numerically singular: min eigenvalue {self.min_eig:.3e} < {EIG_FLOOR:.0e}"
             )
 
-    def apply_root(self, p: float, vectors: np.ndarray) -> np.ndarray:
-        """W^(1/p)(x) v(x) pointwise; vectors shaped grid.shape + (m,)."""
-        return np.einsum("...ab,...b->...a", self.power(1.0 / p), vectors)
-
 
 @dataclass
 class ReducingFamily:
@@ -109,10 +105,6 @@ class ReducingFamily:
         if self.grid.dim == 2:
             arr = arr.reshape(count, count, m, m)
         return arr
-
-    def rescaled(self, factor: float) -> "ReducingFamily":
-        mats = {c: a * factor for c, a in self.matrices.items()}
-        return ReducingFamily(self.grid, self.p, self.cube_range, mats, self.method)
 
 
 @dataclass

@@ -89,7 +89,7 @@ def test_phi_round_trip_inhomogeneous_2d():
     rng = np.random.default_rng(2)
     f = band_limited_noise(G2, 1, 0.0, 1.8, rng)
     cr = CubeRange(0, 3, inhomogeneous=True)
-    rec = phi_synthesis(phi_transform(f, part, cr), part, inhomogeneous=True)
+    rec = phi_synthesis(phi_transform(f, part, cr), part)
     err = l2_norm(SampledField(G2, rec.values - f.values)) / l2_norm(f)
     assert err < 1e-12
 

@@ -65,7 +65,7 @@ def test_phi_round_trip_inhomogeneous():
     rng = np.random.default_rng(30)
     f = band_limited_noise(GRID, 2, 0.0, 8.0, rng)   # includes DC
     cr = CubeRange(0, 6, inhomogeneous=True)
-    rec = phi_synthesis(phi_transform(f, part, cr), part, inhomogeneous=True)
+    rec = phi_synthesis(phi_transform(f, part, cr), part)
     err = l2_norm(SampledField(GRID, rec.values - f.values)) / l2_norm(f)
     assert err < 1e-12
 
@@ -204,7 +204,8 @@ def test_sup_cube_surrogate_bounded():
     # replacing |A_Q band(x)| by its sup over Q changes tl by a bounded factor
     from bmtl.dyadic import level_block_view, spread_to_grid
     from bmtl.fields import to_spectral
-    from bmtl.spaces import _band_values, _level_multiplier, bm_array_norm
+    from bmtl.lpa import band_outputs
+    from bmtl.spaces import bm_array_norm
     rng = np.random.default_rng(6)
     W = oscillating_weight(GRID)
     sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf)
@@ -214,8 +215,8 @@ def test_sup_cube_surrogate_bounded():
     F = to_spectral(f)
     plain_acc = np.zeros(GRID.shape)
     sup_acc = np.zeros(GRID.shape)
-    for j in RANGE.band_levels():
-        mag = w.magnitude(j, _band_values(F, _level_multiplier(GRID, PAIR, j, True)))
+    for j, band in band_outputs(F, PAIR, RANGE.band_levels()):
+        mag = w.magnitude(j, band)
         blocks = level_block_view(GRID, mag, j)
         sup_per_cube = blocks.max(axis=1)
         sup_mag = spread_to_grid(GRID, sup_per_cube, j)

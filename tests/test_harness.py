@@ -193,6 +193,17 @@ def test_cli_norm_and_filter(tmp_path):
                                           "j_min": -2, "j_max": 4}),
                   "--field", str(fpath))
     assert res.returncode == 2  # bm needs a nonnegative scalar; complex noise sign flips
+    apath = tmp_path / "abs.bin"
+    fieldio.write_field(apath, SampledField(g, np.abs(f.values)))
+    bm_params = {"p": 1.5, "t": 2, "r": "inf", "j_min": -2, "j_max": 4}
+    res = run_cli("norm", "--space", "bm", "--params", json.dumps(bm_params),
+                  "--field", str(apath))
+    assert res.returncode == 0, res.stderr
+    assert np.isfinite(json.loads(res.stdout)["value"])
+    res = run_cli("norm", "--space", "bm", "--params", json.dumps({**bm_params, "r": "abc"}),
+                  "--field", str(apath))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
     out = tmp_path / "band.bin"
     res = run_cli("filter", "--field", str(fpath), "--level", "2", "--out", str(out))
     assert res.returncode == 0
@@ -238,6 +249,11 @@ def test_cli_equiv_and_report(tmp_path):
                   "--out", str(out_csv))
     assert res.returncode == 0
     assert out_csv.read_text().count("\n") >= 1
+    cfg.output = str(tmp_path / "direct.csv")
+    cfg.to_json(cfg_path)
+    res = run_cli("equiv", "--config", str(cfg_path), "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    assert out_csv.read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -305,11 +305,11 @@ def test_gamma_j_averaging_bound():
     root = W.power(1.0 / p)
     f = band_limited_noise(GRID, 2, 0.25, 8.0, rng)
     from bmtl.fields import to_spectral
-    from bmtl.spaces import _band_values, _level_multiplier
+    from bmtl.lpa import band_outputs
     F = to_spectral(f)
     plain, damped = [], []
-    for j in RANGE.band_levels():
-        mag = np.linalg.norm(_band_values(F, _level_multiplier(GRID, PAIR, j, True)), axis=-1)
+    for j, band in band_outputs(F, PAIR, RANGE.band_levels()):
+        mag = np.linalg.norm(band, axis=-1)
         ej = averaging(scalar_field(GRID, mag), j).scalar()
         A = fam.level_array(j)
         Ainv = np.linalg.inv(A)
