@@ -115,7 +115,7 @@ def cmd_transform(args) -> int:
         for i, seq in coeffs.items():
             fieldio.write_coeffs(f"{args.out}.gen{i}", seq)
         return 0
-    raise SystemExit("wavelet synthesis needs the full generator set; use the library API")
+    raise ValueError("wavelet synthesis needs the full generator set; use the library API")
 
 
 def cmd_bound(args) -> int:

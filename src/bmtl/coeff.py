@@ -25,10 +25,7 @@ from .lpa import band_outputs
 
 
 def _corner_view(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
-    step = 1 << (grid.res_log2 - j)
-    if grid.dim == 1:
-        return values[::step]
-    return values[::step, ::step]
+    return values[(slice(None, None, 1 << (grid.res_log2 - j)),) * grid.dim]
 
 
 def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence:
@@ -42,12 +39,9 @@ def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence
     cube_range.validate(grid)
     if not (bank.homogeneous or cube_range.inhomogeneous):
         raise ValueError("partition banks go with inhomogeneous ranges")
-    entries = {}
-    for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels()):
-        samples = _corner_view(grid, band, j) * 2.0 ** (-j * grid.dim / 2.0)
-        for k in np.ndindex(samples.shape[: grid.dim]):
-            entries[DyadicCube(j, k)] = samples[k]
-    return CoeffSequence(grid, entries, f.channels)
+    arrays = {j: _corner_view(grid, band, j) * 2.0 ** (-j * grid.dim / 2.0)
+              for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels())}
+    return CoeffSequence(grid, arrays, f.channels)
 
 
 def _comb_spectrum(coeffs: CoeffSequence, j: int):
@@ -126,27 +120,25 @@ def ad_weight(grid: TorusGrid, Q: DyadicCube, P: DyadicCube, prof: ADProfile,
 
 def ad_enumerate(grid: TorusGrid, cube_range: CubeRange, prof: ADProfile,
                  variant: str = "plain", drop_tol: float = 1e-12) -> tuple:
-    """All (Q, P, omega_QP) with omega above drop_tol * max, plus the dropped mass.
+    """All (Q, P, omega_QP) with omega_QP >= drop_tol, plus the dropped mass.
 
     The profile's distance decay makes the operator banded; entries below the
     threshold are discarded and their total omega mass is returned for audit.
     """
-    levels = list(cube_range.band_levels())
+    levels = cube_range.band_levels()
+    cubes = {j: cubes_at_level(grid, j) for j in levels}
+    corners = {j: np.array([c.corner for c in cubes[j]]) for j in levels}
     kept = {}
     dropped = 0.0
     for jQ in levels:
-        cQ = np.array([c.corner for c in cubes_at_level(grid, jQ)])
-        cubesQ = cubes_at_level(grid, jQ)
         for jP in levels:
-            cP = np.array([c.corner for c in cubes_at_level(grid, jP)])
-            cubesP = cubes_at_level(grid, jP)
-            diff = grid.wrap_delta(cQ[:, None, :] - cP[None, :, :])
+            diff = grid.wrap_delta(corners[jQ][:, None, :] - corners[jP][None, :, :])
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
             om = _omega_arrays(grid, 2.0 ** (-jQ), 2.0 ** (-jP), dist, prof, variant)
             keep = om >= drop_tol
             dropped += float(np.sum(om[~keep]))
             for a, b in zip(*np.nonzero(keep)):
-                kept[(cubesQ[a], cubesP[b])] = float(om[a, b])
+                kept[(cubes[jQ][a], cubes[jP][b])] = float(om[a, b])
     return kept, dropped
 
 
@@ -162,15 +154,12 @@ def ad_random_operator(grid: TorusGrid, cube_range: CubeRange, prof: ADProfile,
 
 def ad_apply(entries: dict, coeffs: CoeffSequence) -> CoeffSequence:
     """t_Q = sum_P b_QP s_P, per component."""
+    source = {P: s for P, s in coeffs.entries.items() if s.any()}   # zeros add nothing
     out = {}
     for (Q, P), b in entries.items():
-        s = coeffs.entries.get(P)
-        if s is None:
-            continue
-        if Q in out:
-            out[Q] = out[Q] + b * s
-        else:
-            out[Q] = b * s
+        s = source.get(P)
+        if s is not None:
+            out[Q] = out.get(Q, 0.0) + b * s
     return CoeffSequence(coeffs.grid, out, coeffs.channels)
 
 
@@ -332,39 +321,45 @@ def atom_rearrange(coeffs: dict, db_order: int, cube_range: CubeRange,
     """Reindex generator-i wavelet coefficients of Q onto Q's i-th child.
 
     Child i of Q carries the atom const * psi_Q^(i) with coefficient
-    coeff / const; the 2^n-th child carries the zero atom.  The approximation
-    part (generator 0) is left on its own cubes unchanged so synthesis is
-    reproduced exactly.
+    coeff / const; the 2^n-th child carries the zero atom.  Only nonzero
+    coefficients get an atom.  The approximation part (generator 0) is left on
+    its own cubes unchanged so synthesis is reproduced exactly.
     """
     grid = coeffs[0].grid
     channels = coeffs[0].channels
     n_det = 2 ** grid.dim - 1
-    entries = {}
+    child_offsets = list(product(range(2), repeat=grid.dim))  # DyadicCube.children order
+    arrays = {}
     sources = {}
-    max_level = grid.res_log2
     for i in range(1, n_det + 1):
-        for cube, vec in coeffs[i].entries.items():
-            if cube.level + 1 > max_level:
-                raise ValueError(f"child level of {cube} overflows the grid")
-            if cube.level + 1 > cube_range.j_max + 1:
-                raise ValueError(f"child of {cube} leaves the range window")
-            child = cube.children()[i - 1]
-            entries[child] = vec / const
-            sources[child] = (i, cube)
-    j_min = min((c.level for c in coeffs[0].entries), default=cube_range.j_min)
+        for j in coeffs[i].levels():
+            arr = coeffs[i].level_array(j)
+            nonzero = [DyadicCube(j, k) for k in np.argwhere(np.any(arr != 0, axis=-1))]
+            if not nonzero:
+                continue
+            if j + 1 > grid.res_log2:
+                raise ValueError(f"child level of {nonzero[0]} overflows the grid")
+            if j + 1 > cube_range.j_max + 1:
+                raise ValueError(f"child of {nonzero[0]} leaves the range window")
+            child = arrays.setdefault(j + 1, np.zeros((2 * arr.shape[0],) * grid.dim
+                                                      + (channels,), dtype=complex))
+            child[tuple(slice(o, None, 2) for o in child_offsets[i - 1])] = arr / const
+            for cube in nonzero:
+                sources[cube.children()[i - 1]] = (i, cube)
+    j_min = min(coeffs[0].levels(), default=cube_range.j_min)
     atoms = AtomDictionary(grid, db_order, j_min, sources)
-    return atoms, CoeffSequence(grid, entries, channels)
+    return atoms, CoeffSequence(grid, arrays, channels)
 
 
 def atom_synthesis(atoms: AtomDictionary, coeffs: CoeffSequence, approx: CoeffSequence,
                    db_order: int, const: float = 1.0) -> SampledField:
-    """sum_P t_P a_P plus the untouched approximation part."""
+    """sum_P t_P a_P over the given atoms plus the untouched approximation part."""
     from .wavelets import empty_coeffs, wavelet_synthesize
     grid = coeffs.grid
     acc = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
-    for cube, vec in coeffs.entries.items():
+    for cube in atoms.keys():
         a = atoms[cube].scalar()
-        acc += const * a[..., None] * vec
+        acc += const * a[..., None] * coeffs.get(cube)
     base = empty_coeffs(grid, coeffs.channels)
     base[0] = approx
     acc += wavelet_synthesize(base, db_order).values

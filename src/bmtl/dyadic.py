@@ -170,29 +170,22 @@ def level_block_view(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     1D -> (ncubes, pts, ...); 2D -> (ncubes, pts, ncubes, pts, ...).  Trailing
     (non-grid) axes are preserved.
     """
-    count = cubes_per_axis(grid, j)
     w = 1 << (grid.res_log2 - j)
-    tail = values.shape[grid.dim:]
-    if grid.dim == 1:
-        return values.reshape((count, w) + tail)
-    return values.reshape((count, w, count, w) + tail)
+    return values.reshape((cubes_per_axis(grid, j), w) * grid.dim + values.shape[grid.dim:])
 
 
 def cube_sums(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     """Per-cube sums of a grid-shaped array at level j, cube axes leading."""
-    blocks = level_block_view(grid, values, j)
-    if grid.dim == 1:
-        return blocks.sum(axis=1)
-    return blocks.sum(axis=(1, 3))
+    return level_block_view(grid, values, j).sum(axis=tuple(range(1, 2 * grid.dim, 2)))
+
+
+def cube_means(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
+    """Per-cube means of a grid-shaped array at level j, cube axes leading."""
+    return level_block_view(grid, values, j).mean(axis=tuple(range(1, 2 * grid.dim, 2)))
 
 
 def spread_to_grid(grid: TorusGrid, per_cube: np.ndarray, j: int) -> np.ndarray:
-    """Inverse of cube_sums' indexing: broadcast one value per cube to its samples."""
-    count = cubes_per_axis(grid, j)
-    w = 1 << (grid.res_log2 - j)
-    tail = per_cube.shape[grid.dim:]
-    if grid.dim == 1:
-        out = np.broadcast_to(per_cube[:, None], (count, w) + tail)
-        return out.reshape((count * w,) + tail)
-    out = np.broadcast_to(per_cube[:, None, :, None], (count, w, count, w) + tail)
-    return out.reshape((count * w, count * w) + tail)
+    """Inverse of cube_sums' indexing: repeat one value per cube over its samples."""
+    for axis in range(grid.dim):
+        per_cube = np.repeat(per_cube, 1 << (grid.res_log2 - j), axis=axis)
+    return per_cube

@@ -101,7 +101,7 @@ def read_symbol(path):
     return SymbolGrid(grid, data.reshape(grid.shape * 2))
 
 
-def write_coeffs(path, coeffs: CoeffSequence, grid_header: bool = True):
+def write_coeffs(path, coeffs: CoeffSequence):
     with open(path, "w") as fh:
         head = {
             "dim": coeffs.grid.dim,
@@ -110,12 +110,9 @@ def write_coeffs(path, coeffs: CoeffSequence, grid_header: bool = True):
             "channels": coeffs.channels,
         }
         fh.write(json.dumps({"header": head}, sort_keys=True) + "\n")
-        for cube in sorted(coeffs.entries, key=lambda c: (c.level, c.index)):
-            vec = coeffs.entries[cube]
-            rec = {
-                "cube": [cube.level, list(cube.index)],
-                "value": [[float(np.real(z)), float(np.imag(z))] for z in vec],
-            }
+        for cube, vec in coeffs.entries.items():
+            rec = {"cube": [cube.level, list(cube.index)],
+                   "value": [[z.real, z.imag] for z in vec.tolist()]}
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -124,9 +121,10 @@ def read_coeffs(path) -> CoeffSequence:
         head = json.loads(fh.readline())["header"]
         grid = TorusGrid(head["dim"], head["side_log2"], head["res_log2"])
         entries = {}
-        for line in fh:
-            rec = json.loads(line)
-            j, idx = rec["cube"]
-            vec = np.array([complex(re, im) for re, im in rec["value"]])
-            entries[DyadicCube(j, tuple(idx))] = vec
+        for line, rec in enumerate(map(json.loads, fh), 2):
+            try:
+                j, idx = rec["cube"]
+                entries[DyadicCube(j, idx)] = np.array([complex(re, im) for re, im in rec["value"]])
+            except TypeError as exc:
+                raise ValueError(f"line {line}: malformed coefficient record: {exc}") from exc
     return CoeffSequence(grid, entries, head["channels"])

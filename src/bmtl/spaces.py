@@ -19,7 +19,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .coeffseq import CoeffSequence
-from .dyadic import CubeRange, cube_sums, level_block_view, spread_to_grid
+from .dyadic import CubeRange, cube_means, cube_sums, level_block_view, spread_to_grid
 from .fields import SampledField, SpectralField, to_spectral
 from .grid import TorusGrid
 from .lpa import InhomPartition, band_outputs
@@ -42,12 +42,15 @@ class SpaceParams:
 
     @staticmethod
     def from_dict(params: dict, homogeneous: bool) -> "SpaceParams":
-        """From JSON-style params: s, p, q, t, optional r (a number or a string
-        such as "inf"; default infinity) and optional homogeneous (default:
-        the given value).  Other keys are ignored."""
-        return SpaceParams(params["s"], params["p"], params["q"], params["t"],
-                           float(params.get("r", "inf")),
-                           bool(params.get("homogeneous", homogeneous)))
+        """From JSON-style params: s, p, q, t and optional r (numbers or numeric
+        strings such as "inf"; r defaults to infinity) and optional homogeneous
+        (default: the given value).  Other keys are ignored."""
+        try:
+            s, p, q, t = (float(params[key]) for key in "spqt")
+            r = float(params.get("r", "inf"))
+        except TypeError as exc:
+            raise ValueError(f"space parameters s, p, q, t, r must be numbers: {exc}") from exc
+        return SpaceParams(s, p, q, t, r, bool(params.get("homogeneous", homogeneous)))
 
 
 def check_nontrivial(p: float, t: float, r: float):
@@ -98,8 +101,7 @@ class CubewiseWeighting:
 
     @property
     def channels(self) -> int:
-        mat = next(iter(self.family.matrices.values()))
-        return mat.shape[-1]
+        return next(iter(self.family.arrays.values())).shape[-1]
 
     def magnitude(self, j: int, vectors: np.ndarray) -> np.ndarray:
         grid = self.family.grid
@@ -220,9 +222,7 @@ def hl_maximal(g: SampledField, eta: float = 1.0) -> SampledField:
 def averaging(g: SampledField, j: int) -> SampledField:
     """E_j: replace g on each level-j cube by its mean."""
     grid = g.grid
-    vals = g.scalar()
-    blocks = level_block_view(grid, vals, j)
-    means = blocks.mean(axis=(1,) if grid.dim == 1 else (1, 3))
+    means = cube_means(grid, g.scalar(), j)
     return SampledField(grid, spread_to_grid(grid, means, j)[..., None])
 
 
@@ -265,9 +265,9 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
     cube_range.validate(coeffs.grid)
     grid = coeffs.grid
     levels = cube_range.band_levels()
-    bad = [c for c in coeffs.entries if c.level not in levels]
+    bad = [j for j in coeffs.levels() if j not in levels]
     if bad:
-        raise ValueError(f"coefficients outside the range window: {bad[:3]}")
+        raise ValueError(f"coefficient levels {bad} outside the range window")
 
     def magnitudes():
         for j in levels:
@@ -325,8 +325,9 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
         raise ValueError("a must be positive")
     F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
-    P = _pointwise_sq_mats(w)
-    xs = grid.axis_coords()
+    if grid.dim == 1:
+        P = _pointwise_sq_mats(w)
+        xs = grid.axis_coords()
 
     def sups():
         for j, band in band_outputs(F, bank, cube_range.band_levels()):

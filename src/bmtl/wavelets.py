@@ -8,7 +8,9 @@ factor that turns the sample-space isometry into a grid-L2 isometry:
 sum |<f, psi_Q>|^2 = ||f||_L2^2 over all detail and final approximation slots.
 
 Generator indexing: 0 is the final approximation (coarsest scaling part);
-1..2^n-1 are detail subbands (1D: 1; 2D: 1=LH, 2=HL, 3=HH).
+1..2^n-1 are detail subbands (1D: 1; 2D: 1=LH, 2=HL, 3=HH).  Each generator's
+coefficients are one CoeffSequence; every pyramid step writes its subbands
+whole as that level's array, and synthesis reads the level arrays back.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ def _synthesis_step(lo_c: np.ndarray, hi_c: np.ndarray, lo: np.ndarray, hi: np.n
     n = 2 * half
     out = np.zeros((n,) + lo_c.shape[1:], dtype=lo_c.dtype)
     idx = 2 * np.arange(half)
-    for t, c in enumerate(lo):
-        np.add.at(out, (idx + t) % n, c * lo_c)
+    for t, c in enumerate(lo):   # (idx + t) % n has no repeats: plain += is exact
+        out[(idx + t) % n] += c * lo_c
     for t, c in enumerate(hi):
-        np.add.at(out, (idx + t) % n, c * hi_c)
+        out[(idx + t) % n] += c * hi_c
     return np.moveaxis(out, 0, axis)
 
 
@@ -102,7 +104,7 @@ def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> di
     """Periodic DWT of every channel down to level range.j_min.
 
     Returns {i: CoeffSequence}: detail generators i >= 1 span cube levels
-    [j_min, J-1] clipped to the range window top; i = 0 holds the final
+    [j_min, J-1], whatever range.j_max is; i = 0 holds the final
     approximation at level j_min.
     """
     grid = f.grid
@@ -110,34 +112,24 @@ def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> di
     depth = grid.res_log2 - cube_range.j_min
     if cube_range.j_min < -grid.side_log2 or depth < 1:
         raise ValueError(f"transform depth {depth} exceeds grid (j_min {cube_range.j_min})")
-    if (grid.points_per_axis >> depth) < 1:
-        raise ValueError("transform depth exceeds grid")
     scale = grid.cell_measure ** 0.5
-    n_det = 2 ** grid.dim - 1
-    out = {i: {} for i in range(n_det + 1)}
+    out = {i: {} for i in range(2 ** grid.dim)}
     a = f.values.astype(complex if f.is_complex else float)
     for step in range(1, depth + 1):
         j = grid.res_log2 - step
         if grid.dim == 1:
-            d = _analysis_step(a, hi, 0)
+            bands = [_analysis_step(a, hi, 0)]
             a = _analysis_step(a, lo, 0)
-            bands = {1: d}
         else:
             row_lo = _analysis_step(a, lo, 0)
             row_hi = _analysis_step(a, hi, 0)
-            bands = {
-                1: _analysis_step(row_lo, hi, 1),
-                2: _analysis_step(row_hi, lo, 1),
-                3: _analysis_step(row_hi, hi, 1),
-            }
+            bands = [_analysis_step(row_lo, hi, 1), _analysis_step(row_hi, lo, 1),
+                     _analysis_step(row_hi, hi, 1)]
             a = _analysis_step(row_lo, lo, 1)
-        for i, band in bands.items():
-            it = np.ndindex(band.shape[: grid.dim])
-            for k in it:
-                out[i][DyadicCube(j, k)] = band[k] * scale
-    for k in np.ndindex(a.shape[: grid.dim]):
-        out[0][DyadicCube(cube_range.j_min, k)] = a[k] * scale
-    return {i: CoeffSequence(grid, entries, f.channels) for i, entries in out.items()}
+        for i, band in enumerate(bands, 1):
+            out[i][j] = band * scale
+    out[0][cube_range.j_min] = a * scale
+    return {i: CoeffSequence(grid, arrays, f.channels) for i, arrays in out.items()}
 
 
 def wavelet_synthesize(coeffs: dict, db_order: int) -> SampledField:
@@ -145,57 +137,44 @@ def wavelet_synthesize(coeffs: dict, db_order: int) -> SampledField:
     lo, hi = _filters(db_order)
     approx = coeffs[0]
     grid = approx.grid
-    channels = approx.channels
-    j_min = min(c.level for c in approx.entries)
+    j_min = min(approx.levels())
     scale = grid.cell_measure ** 0.5
-    n_det = 2 ** grid.dim - 1
 
-    def band_array(seq: CoeffSequence, j: int) -> np.ndarray:
-        count = 1 << (j + grid.side_log2)
-        arr = np.zeros((count,) * grid.dim + (channels,), dtype=complex)
-        for cube, vec in seq.entries.items():
-            if cube.level == j:
-                arr[cube.index] = vec
-        return arr / scale
+    def band(i: int, j: int) -> np.ndarray:
+        return coeffs[i].level_array(j) / scale
 
-    a = band_array(approx, j_min)
+    a = band(0, j_min)
     for j in range(j_min, grid.res_log2):
         if grid.dim == 1:
-            d = band_array(coeffs[1], j)
-            a = _synthesis_step(a, d, lo, hi, 0)
+            a = _synthesis_step(a, band(1, j), lo, hi, 0)
         else:
-            lh = band_array(coeffs[1], j)
-            hl = band_array(coeffs[2], j)
-            hh = band_array(coeffs[3], j)
-            row_lo = _synthesis_step(a, lh, lo, hi, 1)
-            row_hi = _synthesis_step(hl, hh, lo, hi, 1)
+            row_lo = _synthesis_step(a, band(1, j), lo, hi, 1)
+            row_hi = _synthesis_step(band(2, j), band(3, j), lo, hi, 1)
             a = _synthesis_step(row_lo, row_hi, lo, hi, 0)
     if np.max(np.abs(a.imag)) < 1e-13 * max(np.max(np.abs(a.real)), 1.0):
         a = a.real
     return SampledField(grid, a)
 
 
-def empty_coeffs(grid: TorusGrid, channels: int, dim: int = None) -> dict:
-    n_det = 2 ** grid.dim - 1
-    return {i: CoeffSequence(grid, {}, channels) for i in range(n_det + 1)}
+def empty_coeffs(grid: TorusGrid, channels: int) -> dict:
+    return {i: CoeffSequence(grid, {}, channels) for i in range(2 ** grid.dim)}
 
 
 def wavelet_basis_field(grid: TorusGrid, db_order: int, generator: int, cube: DyadicCube,
                         j_min: int, channels: int = 1) -> SampledField:
     """One basis function psi_Q^(i) realized on the grid (cascade to resolution)."""
-    coeffs = empty_coeffs(grid, channels)
     if generator == 0 and cube.level != j_min:
         raise ValueError("approximation slot lives at j_min")
-    coeffs[generator].entries[cube] = np.ones(channels)
-    anchor = DyadicCube(j_min, (0,) * grid.dim)
-    if generator != 0 and anchor not in coeffs[0].entries:
-        coeffs[0].entries[anchor] = np.zeros(channels)
+    coeffs = empty_coeffs(grid, channels)
+    anchor = DyadicCube(j_min, (0,) * grid.dim)   # fixes j_min when generator != 0
+    coeffs[0] = CoeffSequence(grid, {anchor: np.zeros(channels)}, channels)
+    coeffs[generator] = CoeffSequence(grid, {cube: np.ones(channels)}, channels)
     return wavelet_synthesize(coeffs, db_order)
 
 
 def parseval_defect(f: SampledField, coeffs: dict) -> float:
     """| sum |coeff|^2 - ||f||_L2^2 | / ||f||_L2^2."""
-    total = sum(float(np.sum(np.abs(v) ** 2)) for seq in coeffs.values()
-                for v in seq.entries.values())
+    total = sum(float(np.sum(np.abs(a) ** 2)) for seq in coeffs.values()
+                for a in seq.arrays.values())
     l2sq = float(np.sum(np.abs(f.values) ** 2) * f.grid.cell_measure)
     return abs(total - l2sq) / l2sq

@@ -4,7 +4,8 @@ and the growth exponents (d, d~, Delta, beta) consumed by boundedness hypotheses
 Everything here is measured on the sampled torus: integrals are midpoint sums,
 essential sups are maxima over grid samples, and cube families come from the
 dyadic lattice.  Large cubes are subsampled (stratified, evenly strided) so the
-pair budget per cube stays bounded.
+pair budget per cube stays bounded.  A reducing family stores one
+(count,)*n + (m, m) array of matrices A_Q per level, indexed by cube position.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeRange, DyadicCube, cubes_at_level, cubes_per_axis, level_block_view
+from .dyadic import (CubeRange, DyadicCube, cube_means, cubes_at_level, cubes_per_axis,
+                     level_block_view)
 from .grid import TorusGrid
 
 #: eigenvalues below this are considered degenerate when inverting W
@@ -80,31 +82,22 @@ class MatrixWeight:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class ReducingFamily:
-    """One SPD matrix per dyadic cube over a level window."""
+    """One SPD matrix A_Q per dyadic cube over a level window: arrays holds
+    {level: (count,)*n + (m, m) array}, positions are cube indices."""
 
     grid: TorusGrid
     p: float
     cube_range: CubeRange
-    matrices: dict  # DyadicCube -> (m, m) ndarray
+    arrays: dict
     method: str = "second-moment"
 
     def __getitem__(self, cube: DyadicCube) -> np.ndarray:
-        return self.matrices[cube]
-
-    def __contains__(self, cube) -> bool:
-        return cube in self.matrices
+        return self.arrays[cube.level][cube.index]
 
     def level_array(self, j: int) -> np.ndarray:
-        """All matrices at one level, lexicographic cube order, shape (ncubes..., m, m)."""
-        cubes = cubes_at_level(self.grid, j)
-        arr = np.stack([self.matrices[c] for c in cubes])
-        count = cubes_per_axis(self.grid, j)
-        m = arr.shape[-1]
-        if self.grid.dim == 2:
-            arr = arr.reshape(count, count, m, m)
-        return arr
+        return self.arrays[j]
 
 
 @dataclass
@@ -219,17 +212,11 @@ def _direction_magnitudes(W: MatrixWeight, p: float, dirs: np.ndarray) -> np.nda
 
 def _rho_per_cube(grid: TorusGrid, mags: np.ndarray, p: float, j: int) -> np.ndarray:
     """rho_Q(y) = (avg_Q |W^(1/p) y|^p)^(1/p) per cube at level j: (ncubes, ndirs)."""
-    blocks = level_block_view(grid, mags, j)
-    mean = blocks.mean(axis=(1,) if grid.dim == 1 else (1, 3))
-    return mean.reshape(-1, mags.shape[-1]) ** (1.0 / p)
+    return cube_means(grid, mags, j).reshape(-1, mags.shape[-1]) ** (1.0 / p)
 
 
 def _second_moment_matrices(W: MatrixWeight, p: float, j: int) -> np.ndarray:
-    grid = W.grid
-    w2p = W.power(2.0 / p)
-    blocks = level_block_view(grid, w2p, j)
-    avg = blocks.mean(axis=(1,) if grid.dim == 1 else (1, 3))
-    avg = avg.reshape(-1, W.channels, W.channels)
+    avg = cube_means(W.grid, W.power(2.0 / p), j).reshape(-1, W.channels, W.channels)
     vals, vecs = np.linalg.eigh(avg)
     return sym_power(np.maximum(vals, 0.0), vecs, 0.5)
 
@@ -286,25 +273,20 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
         raise ValueError(f"unknown method {method!r}")
     grid = W.grid
     cube_range.validate(grid, margin=0)
-    mats = {}
-    dirs = _unit_directions(W.channels, n_dirs)
+    m = W.channels
+    arrays = {}
+    dirs = _unit_directions(m, n_dirs)
     dir_mags = None
     for j in cube_range.cube_levels():
-        cubes = cubes_at_level(grid, j)
-        second = _second_moment_matrices(W, p, j)
-        if np.min(np.linalg.eigvalsh(second)) < EIG_FLOOR:
+        mats = _second_moment_matrices(W, p, j)
+        if np.min(np.linalg.eigvalsh(mats)) < EIG_FLOOR:
             raise ValueError(f"non-SPD reducing matrix at level {j}")
         if method == "ellipsoid-fit":
             if dir_mags is None:
                 dir_mags = _direction_magnitudes(W, p, dirs)
-            rho = _rho_per_cube(grid, dir_mags, p, j)
-            fitted = _fit_log_ellipsoids(rho, dirs, second)
-            for c, a in zip(cubes, fitted):
-                mats[c] = a
-        else:
-            for c, a in zip(cubes, second):
-                mats[c] = a
-    return ReducingFamily(grid, p, cube_range, mats, method)
+            mats = _fit_log_ellipsoids(_rho_per_cube(grid, dir_mags, p, j), dirs, mats)
+        arrays[j] = mats.reshape((cubes_per_axis(grid, j),) * grid.dim + (m, m))
+    return ReducingFamily(grid, p, cube_range, arrays, method)
 
 
 def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
@@ -423,51 +405,48 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
 
 def strong_doubling_constant(family: ReducingFamily, p: float, d: float, d_tilde: float,
                              delta_cap: float, max_pairs: int = 20000, seed: int = 5) -> float:
-    """max over cube pairs of ||A_Q A_R^-1|| over its strong-doubling envelope."""
+    """max over cube pairs of ||A_Q A_R^-1|| over its strong-doubling envelope; past
+    max_pairs pairs, over max_pairs seeded random pairs (a sampled lower bound)."""
     grid = family.grid
-    cubes = list(family.matrices.keys())
-    rng = np.random.default_rng(seed)
-    npairs = len(cubes) ** 2
-    if npairs <= max_pairs:
-        pairs = [(q, r) for q in cubes for r in cubes]
+    n = grid.dim
+    mats = np.concatenate([a.reshape((-1,) + a.shape[-2:]) for a in family.arrays.values()])
+    levels = np.concatenate([np.full(a.shape[:n], j).ravel() for j, a in family.arrays.items()])
+    centers = np.concatenate([2.0 ** (-j) * (np.indices(a.shape[:n]).reshape(n, -1).T + 0.5)
+                              for j, a in family.arrays.items()])
+    ncubes = len(mats)
+    if ncubes ** 2 <= max_pairs:
+        qi, ri = np.divmod(np.arange(ncubes ** 2), ncubes)
     else:
-        qi = rng.integers(len(cubes), size=max_pairs)
-        ri = rng.integers(len(cubes), size=max_pairs)
-        pairs = [(cubes[a], cubes[b]) for a, b in zip(qi, ri)]
+        rng = np.random.default_rng(seed)
+        qi = rng.integers(ncubes, size=max_pairs)
+        ri = rng.integers(ncubes, size=max_pairs)
+    nrm = operator_norms(mats[qi] @ np.linalg.inv(mats)[ri])
+    # side(R)/side(Q) = 2^(jQ - jR): one level factor per level difference k
     dtp = dtilde_over_pprime(d_tilde, p)
-    best = 0.0
-    for q, r in pairs:
-        A = family.matrices[q]
-        Binv = np.linalg.inv(family.matrices[r])
-        nrm = operator_norms((A @ Binv)[None])[0]
-        lmax = max(q.side, r.side)
-        envelope = max((r.side / q.side) ** (d / p), (q.side / r.side) ** dtp)
-        envelope *= (1.0 + grid.torus_dist(q.center, r.center) / lmax) ** delta_cap
-        best = max(best, float(nrm / envelope))
-    return best
+    jq, jr = levels[qi], levels[ri]
+    span = int(levels.max() - levels.min())
+    level_env = np.array([max((2.0 ** k) ** (d / p), (2.0 ** -k) ** dtp)
+                          for k in range(-span, span + 1)])
+    lmax = np.ldexp(1.0, -np.minimum(jq, jr))
+    dist = grid.torus_dist(centers[qi], centers[ri])
+    envelope = level_env[jq - jr + span] * (1.0 + dist / lmax) ** delta_cap
+    return float(np.max(nrm / envelope))
 
 
 def waq_integrability(W: MatrixWeight, p: float, family: ReducingFamily, v: float) -> float:
     """sup over cubes of avg_Q ||W^(1/p)(x) A_Q^(-1)||^v (finite for v < p + delta_W)."""
     grid = W.grid
     root = W.power(1.0 / p)
-    m = W.channels
     best = 0.0
     for j in family.cube_range.cube_levels():
-        A = family.level_array(j).reshape(-1, m, m)
-        Ainv = np.linalg.inv(A)
+        Ainv = np.linalg.inv(family.level_array(j))
         blocks = level_block_view(grid, root, j)
         if grid.dim == 1:
-            prod = np.einsum("cpab,cbd->cpad", blocks, Ainv)
-            nrm = operator_norms(prod)
+            nrm = operator_norms(np.einsum("cpab,cbd->cpad", blocks, Ainv))
             vals = np.mean(nrm ** v, axis=1)
         else:
-            count = Ainv.shape[0]
-            side = int(round(np.sqrt(count)))
-            Ai = Ainv.reshape(side, side, m, m)
-            prod = np.einsum("cpdqab,cdbe->cpdqae", blocks, Ai)
-            nrm = operator_norms(prod)
-            vals = np.mean(nrm ** v, axis=(1, 3)).ravel()
+            nrm = operator_norms(np.einsum("cpdqab,cdbe->cpdqae", blocks, Ainv))
+            vals = np.mean(nrm ** v, axis=(1, 3))
         best = max(best, float(np.max(vals)))
     return best
 
@@ -476,18 +455,14 @@ def aqw_sup(W: MatrixWeight, p: float, family: ReducingFamily) -> float:
     """p <= 1 companion: sup over cubes and x in Q of ||A_Q W^(-1/p)(x)||."""
     grid = W.grid
     iroot = W.power(-1.0 / p)
-    m = W.channels
     best = 0.0
     for j in family.cube_range.cube_levels():
-        A = family.level_array(j).reshape(-1, m, m)
+        A = family.level_array(j)
         blocks = level_block_view(grid, iroot, j)
         if grid.dim == 1:
             prod = np.einsum("cab,cpbd->cpad", A, blocks)
         else:
-            count = A.shape[0]
-            side = int(round(np.sqrt(count)))
-            Ai = A.reshape(side, side, m, m)
-            prod = np.einsum("cdab,cpdqbe->cpdqae", Ai, blocks)
+            prod = np.einsum("cdab,cpdqbe->cpdqae", A, blocks)
         best = max(best, float(np.max(operator_norms(prod))))
     return best
 

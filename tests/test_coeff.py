@@ -5,7 +5,7 @@ from bmtl.coeff import (ADProfile, MoleculeParams, ad_apply, ad_enumerate,
                         ad_random_operator, ad_weight, atom_rearrange,
                         atom_synthesis, molecule_check, phi_synthesis, phi_transform)
 from bmtl.coeffseq import CoeffSequence
-from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level
+from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level, cubes_per_axis
 from bmtl.fields import SampledField, l2_norm, scalar_field
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise
@@ -33,6 +33,26 @@ def test_phi_transform_zero_and_linearity():
     for cube in cc.entries:
         expect = 1.5 * cf.get(cube) - 0.5 * cg.get(cube)
         assert np.max(np.abs(cc.get(cube) - expect)) < 1e-12
+
+
+def test_coeff_sequence_dense_levels_and_read_only_view():
+    rng = np.random.default_rng(20)
+    given = {c: rng.standard_normal(2) for c in cubes_at_level(GRID, 3) if rng.random() < 0.5}
+    seq = CoeffSequence(GRID, given, 2)
+    dense = np.zeros((cubes_per_axis(GRID, 3), 2), dtype=complex)
+    for c, v in given.items():
+        dense[c.index] = v
+    assert seq.levels() == [3]
+    assert np.array_equal(seq.level_array(3), dense)
+    assert np.array_equal(seq.level_array(2), np.zeros((cubes_per_axis(GRID, 2), 2)))
+    assert list(seq.entries) == cubes_at_level(GRID, 3)   # every cube of the stored level
+    assert np.array_equal(seq.get(DyadicCube(4, (0,))), np.zeros(2))
+    with pytest.raises(TypeError):
+        seq.entries[DyadicCube(3, (0,))] = np.ones(2)
+    with pytest.raises(ValueError):
+        seq.entries[DyadicCube(3, (0,))][0] = 1.0
+    with pytest.raises(ValueError):
+        CoeffSequence(GRID, {DyadicCube(40, (0,)): np.ones(2)}, 2)
 
 
 def test_phi_round_trip_band_limited():
@@ -347,7 +367,7 @@ def test_atom_rearrange_zero_input():
     g = TorusGrid(1, 1, 5)
     from bmtl.wavelets import empty_coeffs
     coeffs = empty_coeffs(g, 1)
-    coeffs[0].entries[DyadicCube(0, (0,))] = np.zeros(1)
+    coeffs[0] = CoeffSequence(g, {DyadicCube(0, (0,)): np.zeros(1)}, 1)
     atoms, seq = atom_rearrange(coeffs, 4, CubeRange(0, 3))
     assert len(seq.entries) == 0
 
@@ -357,9 +377,9 @@ def test_atom_single_coefficient_support_and_synthesis():
     from bmtl.wavelets import empty_coeffs
     coeffs = empty_coeffs(g, 1)
     j_min = 1
-    coeffs[0].entries[DyadicCube(j_min, (0,))] = np.zeros(1)
+    coeffs[0] = CoeffSequence(g, {DyadicCube(j_min, (0,)): np.zeros(1)}, 1)
     src = DyadicCube(4, (9,))
-    coeffs[1].entries[src] = np.array([0.8])
+    coeffs[1] = CoeffSequence(g, {src: np.array([0.8])}, 1)
     atoms, seq = atom_rearrange(coeffs, 6, CubeRange(j_min, 6))
     child = src.children()[0]
     assert child in atoms
@@ -386,12 +406,15 @@ def test_atom_rearrange_sparse_gallery_synthesis():
     from bmtl.wavelets import empty_coeffs
     coeffs = empty_coeffs(g, 1)
     j_min = 0
+    approx, detail = {}, {}
     for k in range(2 ** (j_min + g.side_log2)):
-        coeffs[0].entries[DyadicCube(j_min, (k,))] = rng.standard_normal(1)
+        approx[DyadicCube(j_min, (k,))] = rng.standard_normal(1)
     for j in (2, 3, 4):
         for c in cubes_at_level(g, j):
             if rng.random() < 0.2:
-                coeffs[1].entries[c] = rng.standard_normal(1)
+                detail[c] = rng.standard_normal(1)
+    coeffs[0] = CoeffSequence(g, approx, 1)
+    coeffs[1] = CoeffSequence(g, detail, 1)
     atoms, seq = atom_rearrange(coeffs, 4, CubeRange(j_min, 4))
     rec = atom_synthesis(atoms, seq, coeffs[0], 4)
     direct = wavelet_synthesize(coeffs, 4)
@@ -402,8 +425,8 @@ def test_atom_child_overflow_rejected():
     g = TorusGrid(1, 1, 3)
     from bmtl.wavelets import empty_coeffs
     coeffs = empty_coeffs(g, 1)
-    coeffs[0].entries[DyadicCube(0, (0,))] = np.zeros(1)
-    coeffs[1].entries[DyadicCube(3, (0,))] = np.ones(1)
+    coeffs[0] = CoeffSequence(g, {DyadicCube(0, (0,)): np.zeros(1)}, 1)
+    coeffs[1] = CoeffSequence(g, {DyadicCube(3, (0,)): np.ones(1)}, 1)
     with pytest.raises(ValueError):
         atom_rearrange(coeffs, 4, CubeRange(0, 1))
 

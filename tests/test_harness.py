@@ -204,6 +204,11 @@ def test_cli_norm_and_filter(tmp_path):
                   "--field", str(apath))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+    for bad_p in ("abc", None):
+        bad = json.dumps({"s": 0.5, "p": bad_p, "q": 1.5, "t": 2})
+        res = run_cli("norm", "--space", "F", "--params", bad, "--field", str(fpath))
+        assert res.returncode == 2, bad_p
+        assert "Traceback" not in res.stderr
     out = tmp_path / "band.bin"
     res = run_cli("filter", "--field", str(fpath), "--level", "2", "--out", str(out))
     assert res.returncode == 0
@@ -227,6 +232,19 @@ def test_cli_transform_and_bound(tmp_path):
     assert res.returncode == 0
     rec = fieldio.read_field(back)
     assert np.max(np.abs(rec.values - f.values)) < 1e-6
+    header = cpath.read_text().splitlines()[0]
+    for cube in ([1, [99]], [1, [1, 2]], [40, [1]]):   # index, dimension, level off the grid
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps({"cube": cube, "value": [[1.0, 0.0]]}) + "\n")
+        res = run_cli("transform", "--mode", "phi", "--direction", "synthesize",
+                      "--field", str(bad), "--out", str(back))
+        assert res.returncode == 2, cube
+        assert "Traceback" not in res.stderr
+    res = run_cli("transform", "--mode", "wavelet", "--direction", "synthesize",
+                  "--field", str(cpath), "--out", str(back))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "wavelet synthesis needs the full generator set" in res.stderr
     params = json.dumps({"s": 0.5, "p": 1.5, "q": 1.5, "t": 2.0, "r": "inf",
                          "j_min": -2, "j_max": 4})
     res = run_cli("bound", "--op", "hilbert", "--field", str(fpath), "--params", params)
@@ -236,6 +254,22 @@ def test_cli_transform_and_bound(tmp_path):
                   "--params", params, "--gamma", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["ratio"] <= 50.0
+
+
+def test_cli_malformed_coefficient_records(tmp_path):
+    g = TorusGrid(1, 2, 5)
+    cpath = tmp_path / "c.jsonl"
+    fieldio.write_coeffs(cpath, CoeffSequence(g, {DyadicCube(1, (3,)): np.ones(1)}, 1))
+    header = cpath.read_text().splitlines()[0]
+    for rec in ({"cube": [1, 3], "value": [[1.0, 0.0]]},     # index not a list
+                {"cube": [1, [3]], "value": [1.0, 0.0]},     # value not [re, im] pairs
+                {"cube": [1, [3]], "value": [[1.0, 0.0], [2.0, 0.0]]}):   # wrong length
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps(rec) + "\n")
+        res = run_cli("transform", "--mode", "phi", "--direction", "synthesize",
+                      "--field", str(bad), "--out", str(tmp_path / "out.bin"))
+        assert res.returncode == 2, rec
+        assert "Traceback" not in res.stderr
 
 
 def test_cli_equiv_and_report(tmp_path):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bmtl.dyadic import CubeRange, DyadicCube
+from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level
 from bmtl.grid import TorusGrid
 from bmtl.weights import (MatrixWeight, ap_characteristic, ap_dimensions, aqw_sup,
-                          constant_weight, diagnose, doubling_exponent,
+                          constant_weight, diagnose, doubling_exponent, dtilde_over_pprime,
                           identity_weight, oscillating_weight, power_weight,
                           reducing_operators, rotated_diag_weight, sandwich_constants,
                           strong_doubling_constant, waq_integrability, weight_gallery)
@@ -88,7 +88,7 @@ def test_constant_weight_reducing_exact():
         root = (evecs * evals ** (1.0 / p)) @ evecs.T
         for method in ("second-moment", "ellipsoid-fit"):
             fam = reducing_operators(W, p, CubeRange(-1, 2), method=method)
-            for cube, A in fam.matrices.items():
+            for A in fam.arrays.values():
                 assert np.max(np.abs(A - root)) < 1e-10
 
 
@@ -185,6 +185,37 @@ def test_strong_doubling_constant_one_for_constant():
         fam = reducing_operators(W, 2.0, CubeRange(-1, 2))
         c = strong_doubling_constant(fam, 2.0, 0.0, 0.0, 0.0)
         assert c == pytest.approx(1.0, rel=1e-10)
+
+
+def _strong_doubling_by_pairs(family, p, d, d_tilde, delta_cap, max_pairs, seed=5):
+    """Direct per-pair form of strong_doubling_constant: the same pairs, in order."""
+    grid = family.grid
+    cubes = [c for j in family.cube_range.cube_levels() for c in cubes_at_level(grid, j)]
+    n = len(cubes)
+    if n * n <= max_pairs:
+        pairs = [(q, r) for q in cubes for r in cubes]
+    else:
+        rng = np.random.default_rng(seed)
+        qi, ri = rng.integers(n, size=max_pairs), rng.integers(n, size=max_pairs)
+        pairs = [(cubes[a], cubes[b]) for a, b in zip(qi, ri)]
+    dtp = dtilde_over_pprime(d_tilde, p)
+    best = 0.0
+    for q, r in pairs:
+        nrm = np.linalg.norm(family[q] @ np.linalg.inv(family[r]), 2)
+        envelope = max((r.side / q.side) ** (d / p), (q.side / r.side) ** dtp)
+        envelope *= (1.0 + grid.torus_dist(q.center, r.center) / max(q.side, r.side)) ** delta_cap
+        best = max(best, nrm / envelope)
+    return best
+
+
+def test_strong_doubling_matches_pair_loop():
+    # batched form against the per-pair oracle, all pairs and sampled pairs, 1D and 2D
+    for grid, rng_c in ((GRID, RANGE), (TorusGrid(2, 1, 4), CubeRange(-1, 2))):
+        fam = reducing_operators(oscillating_weight(grid), 1.5, rng_c)
+        for max_pairs in (20000, 300):
+            got = strong_doubling_constant(fam, 1.5, 0.6, 0.9, 0.75, max_pairs=max_pairs)
+            want = _strong_doubling_by_pairs(fam, 1.5, 0.6, 0.9, 0.75, max_pairs)
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_strong_doubling_stable_under_widening():
