@@ -14,41 +14,59 @@ import numpy as np
 
 from . import fieldio
 from .coeff import phi_synthesis, phi_transform
-from .dyadic import CubeRange
+from .dyadic import MARGIN, CubeRange
 from .fields import SampledField, l2_norm
 from .harness import ExperimentConfig, Report, emit_report, load_report, run_experiment
 from .lpa import band_filter, bessel_potential, make_admissible_pair, make_inhom_partition
 from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, bm_norm,
-                     approx_norm, glambda_norm, lusin_norm, peetre_norm, seq_norm, tl_norm)
+                     approx_norm, float_params, glambda_norm, lusin_norm, peetre_norm,
+                     seq_norm, tl_norm)
 from .weights import diagnose, identity_weight, reducing_operators, sandwich_constants
 
 
 def _load_params(blob: str) -> dict:
+    params = json.loads(blob)     # malformed JSON raises a ValueError
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must be a JSON object, got {blob!r}")
+    return params
+
+
+def _default_range(grid, j_min=None, j_max=None, inhomogeneous=False) -> CubeRange:
+    """The given levels; a missing j_min is the torus level and a missing j_max
+    the finest level a range on this grid admits."""
+    return CubeRange(-grid.side_log2 if j_min is None else j_min,
+                     grid.res_log2 - MARGIN if j_max is None else j_max, inhomogeneous)
+
+
+def _level(params: dict, key: str):
+    """params[key] as an integer level, or None when the key is absent."""
+    if key not in params:
+        return None
+    value = params[key]
     try:
-        return json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(2) from exc
+        integral = float(value).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(float(value))
 
 
 def _range_from(params: dict, grid) -> CubeRange:
-    return CubeRange(int(params.get("j_min", -grid.side_log2)),
-                     int(params.get("j_max", grid.res_log2 - 2)),
-                     bool(params.get("inhomogeneous", False)))
+    return _default_range(grid, _level(params, "j_min"), _level(params, "j_max"),
+                          bool(params.get("inhomogeneous", False)))
 
 
 def cmd_check_ap(args) -> int:
     W = fieldio.read_weight(args.weight)
-    rng = CubeRange(args.j_min if args.j_min is not None else -W.grid.side_log2,
-                    args.j_max if args.j_max is not None else W.grid.res_log2 - 2)
-    diag = diagnose(W, args.p, rng)
+    diag = diagnose(W, args.p, _default_range(W.grid, args.j_min, args.j_max))
     print(json.dumps(diag.as_dict(), sort_keys=True, indent=1))
     return 0
 
 
 def cmd_reduce(args) -> int:
     W = fieldio.read_weight(args.weight)
-    rng = CubeRange(args.j_min if args.j_min is not None else -W.grid.side_log2,
-                    args.j_max if args.j_max is not None else W.grid.res_log2 - 2)
+    rng = _default_range(W.grid, args.j_min, args.j_max)
     family = reducing_operators(W, args.p, rng, method=args.method)
     c1, c2 = sandwich_constants(W, args.p, family, n_dirs=args.dirs)
     print(json.dumps({"method": args.method, "c1": c1, "c2": c2, "ratio": c2 / c1},
@@ -62,7 +80,7 @@ def cmd_norm(args) -> int:
     grid = f.grid
     rng = _range_from(params, grid)
     if args.space == "bm":
-        val = bm_norm(f, params["p"], params["t"], float(params["r"]), rng)
+        val = bm_norm(f, *float_params(params, "ptr"), rng)
         print(json.dumps({"value": val}, indent=1))
         return 0
     sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
@@ -99,8 +117,7 @@ def cmd_transform(args) -> int:
         pair = make_admissible_pair()
         if args.direction == "analyze":
             f = fieldio.read_field(args.field)
-            rng = CubeRange(args.j_min if args.j_min is not None else -f.grid.side_log2,
-                            args.j_max if args.j_max is not None else f.grid.res_log2 - 2)
+            rng = _default_range(f.grid, args.j_min, args.j_max)
             fieldio.write_coeffs(args.out, phi_transform(f, pair, rng))
         else:
             coeffs = fieldio.read_coeffs(args.field)

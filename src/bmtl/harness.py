@@ -20,7 +20,7 @@ from .fields import SampledField, l2_norm
 from .grid import TorusGrid
 from .lpa import covered_band, make_admissible_pair, make_inhom_partition
 from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, seq_norm,
-                     tl_norm)
+                     tl_norm, truncation_ratio)
 from .weights import diagnose, reducing_operators, weight_gallery
 
 
@@ -183,8 +183,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     norms = four_norms(f, W, sp.p, sp, pair, cube_range, family)
                     vals = [v for v in norms.values() if v > 0]
                     spread = max(vals) / min(vals) if vals else 1.0
-                    trunc = tl_norm(f, pw, sp, pair, cube_range,
-                                    truncation_check=True).truncation or 1.0
+                    trunc = truncation_ratio(
+                        norms["F_W"], grid, cube_range,
+                        lambda wide: tl_norm(f, pw, sp, pair, wide)) or 1.0
                     rows.append({
                         "case": f"{wname}/{fname}/s={sp.s},p={sp.p},q={sp.q}",
                         **norms,

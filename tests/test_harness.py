@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import bmtl
 from bmtl import fieldio
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import CubeRange, DyadicCube
@@ -160,8 +163,11 @@ def test_coeff_file_round_trip(tmp_path):
 
 
 def run_cli(*args):
+    # the subprocess imports the bmtl this module imported, installed or not
+    path = [str(Path(bmtl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, "-m", "bmtl.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_check_ap_and_reduce(tmp_path):
@@ -200,10 +206,23 @@ def test_cli_norm_and_filter(tmp_path):
                   "--field", str(apath))
     assert res.returncode == 0, res.stderr
     assert np.isfinite(json.loads(res.stdout)["value"])
-    res = run_cli("norm", "--space", "bm", "--params", json.dumps({**bm_params, "r": "abc"}),
-                  "--field", str(apath))
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
+    no_r = {k: v for k, v in bm_params.items() if k != "r"}    # r defaults to infinity
+    res_no_r = run_cli("norm", "--space", "bm", "--params", json.dumps(no_r),
+                       "--field", str(apath))
+    assert res_no_r.returncode == 0, res_no_r.stderr
+    assert json.loads(res_no_r.stdout) == json.loads(res.stdout)
+    for bad in ({**bm_params, "r": "abc"}, {**bm_params, "p": "abc"}):
+        res = run_cli("norm", "--space", "bm", "--params", json.dumps(bad),
+                      "--field", str(apath))
+        assert res.returncode == 2, bad
+        assert "Traceback" not in res.stderr
+    good = {"s": 0.5, "p": 1.5, "q": 1.5, "t": 2}
+    for bad in ("[1,2]", json.dumps({**good, "j_min": None}),
+                json.dumps({**good, "j_max": 2.5})):
+        res = run_cli("norm", "--space", "F", "--params", bad, "--field", str(fpath))
+        assert res.returncode == 2, bad
+        assert "Traceback" not in res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
     for bad_p in ("abc", None):
         bad = json.dumps({"s": 0.5, "p": bad_p, "q": 1.5, "t": 2})
         res = run_cli("norm", "--space", "F", "--params", bad, "--field", str(fpath))

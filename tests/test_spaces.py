@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level, level_block_view
-from bmtl.fields import SampledField, scalar_field
+from bmtl.fields import SampledField, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field
-from bmtl.lpa import make_admissible_pair, make_inhom_partition
-from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams,
+from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
+from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _level_sum,
                          approx_norm, averaging, bm_norm, bm_seq_norm, glambda_norm,
                          hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
 from bmtl.weights import (identity_weight, operator_norms, oscillating_weight,
@@ -400,6 +400,55 @@ def test_glambda_general_q_matches_fast_path_structure():
     sp_close = SpaceParams(0.3, 1.2, 2.0 + 1e-12, 1.5, np.inf)
     dense = glambda_norm(f, w, sp_close, 2.0, PAIR, CubeRange(-1, 3)).value
     assert fast == pytest.approx(dense, rel=1e-8)
+
+
+def pair_norm_oracles(f, W, sp, a, lam, bank, cube_range):
+    """Peetre, Lusin and g-lambda-star NormReports evaluated directly at every
+    pair (x, y) of sample points, through the shared level-sum driver."""
+    grid = f.grid
+    n, npts = grid.dim, grid.npoints
+    root = W.power(1.0 / sp.p).reshape(npts, W.channels, W.channels)
+    pts = np.stack(grid.coords(), axis=-1).reshape(npts, n)
+    peetre, lusin, glam = [], [], []
+    for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels()):
+        v = band.reshape(npts, -1)
+        sup, ball, tail = np.zeros(npts), np.zeros(npts), np.zeros(npts)
+        for x in range(npts):
+            mag = np.linalg.norm(v @ root[x].T, axis=1)      # |W^(1/p)(x) v(y)| for every y
+            d = grid.torus_dist(pts[x], pts)
+            sup[x] = np.max(mag / (1.0 + 2.0 ** j * d) ** a)
+            ball[x] = np.sum(mag[d <= 2.0 ** (-j)] ** sp.q)
+            tail[x] = np.sum(mag ** sp.q * (1.0 + 2.0 ** j * d) ** (-lam * n * sp.q))
+        scale = 2.0 ** (j * sp.s * sp.q) * 2.0 ** (j * n) * grid.cell_measure
+        peetre.append((j, 2.0 ** (j * sp.s) * sup.reshape(grid.shape)))
+        lusin.append((j, (scale * ball.reshape(grid.shape)) ** (1.0 / sp.q)))
+        glam.append((j, (scale * tail.reshape(grid.shape)) ** (1.0 / sp.q)))
+    return [_level_sum(grid, mags, sp.p, sp.t, sp.r, sp.q, cube_range)
+            for mags in (peetre, lusin, glam)]
+
+
+# 16^2 is the smallest 2D grid with a lattice frequency strictly inside a band;
+# the inhomogeneous case has a nonzero band whose Lusin ball wraps the torus
+@pytest.mark.parametrize("grid, bank, cube_range", [
+    (TorusGrid(1, 1, 4), PAIR, CubeRange(-1, 2)),
+    (TorusGrid(1, 1, 4), PART, CubeRange(0, 2, inhomogeneous=True)),
+    (TorusGrid(2, 1, 3), PAIR, CubeRange(-1, 1)),
+])
+def test_pair_norms_match_direct_oracle(grid, bank, cube_range):
+    rng = np.random.default_rng(27)
+    f = band_limited_noise(grid, 2, 0.0, 2.0 ** cube_range.j_max, rng)
+    W = oscillating_weight(grid)
+    sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=bank is PAIR)
+    w = PointwiseWeighting(W, sp.p)
+    fast = [peetre_norm(f, w, sp, 4.0, bank, cube_range),
+            lusin_norm(f, w, sp, bank, cube_range),
+            glambda_norm(f, w, sp, 3.0, bank, cube_range)]
+    for got, ref in zip(fast, pair_norm_oracles(f, W, sp, 4.0, 3.0, bank, cube_range)):
+        assert ref.value > 0
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+        assert sorted(got.per_level) == sorted(ref.per_level)
+        for j, val in ref.per_level.items():
+            assert got.per_level[j] == pytest.approx(val, rel=1e-12, abs=0)
 
 
 def test_approx_norm_bandlimited_tail_vanishes():
