@@ -182,10 +182,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    except (OSError, json.JSONDecodeError, TypeError):
-        return 2
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     report = run_experiment(cfg)
     emit_report(report, cfg.output, fmt=args.format)
     print(json.dumps(report.summary, sort_keys=True, default=str, indent=1))

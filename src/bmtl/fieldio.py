@@ -31,14 +31,35 @@ def _write_payload(fh, header: dict, arr: np.ndarray):
         fh.write(np.ascontiguousarray(arr.real, dtype="<f8").tobytes())
 
 
+#: header keys every field file carries, with their JSON types ("complex" may be absent)
+_HEADER_TYPES = {"dim": int, "side_log2": int, "res_log2": int, "channels": int, "complex": bool}
+
+
 def _read_payload(fh) -> tuple:
+    """(header, grid, flat values) of a field or symbol file.
+
+    A header that is not an object of _HEADER_TYPES, or a payload whose length is not
+    points x channels (x 2 if complex), raises ValueError before any array is built;
+    a symbol file has one point per (x, xi) pair.
+    """
     header = json.loads(fh.readline().decode())
-    raw = np.frombuffer(fh.read(), dtype="<f8")
-    if header.get("complex", False):
-        data = raw[0::2] + 1j * raw[1::2]
-    else:
-        data = raw
-    return header, data
+    if not isinstance(header, dict):
+        raise ValueError(f"file header must be a JSON object, got {header!r}")
+    header.setdefault("complex", False)
+    for key, kind in _HEADER_TYPES.items():
+        value = header.get(key)
+        if type(value) is not kind:     # exact: JSON true is a bool, not an int
+            raise ValueError(f"file header {key!r} must be {kind.__name__}, got {value!r}")
+    grid = TorusGrid(header["dim"], header["side_log2"], header["res_log2"])
+    points = grid.npoints ** (2 if header.get("kind") == "symbol" else 1)
+    expected = points * header["channels"] * (2 if header["complex"] else 1)
+    raw = fh.read()
+    if len(raw) != 8 * expected:
+        raise ValueError(f"payload holds {len(raw)} bytes; the header needs {8 * expected} "
+                         f"({expected} binary64 values)")
+    raw = np.frombuffer(raw, dtype="<f8")
+    data = raw[0::2] + 1j * raw[1::2] if header["complex"] else raw
+    return header, grid, data
 
 
 def write_field(path, f: SampledField):
@@ -55,10 +76,8 @@ def write_field(path, f: SampledField):
 
 def read_field(path) -> SampledField:
     with open(path, "rb") as fh:
-        header, data = _read_payload(fh)
-    grid = TorusGrid(header["dim"], header["side_log2"], header["res_log2"])
-    values = data.reshape(grid.shape + (header["channels"],))
-    return SampledField(grid, values)
+        header, grid, data = _read_payload(fh)
+    return SampledField(grid, data.reshape(grid.shape + (header["channels"],)))
 
 
 def write_weight(path, W: MatrixWeight):
@@ -94,10 +113,9 @@ def read_symbol(path):
     from .operators import SymbolGrid
 
     with open(path, "rb") as fh:
-        header, data = _read_payload(fh)
+        header, grid, data = _read_payload(fh)
     if header.get("kind") != "symbol":
         raise ValueError("not a symbol file")
-    grid = TorusGrid(header["dim"], header["side_log2"], header["res_log2"])
     return SymbolGrid(grid, data.reshape(grid.shape * 2))
 
 

@@ -56,9 +56,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
+        """The config in a JSON file; ValueError unless it is an object of config fields."""
         with open(path) as fh:
             data = json.load(fh)
-        return ExperimentConfig(**data)
+        try:
+            return ExperimentConfig(**data)
+        except TypeError as exc:    # not an object, or a key that is not a config field
+            raise ValueError(f"config {path}: {exc}") from exc
 
     def to_json(self, path):
         with open(path, "w") as fh:

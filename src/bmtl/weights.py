@@ -23,9 +23,19 @@ EIG_FLOOR = 1e-10
 
 
 def operator_norms(mats: np.ndarray) -> np.ndarray:
-    """Spectral norms of a batch of matrices (largest singular value)."""
-    if mats.shape[-1] == 1:
+    """Spectral norms of a batch of matrices (largest singular value).
+
+    2 x 2 matrices [[a, b], [c, d]] use the closed form
+    (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, a sum of two non-negative
+    terms, so it neither cancels nor overflows; larger matrices go through the SVD.
+    """
+    m = mats.shape[-1]
+    if m == 1:
         return np.abs(mats[..., 0, 0])
+    if m == 2:
+        a, b = mats[..., 0, 0], mats[..., 0, 1]
+        c, d = mats[..., 1, 0], mats[..., 1, 1]
+        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
@@ -167,6 +177,8 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
 
     p > 1: sup_Q avg_x ( avg_y ||W^(1/p)(x) W^(-1/p)(y)||^p' )^(p/p');
     p <= 1: sup_Q max_y avg_x ||W^(1/p)(x) W^(-1/p)(y)||^p.
+    The averages run over an evenly strided subsample of at most 64 points per axis
+    of each cube (8 in 2D), so the value is a sampled estimate, not the exact sup.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -180,8 +192,7 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
         pts = _cube_point_indices(grid, j, cap)
         X = root[pts]            # (ncubes, ns, m, m)
         Y = iroot[pts]
-        prod = np.einsum("cxab,cybd->cxyad", X, Y)
-        nrm = operator_norms(prod)  # (ncubes, ns, ns)
+        nrm = operator_norms(X[:, :, None] @ Y[:, None])  # (ncubes, ns, ns)
         if p > 1.0:
             pp = conj_exponent(p)
             inner = np.mean(nrm ** pp, axis=2) ** (p / pp)
@@ -371,7 +382,7 @@ def _dimension_one_weight(W: MatrixWeight, p: float, cube_range: CubeRange, i_ma
                 ax = [a[_strided(a.size, cap)] for a in ax_full]
                 ys = _flat_indices(grid, ax)
                 Y = iroot[ys]
-                nrm = operator_norms(np.einsum("xab,ybc->xyac", X, Y))
+                nrm = operator_norms(X[:, None] @ Y[None])
                 if p > 1.0:
                     pp = conj_exponent(p)
                     # inner integral averaged over the dilated cube: the identity
@@ -391,7 +402,9 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
     """(d, d~, Delta): growth exponents of the cube-dilated Muckenhoupt quantities.
 
     d~ is computed for W^(-1/(p-1)) at exponent p' when p > 1 and is 0 otherwise;
-    Delta = d/p + d~/p'.
+    Delta = d/p + d~/p'.  Like ap_characteristic, the averages run over an evenly
+    strided subsample of at most 64 points per axis of each (dilated) cube (8 in
+    2D), so the exponents are sampled estimates.
     """
     d = _dimension_one_weight(W, p, cube_range, i_max)
     if p > 1.0:
@@ -437,17 +450,12 @@ def waq_integrability(W: MatrixWeight, p: float, family: ReducingFamily, v: floa
     """sup over cubes of avg_Q ||W^(1/p)(x) A_Q^(-1)||^v (finite for v < p + delta_W)."""
     grid = W.grid
     root = W.power(1.0 / p)
+    ax = tuple(range(1, 2 * grid.dim, 2))    # point axes of level_block_view
     best = 0.0
     for j in family.cube_range.cube_levels():
         Ainv = np.linalg.inv(family.level_array(j))
-        blocks = level_block_view(grid, root, j)
-        if grid.dim == 1:
-            nrm = operator_norms(np.einsum("cpab,cbd->cpad", blocks, Ainv))
-            vals = np.mean(nrm ** v, axis=1)
-        else:
-            nrm = operator_norms(np.einsum("cpdqab,cdbe->cpdqae", blocks, Ainv))
-            vals = np.mean(nrm ** v, axis=(1, 3))
-        best = max(best, float(np.max(vals)))
+        nrm = operator_norms(level_block_view(grid, root, j) @ np.expand_dims(Ainv, ax))
+        best = max(best, float(np.max(np.mean(nrm ** v, axis=ax))))
     return best
 
 
@@ -455,15 +463,11 @@ def aqw_sup(W: MatrixWeight, p: float, family: ReducingFamily) -> float:
     """p <= 1 companion: sup over cubes and x in Q of ||A_Q W^(-1/p)(x)||."""
     grid = W.grid
     iroot = W.power(-1.0 / p)
+    ax = tuple(range(1, 2 * grid.dim, 2))    # point axes of level_block_view
     best = 0.0
     for j in family.cube_range.cube_levels():
-        A = family.level_array(j)
-        blocks = level_block_view(grid, iroot, j)
-        if grid.dim == 1:
-            prod = np.einsum("cab,cpbd->cpad", A, blocks)
-        else:
-            prod = np.einsum("cdab,cpdqbe->cpdqae", A, blocks)
-        best = max(best, float(np.max(operator_norms(prod))))
+        A = np.expand_dims(family.level_array(j), ax)
+        best = max(best, float(np.max(operator_norms(A @ level_block_view(grid, iroot, j)))))
     return best
 
 

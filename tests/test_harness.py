@@ -310,10 +310,35 @@ def test_cli_equiv_and_report(tmp_path):
 
 
 def test_cli_bad_config_exit_code(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    res = run_cli("equiv", "--config", str(bad))
-    assert res.returncode == 2
+    paths = [tmp_path / "missing.json"]
+    for i, text in enumerate(("{not json", "[1]", '{"nope": 1}')):
+        paths.append(tmp_path / f"bad{i}.json")
+        paths[-1].write_text(text)
+    for path in paths:
+        res = run_cli("equiv", "--config", str(path))
+        assert res.returncode == 2, path.name
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
+
+def test_cli_malformed_field_files(tmp_path):
+    g = TorusGrid(1, 2, 4)
+    good = tmp_path / "f.bin"
+    fieldio.write_field(good, SampledField(g, np.full(g.shape + (1,), 1.0 + 1.0j)))
+    head, payload = good.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    bad_heads = ([1, 2], {**header, "channels": "1"}, {**header, "res_log2": 6.5},
+                 {**header, "dim": True})
+    files = [json.dumps(h).encode() + b"\n" + payload for h in bad_heads]
+    files += [head + b"\n" + payload[:-8], head + b"\n" + payload + bytes(16)]
+    bad = tmp_path / "bad.bin"
+    for blob in files:
+        bad.write_bytes(blob)
+        res = run_cli("filter", "--field", str(bad), "--level", "1",
+                      "--out", str(tmp_path / "out.bin"))
+        assert res.returncode == 2, blob[:80]
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 def test_equivalence_experiment_2d(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from bmtl import weights
 from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level
 from bmtl.grid import TorusGrid
 from bmtl.weights import (MatrixWeight, ap_characteristic, ap_dimensions, aqw_sup,
                           constant_weight, diagnose, doubling_exponent, dtilde_over_pprime,
-                          identity_weight, oscillating_weight, power_weight,
+                          identity_weight, operator_norms, oscillating_weight, power_weight,
                           reducing_operators, rotated_diag_weight, sandwich_constants,
                           strong_doubling_constant, waq_integrability, weight_gallery)
 
@@ -43,6 +44,51 @@ def ap_char_oracle_1d(w, K, p):
                 val = np.max(np.mean(prod ** p, axis=0))
             best = max(best, val)
     return best
+
+
+def _svd_norms(mats):
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
+def test_operator_norms_2x2_match_svd():
+    rng = np.random.default_rng(0)
+    scale = 10.0 ** rng.uniform(-150, 150, size=(64, 64, 1, 1))
+    random = rng.standard_normal((64, 64, 2, 2)) * scale
+    t = np.linspace(0.0, 2.0 * np.pi, 7)
+    rotations = np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                          np.stack([np.sin(t), np.cos(t)], -1)], -2)
+    u, v = rng.standard_normal((2, 20, 2))
+    special = np.concatenate([
+        np.zeros((1, 2, 2)),
+        np.einsum("ka,kb->kab", u, v) * 10.0 ** np.linspace(-300, 200, 20)[:, None, None],
+        rotations * np.array([1e-300, 1.0, 3.0, 1e200, 1.0, 1.0, 7.0])[:, None, None],
+        np.array([[[-2.0, 0.0], [0.0, -5.0]], [[-1e-300, 0.0], [0.0, -1e-300]],
+                  [[-1e200, 1.0], [0.0, -1e200]], [[1e200, 1e200], [1e200, 1e200]]]),
+    ])
+    for mats in (random, special):
+        got, want = operator_norms(mats), _svd_norms(mats)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_weight_kernels_match_svd_norms(monkeypatch):
+    # every caller of operator_norms gives the SVD-form values, 1D and 2D
+    cases = ((TorusGrid(1, 2, 5), CubeRange(-1, 2)), (TorusGrid(2, 1, 4), CubeRange(-1, 1)))
+
+    def kernels():
+        out = []
+        for grid, rng_c in cases:
+            W = oscillating_weight(grid)
+            for p in (0.8, 1.5):
+                fam = reducing_operators(W, p, rng_c)
+                out += [ap_characteristic(W, p, rng_c), *ap_dimensions(W, p, rng_c, i_max=2),
+                        waq_integrability(W, p, fam, p + 0.5), aqw_sup(W, p, fam),
+                        strong_doubling_constant(fam, p, 0.6, 0.9, 0.75)]
+        return np.array(out)
+
+    fast = kernels()
+    monkeypatch.setattr(weights, "operator_norms", _svd_norms)
+    np.testing.assert_allclose(fast, kernels(), rtol=1e-12, atol=0.0)
 
 
 def test_identity_characteristic_is_one():
