@@ -16,7 +16,8 @@ from . import fieldio
 from .coeff import phi_synthesis, phi_transform
 from .dyadic import MARGIN, CubeRange
 from .fields import SampledField, l2_norm
-from .harness import ExperimentConfig, Report, emit_report, load_report, run_experiment
+from .harness import (ExperimentConfig, Report, emit_report, json_int, load_report,
+                      run_experiment)
 from .lpa import band_filter, bessel_potential, make_admissible_pair, make_inhom_partition
 from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, bm_norm,
                      approx_norm, float_params, glambda_norm, lusin_norm, peetre_norm,
@@ -40,16 +41,7 @@ def _default_range(grid, j_min=None, j_max=None, inhomogeneous=False) -> CubeRan
 
 def _level(params: dict, key: str):
     """params[key] as an integer level, or None when the key is absent."""
-    if key not in params:
-        return None
-    value = params[key]
-    try:
-        integral = float(value).is_integer()
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(float(value))
+    return json_int(params[key], key) if key in params else None
 
 
 def _range_from(params: dict, grid) -> CubeRange:

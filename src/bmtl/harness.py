@@ -56,17 +56,67 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        """The config in a JSON file; ValueError unless it is an object of config fields."""
+        """The config in a JSON file; ValueError unless it is an object of config
+        fields, each of the type _CONFIG_TYPES gives it."""
         with open(path) as fh:
             data = json.load(fh)
         try:
-            return ExperimentConfig(**data)
-        except TypeError as exc:    # not an object, or a key that is not a config field
+            cfg = ExperimentConfig(**data)
+            for key in data:
+                setattr(cfg, key, _CONFIG_TYPES[key](data[key], key))
+        except (TypeError, ValueError) as exc:  # not an object, unknown key, wrong type
             raise ValueError(f"config {path}: {exc}") from exc
+        return cfg
 
     def to_json(self, path):
         with open(path, "w") as fh:
             json.dump(asdict(self), fh, sort_keys=True, indent=1)
+
+
+def json_int(value, key: str) -> int:
+    """An integral JSON number as an int; ValueError for anything else, strings
+    and booleans included."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_type(name: str, *kinds):
+    """A check that a JSON value has one of the types kinds (exactly: JSON true
+    is a bool, not an int)."""
+    def check(value, key):
+        if type(value) not in kinds:
+            raise ValueError(f"{key} must be {name}, got {value!r}")
+        return value
+    return check
+
+
+def _json_list(name: str, kind):
+    def check(value, key):
+        if type(value) is not list or any(type(v) is not kind for v in value):
+            raise ValueError(f"{key} must be a list of {name}, got {value!r}")
+        return value
+    return check
+
+
+def _json_counts(value, key: str) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"{key} must be an object of name: count, got {value!r}")
+    return {name: json_int(n, f"{key}[{name!r}]") for name, n in value.items()}
+
+
+#: the check of every ExperimentConfig field read from JSON
+_CONFIG_TYPES = {
+    **dict.fromkeys(("dim", "side_log2", "res_log2", "channels", "j_min", "j_max", "seed"),
+                    json_int),
+    "inhomogeneous": _json_type("a boolean", bool),
+    "space_params": _json_list("objects", dict),
+    "weights": _json_list("strings", str),
+    "functions": _json_counts,
+    "kind": _json_type("a string", str),
+    "threshold": _json_type("a number", int, float),
+    "output": _json_type("a string", str),
+}
 
 
 @dataclass

@@ -10,11 +10,15 @@ the maximal operator are sup-metric windows with grid-multiple radii, wrapped
 on the torus.
 
 The Peetre, Lusin and g-lambda-star norms share one kernel, _pair_reduce, over
-|W^(1/p)(x) band(y)| at every pair (x, y) of sample points with the euclidean
-torus distance, in 1D and 2D alike.  They differ only in the reduction over y
-(penalized max, sum over the closed ball B(x, 2^-j), penalized sum) and are
-exact on the grid: no pair is truncated or sampled.  (The q = 2 g-lambda-star
-sum is the same exact sum, taken as a cyclic convolution.)
+|W^(1/p)(x) band(y)| at every pair (x, y) of sample points, in 1D and 2D alike.
+Their penalties depend on the euclidean torus distance of x - y only, so each
+norm tabulates its kernel once per level on the offsets ((1 + 2^j d)^(-2a),
+the indicator of the closed ball B(0, 2^-j), (1 + 2^j d)^(-lambda n q)) and
+the pair kernel reads it at (x - y) mod N.  The norms differ only in that
+table and in the reduction over y (max or sum).  They are exact on the grid:
+no pair is truncated or sampled, and the pairs the kernel skips, outside the
+Lusin ball's support window, have kernel value 0.  (The q = 2 g-lambda-star
+sum is the same exact sum, taken as a cyclic convolution with the table.)
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .coeffseq import CoeffSequence
@@ -308,35 +313,78 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
 # characterization norms (Pointwise weighting only)
 
 
-# (x, y) pairs per block of _pair_reduce: 128 KiB per float array keeps a block's
-# temporaries in cache (on a 2-vCPU x86 host, 1D N = 2048 and 4096, the three
-# norms ran about twice as fast as with 2^20)
+# (x, y) pairs per block of _pair_reduce: 128 KiB per float array.  On a 2-vCPU
+# x86 host the three norms together (medians of 12 alternating runs, 1D N = 2048,
+# levels [-2, 7]) took 0.96 s at 2^14, 0.93 s at 2^15 and 0.90 s at 2^16, but
+# neither larger size was faster in every run (10 of 12 each), so 2^14 stays;
+# at 2D 64^2, levels [-2, 2] (4 runs), they took 2.78, 2.47 and 2.40 s.
 _PAIR_BLOCK_ENTRIES = 1 << 14
 
 
-def _pair_reduce(w: PointwiseWeighting, band: np.ndarray, reduce) -> np.ndarray:
+def _offset_dist(grid: TorusGrid) -> np.ndarray:
+    """The torus distance of every offset x - y, indexed by (x - y) mod N per axis."""
+    coords = np.stack(grid.coords(), axis=-1).reshape(-1, grid.dim)
+    return grid.torus_dist(coords, np.zeros(grid.dim)).reshape(grid.shape)
+
+
+def _circulant_view(kern: np.ndarray) -> np.ndarray:
+    """K[x, c] = kern[(x - c) mod N] per axis, for x on the grid and c on the grid
+    with its first axis doubled to [0, 2N): a zero-copy view of the tiled table."""
+    N, n = kern.shape[0], kern.ndim
+    tiled = np.tile(kern, (3,) + (2,) * (n - 1))[(slice(1, None),) * n]
+    view = sliding_window_view(tiled, (2 * N,) + (N,) * (n - 1))
+    return view[(Ellipsis,) + (slice(None, None, -1),) * n]
+
+
+def _support(kern: np.ndarray) -> tuple:
+    """(start, length) of the shortest cyclic run of first-axis offsets that holds
+    every nonzero entry of kern."""
+    N = kern.shape[0]
+    hits = np.flatnonzero(kern.reshape(N, -1).any(axis=1))
+    gaps = np.diff(hits, append=hits[0] + N)
+    k = int(np.argmax(gaps))
+    return int(hits[(k + 1) % len(hits)]), N + 1 - int(gaps[k])
+
+
+def _pair_reduce(w: PointwiseWeighting, band: np.ndarray, kern: np.ndarray,
+                 power: float, op) -> np.ndarray:
     """The kernel of the Peetre, Lusin and g-lambda-star norms, exact over all
     pairs (x, y) of sample points, taken in blocks of rows x.
 
-    reduce(sq, d) maps one block to one value per row, where sq[i, k] =
-    |W^(1/p)(x_i) band(y_k)|^2 in the Gram form W^(2/p)(x) . Re(v vbar)(y),
-    clipped at 0 against rounding, and d[i, k] is the torus distance |x_i - y_k|.
+    Returns op.reduce over y of sq^power * K, where sq[x, y] =
+    |W^(1/p)(x) band(y)|^2 in the Gram form W^(2/p)(x) . Re(v vbar)(y), clipped
+    at 0 against rounding, and K[x, y] = kern[(x - y) mod N] (per axis) reads
+    the norm's kernel from its offset table (a circulant view, no per-pair
+    distance).  op is np.maximum or np.add.  Each block of rows reads only the
+    columns y whose first coordinate lies in the support of kern, widened by
+    the block: pairs outside it have K = 0, so they cannot change the value.
     """
     grid = w.W.grid
-    m = w.channels
+    n, N, m = grid.dim, grid.points_per_axis, w.channels
     P = w.W.power(2.0 / w.p).reshape(-1, m * m)
     v = band.reshape(-1, m)
     G = np.einsum("ya,yb->yab", v, np.conj(v)).real.reshape(-1, m * m)
-    xs = np.stack([c.ravel() for c in grid.coords()])       # (dim, npts)
-    out = np.empty(grid.npoints)
+    G = np.concatenate([G, G])          # first axis doubled, like the columns of K
+    K = _circulant_view(kern)
+    start, length = _support(kern)
+    line = grid.npoints // N            # samples per first-axis index
     step = max(1, _PAIR_BLOCK_ENTRIES // grid.npoints)
+    counts = [min(N, max(1, step // N ** (n - 1 - ax))) for ax in range(n)]
+    cols = tuple(range(-n, 0))
+    out = np.empty(grid.npoints)
     for lo in range(0, grid.npoints, step):
-        rows = slice(lo, lo + step)
-        sq = np.maximum(P[rows] @ G.T, 0.0)
-        d = np.abs(xs[:, rows, None] - xs[:, None, :])
-        d = np.minimum(d, grid.side - d)
-        # distances per axis, so that 1D takes no square root
-        out[rows] = reduce(sq, d[0] if grid.dim == 1 else np.sqrt(np.sum(d * d, axis=0)))
+        first = np.unravel_index(lo, grid.shape)
+        rows = tuple(slice(i, i + c) for i, c in zip(first, counts))
+        c0, width = (first[0] - start - length + 1) % N, counts[0] + length - 1
+        if width >= N:
+            c0, width = 0, N
+        sq = np.maximum(P[lo:lo + step] @ G[c0 * line:(c0 + width) * line].T, 0.0)
+        Kb = K[rows + (slice(c0, c0 + width),)]
+        sq = sq.reshape(Kb.shape)
+        if power != 1.0:
+            np.power(sq, power, out=sq)
+        np.multiply(sq, Kb, out=sq)
+        out[lo:lo + step] = op.reduce(sq, axis=cols).ravel()
     return out.reshape(grid.shape)
 
 
@@ -347,12 +395,13 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
     if a <= 0:
         raise ValueError("a must be positive")
     F = _prologue(f, w, sp, bank, cube_range)
+    dist = _offset_dist(f.grid)
 
     def sups():
         for j, band in band_outputs(F, bank, cube_range.band_levels()):
-            sup = _pair_reduce(w, band, lambda sq, d: np.max(
-                np.sqrt(sq) / (1.0 + 2.0 ** j * d) ** a, axis=1))
-            yield j, 2.0 ** (j * sp.s) * sup
+            # the max of |.|^2 / (1 + 2^j d)^(2a), one square root per x
+            kern = (1.0 + 2.0 ** j * dist) ** (-2.0 * a)
+            yield j, 2.0 ** (j * sp.s) * np.sqrt(_pair_reduce(w, band, kern, 1.0, np.maximum))
 
     return _level_sum(f.grid, sups(), sp.p, sp.t, sp.r, sp.q, cube_range)
 
@@ -365,15 +414,15 @@ def lusin_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
         raise ValueError("lusin norm needs q < infinity")
     F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
+    dist = _offset_dist(grid)
     # levels whose ball radius 2^-j is below the grid spacing are skipped
     levels = [j for j in cube_range.band_levels() if 2.0 ** (-j) >= grid.spacing]
 
     def areas():
         for j, band in band_outputs(F, bank, levels):
-            # closed ball; 1e-9 of a grid spacing absorbs rounding in d
-            radius = 2.0 ** (-j) + 1e-9 * grid.spacing
-            total = _pair_reduce(w, band, lambda sq, d: np.sum(
-                sq ** (sp.q / 2.0), axis=1, where=d <= radius))
+            # indicator of the closed ball; 1e-9 of a grid spacing absorbs rounding in d
+            ball = (dist <= 2.0 ** (-j) + 1e-9 * grid.spacing).astype(float)
+            total = _pair_reduce(w, band, ball, sp.q / 2.0, np.add)
             u = 2.0 ** (j * grid.dim) * grid.cell_measure * total
             yield j, (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
 
@@ -391,15 +440,14 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
     F = _prologue(f, w, sp, bank, cube_range)
     grid = f.grid
     n = grid.dim
-    coords = np.stack(grid.coords(), axis=-1).reshape(-1, n)
-    dist0 = grid.torus_dist(coords, np.zeros(n)).reshape(grid.shape)
+    dist = _offset_dist(grid)
 
     def areas():
         for j, v in band_outputs(F, bank, cube_range.band_levels()):
+            kern = (1.0 + 2.0 ** j * dist) ** (-lam * n * sp.q)
             if sp.q == 2.0:
-                # kernel is a function of x - y: contract via cyclic convolution
-                kern = (1.0 + 2.0 ** j * dist0) ** (-lam * n * sp.q) * grid.cell_measure
-                Kf = np.fft.fftn(kern)
+                # the sum is a cyclic convolution with the offset table
+                Kf = np.fft.fftn(kern * grid.cell_measure)
                 P = w.W.power(2.0 / w.p)
                 G = np.einsum("...a,...b->...ab", v, np.conj(v)).real
                 axes = tuple(range(n))
@@ -407,8 +455,7 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
                                     axes=axes).real
                 u = 2.0 ** (j * n) * np.maximum(np.einsum("...ab,...ab->...", P, conv), 0.0)
             else:
-                total = _pair_reduce(w, v, lambda sq, d: np.sum(
-                    sq ** (sp.q / 2.0) * (1.0 + 2.0 ** j * d) ** (-lam * n * sp.q), axis=1))
+                total = _pair_reduce(w, v, kern, sp.q / 2.0, np.add)
                 u = 2.0 ** (j * n) * grid.cell_measure * total
             yield j, (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
 

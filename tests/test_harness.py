@@ -311,7 +311,11 @@ def test_cli_equiv_and_report(tmp_path):
 
 def test_cli_bad_config_exit_code(tmp_path):
     paths = [tmp_path / "missing.json"]
-    for i, text in enumerate(("{not json", "[1]", '{"nope": 1}')):
+    # a field of the wrong type is named in the message (a string of weights
+    # used to be read letter by letter, giving "error: 'i'")
+    typed = {'{"j_min": "a"}': "j_min", '{"functions": {"bump": "x"}}': "functions",
+             '{"channels": "2"}': "channels", '{"weights": "identity"}': "weights"}
+    for i, text in enumerate(("{not json", "[1]", '{"nope": 1}', *typed)):
         paths.append(tmp_path / f"bad{i}.json")
         paths[-1].write_text(text)
     for path in paths:
@@ -319,6 +323,8 @@ def test_cli_bad_config_exit_code(tmp_path):
         assert res.returncode == 2, path.name
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        key = typed.get(path.read_text()) if path.exists() else None
+        assert key is None or key in res.stderr, res.stderr
 
 
 def test_cli_malformed_field_files(tmp_path):

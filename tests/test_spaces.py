@@ -10,7 +10,7 @@ from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _level_sum,
-                         approx_norm, averaging, bm_norm, bm_seq_norm, glambda_norm,
+                         _pair_reduce, approx_norm, averaging, bm_norm, bm_seq_norm, glambda_norm,
                          hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
 from bmtl.weights import (identity_weight, operator_norms, oscillating_weight,
                           reducing_operators)
@@ -428,11 +428,16 @@ def pair_norm_oracles(f, W, sp, a, lam, bank, cube_range):
 
 
 # 16^2 is the smallest 2D grid with a lattice frequency strictly inside a band;
-# the inhomogeneous case has a nonzero band whose Lusin ball wraps the torus
+# the inhomogeneous case has a nonzero band whose Lusin ball wraps the torus.
+# At 1D N = 256 the blocks of rows are shorter than the torus and the Lusin
+# column windows of levels 1..5 are narrower than it, wrapping at both ends; at
+# 2D 32^2 a block of rows is shorter than one grid line.
 @pytest.mark.parametrize("grid, bank, cube_range", [
     (TorusGrid(1, 1, 4), PAIR, CubeRange(-1, 2)),
     (TorusGrid(1, 1, 4), PART, CubeRange(0, 2, inhomogeneous=True)),
     (TorusGrid(2, 1, 3), PAIR, CubeRange(-1, 1)),
+    (TorusGrid(1, 1, 7), PAIR, CubeRange(-1, 5)),
+    (TorusGrid(2, 1, 4), PAIR, CubeRange(-1, 2)),
 ])
 def test_pair_norms_match_direct_oracle(grid, bank, cube_range):
     rng = np.random.default_rng(27)
@@ -449,6 +454,29 @@ def test_pair_norms_match_direct_oracle(grid, bank, cube_range):
         assert sorted(got.per_level) == sorted(ref.per_level)
         for j, val in ref.per_level.items():
             assert got.per_level[j] == pytest.approx(val, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 1, 7), TorusGrid(2, 1, 4)])
+def test_pair_reduce_reads_offset_tables(grid):
+    """K[x, y] = kern[(x - y) mod N] per axis, for tables that are not symmetric
+    in the offset and whose support is a short cyclic run that wraps."""
+    rng = np.random.default_rng(28)
+    n, N, npts = grid.dim, grid.points_per_axis, grid.npoints
+    W = oscillating_weight(grid)
+    w = PointwiseWeighting(W, 1.5)
+    band = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    root = W.power(1.0 / 1.5).reshape(npts, 2, 2)
+    v = band.reshape(npts, 2)
+    idx = np.stack(np.unravel_index(np.arange(npts), grid.shape), axis=-1)
+    offsets = [(x - idx) % N for x in idx]      # (x - y) mod N per axis, every y
+    for support in (N, 5):
+        kern = rng.uniform(0.5, 2.0, grid.shape)
+        kern[(np.arange(N) + 3) % N >= support] = 0.0    # first-axis offsets -3..support-4
+        for power, op in ((1.0, np.maximum), (0.75, np.add)):
+            got = _pair_reduce(w, band, kern, power, op).ravel()
+            want = [op.reduce(np.linalg.norm(v @ root[x].T, axis=1) ** (2 * power)
+                              * kern[tuple(offsets[x].T)]) for x in range(npts)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_approx_norm_bandlimited_tail_vanishes():
