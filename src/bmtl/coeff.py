@@ -28,6 +28,19 @@ def _corner_view(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     return values[(slice(None, None, 1 << (grid.res_log2 - j)),) * grid.dim]
 
 
+def check_phi_range(grid: TorusGrid, bank, cube_range: CubeRange):
+    """The range fits the grid, and a partition bank comes with an inhomogeneous range."""
+    cube_range.validate(grid)
+    if not (bank.homogeneous or cube_range.inhomogeneous):
+        raise ValueError("partition banks go with inhomogeneous ranges")
+
+
+def phi_level(grid: TorusGrid, j: int, band: np.ndarray) -> np.ndarray:
+    """The level-j coefficients from the level-j analysis band output:
+    s_Q = |Q|^(1/2) band(x_Q), one entry per cube, cube axes leading."""
+    return _corner_view(grid, band, j) * 2.0 ** (-j * grid.dim / 2.0)
+
+
 def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence:
     """s_Q = |Q|^(1/2) (analysis band at Q's level)(x_Q).
 
@@ -36,10 +49,8 @@ def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence
     low-pass part.
     """
     grid = f.grid
-    cube_range.validate(grid)
-    if not (bank.homogeneous or cube_range.inhomogeneous):
-        raise ValueError("partition banks go with inhomogeneous ranges")
-    arrays = {j: _corner_view(grid, band, j) * 2.0 ** (-j * grid.dim / 2.0)
+    check_phi_range(grid, bank, cube_range)
+    arrays = {j: phi_level(grid, j, band)
               for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels())}
     return CoeffSequence(grid, arrays, f.channels)
 

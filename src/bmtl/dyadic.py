@@ -179,6 +179,13 @@ def cube_sums(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     return level_block_view(grid, values, j).sum(axis=tuple(range(1, 2 * grid.dim, 2)))
 
 
+def parent_sums(sums: np.ndarray, dim: int) -> np.ndarray:
+    """Per-cube sums one level coarser, from per-cube sums (cube axes leading,
+    trailing axes preserved): each parent cube sums its 2^dim children."""
+    c = sums.shape[0] // 2
+    return sums.reshape((c, 2) * dim + sums.shape[dim:]).sum(axis=tuple(range(1, 2 * dim, 2)))
+
+
 def cube_means(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     """Per-cube means of a grid-shaped array at level j, cube axes leading."""
     return level_block_view(grid, values, j).mean(axis=tuple(range(1, 2 * grid.dim, 2)))

@@ -14,13 +14,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coeff import phi_transform
+from .coeff import check_phi_range, phi_level
+from .coeffseq import CoeffSequence
 from .dyadic import CubeRange
 from .fields import SampledField, l2_norm
 from .grid import TorusGrid
 from .lpa import covered_band, make_admissible_pair, make_inhom_partition
 from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, seq_norm,
-                     tl_norm, truncation_ratio)
+                     tl_norm, tl_norms, truncation_ratio)
 from .weights import diagnose, reducing_operators, weight_gallery
 
 
@@ -169,6 +170,19 @@ def harmonic_field(grid: TorusGrid, channels: int, freq_index: int,
     return SampledField(grid, vals)
 
 
+#: the function kinds that function_gallery builds
+FUNCTION_KINDS = ("band_random", "bump", "harmonic")
+
+
+def _check_names(key: str, names, known):
+    """ValueError naming the config field key and the known names unless every
+    name is one of them."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"{key}: unknown {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(known)}")
+
+
 def function_gallery(grid: TorusGrid, cube_range: CubeRange, channels: int,
                      spec: dict, seed: int) -> list:
     """Named, seeded test functions with spectra inside the covered annuli."""
@@ -202,16 +216,26 @@ def four_norms(f: SampledField, W, p: float, sp: SpaceParams, bank, cube_range,
                family=None) -> dict:
     """F(W), F(A_Q), and the two sequence norms of the phi-transform coefficients.
 
+    One band pass: each level's band output feeds both function-side level
+    sums and gives that level's coefficients (the helpers of tl_norm and
+    phi_transform, with both of their bank checks).
     bank: AdmissiblePair for homogeneous params, InhomPartition otherwise.
     """
     if family is None:
         family = reducing_operators(W, p, cube_range)
     pw = PointwiseWeighting(W, p)
     cw = CubewiseWeighting(family)
-    coeffs = phi_transform(f, bank, cube_range)
+    check_phi_range(f.grid, bank, cube_range)
+    arrays = {}
+
+    def keep_coefficients(j, band):
+        arrays[j] = phi_level(f.grid, j, band)
+
+    F_W, F_AQ = tl_norms(f, (pw, cw), sp, bank, cube_range, on_band=keep_coefficients)
+    coeffs = CoeffSequence(f.grid, arrays, f.channels)
     return {
-        "F_W": tl_norm(f, pw, sp, bank, cube_range).value,
-        "F_AQ": tl_norm(f, cw, sp, bank, cube_range).value,
+        "F_W": F_W.value,
+        "F_AQ": F_AQ.value,
         "f_W": seq_norm(coeffs, pw, sp, cube_range).value,
         "f_AQ": seq_norm(coeffs, cw, sp, cube_range).value,
     }
@@ -221,12 +245,14 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     grid = cfg.grid()
     cube_range = cfg.cube_range()
+    weights = weight_gallery(grid, cfg.channels)
+    _check_names("functions", cfg.functions, FUNCTION_KINDS)
+    _check_names("weights", cfg.weights, weights)
     rows = []
     times = {}
     if cfg.kind == "equivalence":
         pair = make_inhom_partition() if cfg.inhomogeneous else make_admissible_pair()
         gallery = function_gallery(grid, cube_range, cfg.channels, cfg.functions, cfg.seed)
-        weights = weight_gallery(grid, cfg.channels)
         for sp in cfg.spaces():
             for wname in cfg.weights:
                 W = weights[wname]
@@ -253,7 +279,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     })
                     times[rows[-1]["case"]] = time.perf_counter() - t1
     elif cfg.kind == "diagnostics":
-        weights = weight_gallery(grid, cfg.channels)
         for sp in cfg.spaces():
             for wname in cfg.weights:
                 t1 = time.perf_counter()

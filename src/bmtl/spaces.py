@@ -2,12 +2,21 @@
 maximal operators, and the Peetre / Lusin / g-lambda-star / approximation variants.
 
 Outer norms aggregate |Q|^(1/t - 1/p) ||. chi_Q||_Lp over every cube of the level
-window in l^r (sup at r = infinity).  Every level-summed norm yields one
-weighted magnitude per level into a single driver, _level_sum, which takes the
-pointwise l^q sum over levels and the Bourgain-Morrey norms.  Band outputs come
-from lpa.band_outputs, so the cube <-> band pairing is the bank's.  Balls for
-the maximal operator are sup-metric windows with grid-multiple radii, wrapped
-on the torus.
+window in l^r (sup at r = infinity).  Every level-summed norm feeds one
+weighted magnitude per level into a single accumulator, _LevelSum (driven by
+_level_sum), which keeps the pointwise l^q sum over levels and only the
+finest-level cube sums of each level's magnitude^p; at the end every coarser
+cube level comes from 2^n-to-1 sums of those, batched over the band levels, so
+the per-level Bourgain-Morrey norms take one aggregation (_bm_norms, of which
+bm_array_norm, used for the value, is the batch of one).
+
+Band outputs come from lpa.band_outputs, so the cube <-> band pairing is the
+bank's.  tl_norms takes one band pass for several weightings: each level's
+band feeds every weighting's level sum in lockstep (and, in
+harness.four_norms, the phi-transform coefficients), and is then dropped, so
+no list of complex bands is kept.  Weighted magnitudes |M(x) v(x)| are taken
+component-wise by _matvec_norm.  Balls for the maximal operator are
+sup-metric windows with grid-multiple radii, wrapped on the torus.
 
 The Peetre, Lusin and g-lambda-star norms share one kernel, _pair_reduce, over
 |W^(1/p)(x) band(y)| at every pair (x, y) of sample points, in 1D and 2D alike.
@@ -31,7 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .coeffseq import CoeffSequence
-from .dyadic import CubeRange, cube_means, cube_sums, level_block_view, spread_to_grid
+from .dyadic import (CubeRange, cube_means, cube_sums, level_block_view, parent_sums,
+                     spread_to_grid)
 from .fields import SampledField, SpectralField, to_spectral
 from .grid import TorusGrid
 from .lpa import InhomPartition, band_outputs
@@ -90,6 +100,25 @@ class NormReport:
             raise ValueError(f"norm value must be nonnegative, got {self.value}")
 
 
+def _matvec_norm(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|M v| over the last axis, M (..., m, m) broadcast against v (..., m).
+
+    u_a = sum_b M_ab v_b is summed over the m^2 entries and |u|^2 taken as
+    sum_a u_a.real^2 + u_a.imag^2.  The Gram form v^H (M^H M) v would cancel
+    when M is ill-conditioned: against einsum + np.linalg.norm, at N = 4096 with
+    M = (rotated diag(|x|^4, 1))^(2/3), it was off by 7.6e-14 relative, this
+    form by 2.2e-16.
+    """
+    m = v.shape[-1]
+    sq = 0.0
+    for a in range(m):
+        u = M[..., a, 0] * v[..., 0]
+        for b in range(1, m):
+            u = u + M[..., a, b] * v[..., b]
+        sq = sq + (u.real ** 2 + u.imag ** 2 if np.iscomplexobj(u) else u * u)
+    return np.sqrt(sq)
+
+
 class PointwiseWeighting:
     """Apply W^(1/p)(x) at every sample."""
 
@@ -105,8 +134,7 @@ class PointwiseWeighting:
     def magnitude(self, j: int, vectors: np.ndarray) -> np.ndarray:
         if self._root is None:
             self._root = self.W.power(1.0 / self.p)
-        out = np.einsum("...ab,...b->...a", self._root, vectors)
-        return np.linalg.norm(out, axis=-1)
+        return _matvec_norm(self._root, vectors)
 
 
 class CubewiseWeighting:
@@ -121,13 +149,9 @@ class CubewiseWeighting:
 
     def magnitude(self, j: int, vectors: np.ndarray) -> np.ndarray:
         grid = self.family.grid
-        A = self.family.level_array(j)
-        blocks = level_block_view(grid, vectors, j)
-        if grid.dim == 1:
-            out = np.einsum("cab,cwb->cwa", A, blocks)
-        else:
-            out = np.einsum("cdab,cwdvb->cwdva", A, blocks)
-        return np.linalg.norm(out, axis=-1).reshape(grid.shape)
+        # A_Q broadcast over the samples of its cube: (c, 1) per axis against (c, w)
+        A = self.family.level_array(j)[(slice(None), None) * grid.dim]
+        return _matvec_norm(A, level_block_view(grid, vectors, j)).reshape(grid.shape)
 
 
 def _check_weighting(w, f_channels: int):
@@ -146,43 +170,83 @@ def _nonneg_scalar(g: SampledField) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
+def _bm_norms(grid: TorusGrid, fine: np.ndarray, p: float, t: float, r: float,
+              levels) -> np.ndarray:
+    """Bourgain-Morrey norms of a batch of nonnegative grid arrays g over the cube
+    levels, from fine, the per-cube sums of g^p at the finest level max(levels)
+    (cube axes leading, the batch axis last).  Each coarser level's cube sums are
+    the 2^n-to-1 sums of the next finer level's, for the whole batch at once."""
+    n, cell = grid.dim, grid.cell_measure
+    axes = tuple(range(n))
+    hi, lo = max(levels), min(levels)
+    out = 0.0
+    sums = fine
+    for j in range(hi, lo - 1, -1):
+        if j < hi:
+            sums = parent_sums(sums, n)
+        if j not in levels:
+            continue
+        scale = 2.0 ** (-j * n * (1.0 / t - 1.0 / p))
+        if np.isinf(r):
+            out = np.maximum(out, scale * np.max(sums * cell, axis=axes) ** (1.0 / p))
+        else:
+            out = out + np.sum((scale * (sums * cell) ** (1.0 / p)) ** r, axis=axes)
+    return out if np.isinf(r) else out ** (1.0 / r)
+
+
 def bm_array_norm(grid: TorusGrid, vals: np.ndarray, p: float, t: float, r: float,
                   levels) -> float:
-    """Bourgain-Morrey aggregation of a nonnegative grid array over cube levels."""
-    powed = vals ** p
-    cell = grid.cell_measure
-    if np.isinf(r):
-        best = 0.0
-        for j in levels:
-            sums = cube_sums(grid, powed, j) * cell
-            term = 2.0 ** (-j * grid.dim * (1.0 / t - 1.0 / p)) * np.max(sums) ** (1.0 / p)
-            best = max(best, float(term))
-        return best
-    total = 0.0
-    for j in levels:
-        sums = cube_sums(grid, powed, j) * cell
-        terms = 2.0 ** (-j * grid.dim * (1.0 / t - 1.0 / p)) * sums ** (1.0 / p)
-        total += float(np.sum(terms ** r))
-    return total ** (1.0 / r)
+    """Bourgain-Morrey aggregation of a nonnegative grid array over cube levels
+    (_bm_norms for a batch of one)."""
+    fine = cube_sums(grid, (vals ** p)[..., None], max(levels))
+    return float(_bm_norms(grid, fine, p, t, r, levels)[0])
+
+
+class _LevelSum:
+    """The skeleton of every level-summed norm, fed one level at a time.
+
+    add(j, mag) takes the weighted level-j magnitude; it updates the pointwise
+    l^q sum over levels and keeps only the level-max(cube levels) cube sums of
+    mag^p, so several level sums can be fed in lockstep from one band pass
+    without keeping any band.  report() gives the BM norm of the l^q sum as the
+    value and each level's own BM norm as per_level, the latter from one batch
+    of _bm_norms over all levels.
+    """
+
+    def __init__(self, grid: TorusGrid, p: float, t: float, r: float, q: float,
+                 cube_range: CubeRange):
+        self.grid, self.p, self.t, self.r, self.q = grid, p, t, r, q
+        self.levels = cube_range.cube_levels()
+        self.acc = np.zeros(grid.shape)   # sum_j mag_j^q, or max_j mag_j at q = infinity
+        self.fine = {}                    # level -> finest cube sums of mag_j^p
+
+    def add(self, j: int, mag: np.ndarray):
+        powed = mag ** self.p
+        if np.isinf(self.q):
+            np.maximum(self.acc, mag, out=self.acc)
+        else:
+            self.acc += powed if self.q == self.p else mag ** self.q
+        self.fine[j] = cube_sums(self.grid, powed, max(self.levels))
+
+    def report(self) -> NormReport:
+        total = self.acc if np.isinf(self.q) else self.acc ** (1.0 / self.q)
+        rep = NormReport(bm_array_norm(self.grid, total, self.p, self.t, self.r, self.levels))
+        if self.fine:
+            norms = _bm_norms(self.grid, np.stack(list(self.fine.values()), axis=-1),
+                              self.p, self.t, self.r, self.levels)
+            rep.per_level = dict(zip(self.fine, map(float, norms)))
+        return rep
 
 
 def _level_sum(grid: TorusGrid, magnitudes, p: float, t: float, r: float, q: float,
-               cube_range: CubeRange, per_level: bool = True) -> NormReport:
-    """The skeleton of every level-summed norm: magnitudes yields (j, weighted
-    level-j magnitude) one level at a time; the value is the BM norm of their
-    pointwise l^q sum, and per_level adds each level's own BM norm."""
-    levels = cube_range.cube_levels()
-    acc = np.zeros(grid.shape)        # sum_j mag_j^q, or max_j mag_j at q = infinity
-    by_level = {}
+               cube_range: CubeRange) -> NormReport:
+    """A _LevelSum fed by magnitudes, which yields (j, weighted level-j magnitude)
+    one level at a time: the value is the BM norm of their pointwise l^q sum,
+    and per_level holds each level's own BM norm."""
+    acc = _LevelSum(grid, p, t, r, q, cube_range)
     for j, mag in magnitudes:
-        if np.isinf(q):
-            np.maximum(acc, mag, out=acc)
-        else:
-            acc += mag ** q
-        if per_level:
-            by_level[j] = bm_array_norm(grid, mag, p, t, r, levels)
-    total = acc if np.isinf(q) else acc ** (1.0 / q)
-    return NormReport(bm_array_norm(grid, total, p, t, r, levels), by_level)
+        acc.add(j, mag)
+    return acc.report()
 
 
 def truncation_ratio(value: float, grid: TorusGrid, cube_range: CubeRange, norm_on):
@@ -207,7 +271,7 @@ def bm_seq_norm(gs, p: float, t: float, r: float, q: float, cube_range: CubeRang
         return 0.0
     check_nontrivial(p, t, r)
     mags = enumerate(map(_nonneg_scalar, gs))
-    return _level_sum(gs[0].grid, mags, p, t, r, q, cube_range, per_level=False).value
+    return _level_sum(gs[0].grid, mags, p, t, r, q, cube_range).value
 
 
 def hl_maximal(g: SampledField, eta: float = 1.0) -> SampledField:
@@ -242,15 +306,35 @@ def averaging(g: SampledField, j: int) -> SampledField:
     return SampledField(grid, spread_to_grid(grid, means, j)[..., None])
 
 
-def _prologue(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange) -> SpectralField:
-    """Checks shared by the function-side norms; returns the spectrum of f."""
-    _check_weighting(w, f.channels)
+def _prologue(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange) -> SpectralField:
+    """Checks shared by the function-side norms on the weightings ws; returns the
+    spectrum of f."""
+    for w in ws:
+        _check_weighting(w, f.channels)
     if getattr(bank, "homogeneous", None) != sp.homogeneous:
         if sp.homogeneous:
             raise ValueError("homogeneous norms need an AdmissiblePair")
         raise ValueError("inhomogeneous norms need an InhomPartition")
     cube_range.validate(f.grid)
     return to_spectral(f)
+
+
+def tl_norms(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange,
+             on_band=None) -> list:
+    """tl_norm of f for each weighting in ws, from one band pass.
+
+    Each level's band output feeds every weighting's level sum in lockstep and
+    is then handed to on_band(j, band) when given (harness.four_norms takes the
+    phi-transform coefficients there); no band outlives its level.
+    """
+    F = _prologue(f, ws, sp, bank, cube_range)
+    sums = [_LevelSum(f.grid, sp.p, sp.t, sp.r, sp.q, cube_range) for _ in ws]
+    for j, band in band_outputs(F, bank, cube_range.band_levels()):
+        for w, acc in zip(ws, sums):
+            acc.add(j, 2.0 ** (j * sp.s) * w.magnitude(j, band))
+        if on_band is not None:
+            on_band(j, band)
+    return [acc.report() for acc in sums]
 
 
 def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
@@ -260,10 +344,7 @@ def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
     Pointwise weighting gives the W-version; Cubewise gives the A_Q-version
     (matrix locked per cube of the band's level).
     """
-    F = _prologue(f, w, sp, bank, cube_range)
-    mags = ((j, 2.0 ** (j * sp.s) * w.magnitude(j, band))
-            for j, band in band_outputs(F, bank, cube_range.band_levels()))
-    rep = _level_sum(f.grid, mags, sp.p, sp.t, sp.r, sp.q, cube_range)
+    rep, = tl_norms(f, (w,), sp, bank, cube_range)
     if truncation_check:
         rep.truncation = truncation_ratio(rep.value, f.grid, cube_range,
                                           lambda wide: tl_norm(f, w, sp, bank, wide))
@@ -289,8 +370,7 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
         for j in levels:
             dense = coeffs.level_array(j)
             if isinstance(w, CubewiseWeighting):
-                A = w.family.level_array(j)
-                per_cube = np.linalg.norm(np.einsum("...ab,...b->...a", A, dense), axis=-1)
+                per_cube = _matvec_norm(w.family.level_array(j), dense)
                 mag = spread_to_grid(grid, per_cube, j)
             else:
                 mag = w.magnitude(j, spread_to_grid(grid, dense, j))
@@ -394,7 +474,7 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
     |W^(1/p)(x) band(y)| / (1 + 2^j |x-y|)^a, then the usual aggregation."""
     if a <= 0:
         raise ValueError("a must be positive")
-    F = _prologue(f, w, sp, bank, cube_range)
+    F = _prologue(f, (w,), sp, bank, cube_range)
     dist = _offset_dist(f.grid)
 
     def sups():
@@ -412,7 +492,7 @@ def lusin_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
     the weight frozen at the center."""
     if np.isinf(sp.q):
         raise ValueError("lusin norm needs q < infinity")
-    F = _prologue(f, w, sp, bank, cube_range)
+    F = _prologue(f, (w,), sp, bank, cube_range)
     grid = f.grid
     dist = _offset_dist(grid)
     # levels whose ball radius 2^-j is below the grid spacing are skipped
@@ -437,7 +517,7 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
     if lam <= 1.0 / min(1.0, sp.p, sp.q) + delta_cap / f.grid.dim:
         warnings.warn("lambda below the boundedness threshold; value still computed",
                       stacklevel=2)
-    F = _prologue(f, w, sp, bank, cube_range)
+    F = _prologue(f, (w,), sp, bank, cube_range)
     grid = f.grid
     n = grid.dim
     dist = _offset_dist(grid)
@@ -476,7 +556,7 @@ def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,
     if sp.s <= thresh:
         warnings.warn(f"s = {sp.s} below the approximation threshold {thresh}",
                       stacklevel=2)
-    F = _prologue(f, w, sp, bank, cube_range)
+    F = _prologue(f, (w,), sp, bank, cube_range)
     grid = f.grid
     term1 = []   # ||W^(1/p) u_0||_bm, filled at the first level
 

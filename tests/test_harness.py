@@ -5,17 +5,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bmtl
 from bmtl import fieldio
+from bmtl.coeff import phi_transform
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import CubeRange, DyadicCube
 from bmtl.fields import SampledField
 from bmtl.grid import TorusGrid
-from bmtl.harness import (ExperimentConfig, band_limited_noise, emit_report,
+from bmtl.harness import (ExperimentConfig, band_limited_noise, emit_report, four_norms,
                           function_gallery, load_report, run_experiment)
+from bmtl.lpa import make_admissible_pair, make_inhom_partition
 from bmtl.operators import SymbolGrid
-from bmtl.weights import oscillating_weight
+from bmtl.spaces import CubewiseWeighting, PointwiseWeighting, SpaceParams, seq_norm, tl_norm
+from bmtl.weights import oscillating_weight, reducing_operators
 
 
 def small_config(tmp_path, **overrides):
@@ -315,6 +319,10 @@ def test_cli_bad_config_exit_code(tmp_path):
     # used to be read letter by letter, giving "error: 'i'")
     typed = {'{"j_min": "a"}': "j_min", '{"functions": {"bump": "x"}}': "functions",
              '{"channels": "2"}': "channels", '{"weights": "identity"}': "weights"}
+    # an unknown name is refused before the sweep, naming its field and the known names
+    named = {'{"functions": {"nope": 1}}': ("functions", "band_random, bump, harmonic"),
+             '{"weights": ["nope"]}': ("weights", "oscillating")}
+    typed.update((text, key) for text, (key, _) in named.items())
     for i, text in enumerate(("{not json", "[1]", '{"nope": 1}', *typed)):
         paths.append(tmp_path / f"bad{i}.json")
         paths[-1].write_text(text)
@@ -325,6 +333,8 @@ def test_cli_bad_config_exit_code(tmp_path):
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
         key = typed.get(path.read_text()) if path.exists() else None
         assert key is None or key in res.stderr, res.stderr
+        if path.exists() and path.read_text() in named:
+            assert "'nope'" in res.stderr and named[path.read_text()][1] in res.stderr
 
 
 def test_cli_malformed_field_files(tmp_path):
@@ -391,3 +401,32 @@ def test_hypothesis_flag_when_q_exceeds_p(tmp_path):
     rep = run_experiment(cfg)
     assert all(row["hypothesis_unverifiable"] for row in rep.rows)
     assert "min_spread" in rep.summary and "max_spread" in rep.summary
+
+
+@pytest.mark.parametrize("grid, ranges", [
+    (TorusGrid(1, 2, 6), (CubeRange(-2, 4), CubeRange(-2, 4, inhomogeneous=True))),
+    (TorusGrid(2, 1, 4), (CubeRange(-1, 2), CubeRange(-1, 2, inhomogeneous=True))),
+])
+def test_four_norms_one_band_pass(grid, ranges, monkeypatch):
+    W = oscillating_weight(grid)
+    for bank, cube_range in zip((make_admissible_pair(), make_inhom_partition()), ranges):
+        sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=bank.homogeneous)
+        f = band_limited_noise(grid, 2, 0.0, 2.0 ** cube_range.j_max,
+                               np.random.default_rng(43))
+        family = reducing_operators(W, sp.p, cube_range)
+        pw, cw = PointwiseWeighting(W, sp.p), CubewiseWeighting(family)
+        coeffs = phi_transform(f, bank, cube_range)
+        separate = {"F_W": tl_norm(f, pw, sp, bank, cube_range).value,
+                    "F_AQ": tl_norm(f, cw, sp, bank, cube_range).value,
+                    "f_W": seq_norm(coeffs, pw, sp, cube_range).value,
+                    "f_AQ": seq_norm(coeffs, cw, sp, cube_range).value}
+        inverse = []
+        ifftn = np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: inverse.append(1) or ifftn(*a, **k))
+        norms = four_norms(f, W, sp.p, sp, bank, cube_range, family)
+        monkeypatch.undo()
+        assert len(inverse) == len(cube_range.band_levels())
+        assert sorted(norms) == sorted(separate)
+        for key, val in separate.items():
+            assert val > 0
+            assert norms[key] == pytest.approx(val, rel=1e-12, abs=0), key

@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmtl.coeffseq import CoeffSequence
-from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level, level_block_view
+from bmtl.dyadic import (CubeRange, DyadicCube, cube_sums, cubes_at_level, cubes_per_axis,
+                         level_block_view)
 from bmtl.fields import SampledField, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _level_sum,
-                         _pair_reduce, approx_norm, averaging, bm_norm, bm_seq_norm, glambda_norm,
-                         hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
-from bmtl.weights import (identity_weight, operator_norms, oscillating_weight,
-                          reducing_operators)
+                         _matvec_norm, _pair_reduce, approx_norm, averaging, bm_array_norm,
+                         bm_norm, bm_seq_norm, glambda_norm, hl_maximal, lusin_norm,
+                         peetre_norm, seq_norm, tl_norm)
+from bmtl.weights import (MatrixWeight, ReducingFamily, identity_weight, operator_norms,
+                          oscillating_weight, reducing_operators)
 
 GRID = TorusGrid(1, 2, 8)          # N = 256, L = 4
 RANGE = CubeRange(-2, 6)
@@ -577,3 +579,79 @@ def test_inhomogeneous_characterization_variants():
     assert pe >= tl * (1.0 - 1e-10)
     for v in (pe, lu, gl):
         assert max(v / tl, tl / v) <= 50.0
+
+
+def _random_spd(rng, shape, m):
+    B = rng.standard_normal(shape + (m, m))
+    return B @ np.swapaxes(B, -1, -2) + np.eye(m)
+
+
+def _norm_oracle(spec, M, v):
+    """|M v| in the direct form: einsum, then np.linalg.norm."""
+    return np.linalg.norm(np.einsum(spec, M, v), axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)])
+def test_matvec_norm_matches_einsum_oracle(grid, kind, m):
+    rng = np.random.default_rng(40 + m)
+    v = rng.standard_normal(grid.shape + (m,))
+    if kind is complex:
+        v = v + 1j * rng.standard_normal(v.shape)
+    # pointwise: one matrix per sample, the helper and PointwiseWeighting
+    M = rng.standard_normal(grid.shape + (m, m))
+    np.testing.assert_allclose(_matvec_norm(M, v), _norm_oracle("...ab,...b->...a", M, v),
+                               rtol=1e-12, atol=0)
+    W = MatrixWeight(grid, _random_spd(rng, grid.shape, m))
+    np.testing.assert_allclose(PointwiseWeighting(W, 1.5).magnitude(0, v),
+                               _norm_oracle("...ab,...b->...a", W.power(1.0 / 1.5), v),
+                               rtol=1e-12, atol=0)
+    # cubewise: A_Q broadcast over the samples of each cube block
+    j = 1
+    A = _random_spd(rng, (cubes_per_axis(grid, j),) * grid.dim, m)
+    fam = ReducingFamily(grid, 1.5, CubeRange(j, j), {j: A})
+    blocks = level_block_view(grid, v, j)
+    spec = "cab,cwb->cwa" if grid.dim == 1 else "cdab,cwdvb->cwdva"
+    np.testing.assert_allclose(CubewiseWeighting(fam).magnitude(j, v),
+                               _norm_oracle(spec, A, blocks).reshape(grid.shape),
+                               rtol=1e-12, atol=0)
+
+
+def bm_levelwise(grid, vals, p, t, r, levels):
+    """The Bourgain-Morrey norm in the level-by-level form: the cube sums of
+    vals^p taken from the grid array again at every level."""
+    powed = vals ** p
+    terms = [2.0 ** (-j * grid.dim * (1.0 / t - 1.0 / p))
+             * (cube_sums(grid, powed, j) * grid.cell_measure) ** (1.0 / p) for j in levels]
+    if np.isinf(r):
+        return max(float(np.max(x)) for x in terms)
+    return sum(float(np.sum(x ** r)) for x in terms) ** (1.0 / r)
+
+
+# both ranges reach the whole torus as one cube (level -K); the inhomogeneous
+# one has cube levels below its band levels
+@pytest.mark.parametrize("grid, cube_range", [
+    (TorusGrid(1, 2, 6), CubeRange(-2, 4)),
+    (TorusGrid(1, 2, 6), CubeRange(-2, 4, inhomogeneous=True)),
+    (TorusGrid(2, 1, 4), CubeRange(-1, 2)),
+])
+@pytest.mark.parametrize("r", [np.inf, 3.0])
+def test_batched_bm_matches_levelwise_oracle(grid, cube_range, r):
+    rng = np.random.default_rng(41)
+    p, t, q = 1.5, 2.0, 1.5
+    mags = [(j, rng.random(grid.shape) * 2.0 ** j) for j in cube_range.band_levels()]
+    levels = cube_range.cube_levels()
+    rep = _level_sum(grid, mags, p, t, r, q, cube_range)
+    assert sorted(rep.per_level) == list(cube_range.band_levels())
+    for j, mag in mags:
+        assert rep.per_level[j] == pytest.approx(bm_levelwise(grid, mag, p, t, r, levels),
+                                                 rel=1e-12, abs=0)
+    total = sum(mag ** q for _, mag in mags) ** (1.0 / q)
+    ref = bm_levelwise(grid, total, p, t, r, levels)
+    assert rep.value == pytest.approx(ref, rel=1e-12, abs=0)
+    assert bm_array_norm(grid, total, p, t, r, levels) == pytest.approx(ref, rel=1e-12, abs=0)
+    # every level down to one sample per cube, and a window with gaps
+    for some in (range(-grid.side_log2, grid.res_log2 + 1), [-grid.side_log2, 0, 2]):
+        assert bm_array_norm(grid, total, p, t, r, some) == pytest.approx(
+            bm_levelwise(grid, total, p, t, r, some), rel=1e-12, abs=0)

@@ -10,8 +10,9 @@ order, so name the i-th run of each side alike).  The BENCH file holds, per
 workload and seed:
   - untraced runs: `run_s`, `setup_s` and `peak_rss_mb` per run, their median and
     quartiles, the failed cases, and for `run_s` the pairs the change won;
-  - traced runs: the `.calls` and `.self_s` of the pair-kernel norms, the FFT
-    counters, and whether every `.calls` count and work counter is equal;
+  - traced runs: the `.calls` and `.self_s` of the pair-kernel norms and of the
+    Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), the FFT counters
+    and self time, and whether every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
 """
 
@@ -24,8 +25,11 @@ import os
 import statistics
 
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
-TRACED = [f"spaces.{name}.{kind}" for name in ("peetre_norm", "lusin_norm", "glambda_norm")
-          for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls"]
+TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm",
+                                         "spaces.glambda_norm", "spaces.bm_array_norm",
+                                         "dyadic.cube_sums")
+          for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls",
+                                              "fft.self_s"]
 RUN_FIELDS = ("workload", "scale", "seed", "grids")
 
 
