@@ -59,6 +59,8 @@ def cmd_check_ap(args) -> int:
 def cmd_reduce(args) -> int:
     W = fieldio.read_weight(args.weight)
     rng = _default_range(W.grid, args.j_min, args.j_max)
+    if args.dirs < 1:
+        raise ValueError(f"--dirs must be positive, got {args.dirs}")
     family = reducing_operators(W, args.p, rng, method=args.method)
     c1, c2 = sandwich_constants(W, args.p, family, n_dirs=args.dirs)
     print(json.dumps({"method": args.method, "c1": c1, "c2": c2, "ratio": c2 / c1},
@@ -87,11 +89,13 @@ def cmd_norm(args) -> int:
         w = CubewiseWeighting(reducing_operators(W, sp.p, rng)) if args.cubewise else pw
         rep = seq_norm(coeffs, w, sp, rng)
     elif args.space == "peetre":
-        rep = peetre_norm(f, pw, sp, params.get("a", 3.0), bank, rng)
+        a, = float_params({"a": 3.0, **params}, ["a"])
+        rep = peetre_norm(f, pw, sp, a, bank, rng)
     elif args.space == "lusin":
         rep = lusin_norm(f, pw, sp, bank, rng)
     elif args.space == "glambda":
-        rep = glambda_norm(f, pw, sp, params.get("lambda", 3.0), bank, rng)
+        lam, = float_params({"lambda": 3.0, **params}, ["lambda"])
+        rep = glambda_norm(f, pw, sp, lam, bank, rng)
     elif args.space == "approx":
         rep = approx_norm(f, pw, sp, make_inhom_partition(), rng)
     else:
@@ -145,10 +149,14 @@ def cmd_bound(args) -> int:
         sp2 = SpaceParams(sp.s + args.gamma, sp.p, sp.q, sp.t, sp.r, sp.homogeneous)
         num = tl_norm(lifted, pw, sp, bank, rng).value
         den = tl_norm(f, pw, sp2, bank, rng).value
-        print(json.dumps({"ratio": num / den, "num": num, "den": den}, indent=1))
-        return 0 if max(num / den, den / num) <= args.threshold else 1
+        ratio = num / den if den > 0 else float("inf")
+        print(json.dumps({"ratio": ratio, "num": num, "den": den}, indent=1))
+        # two-sided: 1/threshold <= ratio <= threshold
+        return 0 if ratio <= args.threshold and ratio * args.threshold >= 1.0 else 1
     elif args.op == "psdo":
         from .operators import psdo_apply
+        if args.symbol is None:
+            raise ValueError("--op psdo needs --symbol")
         sym = fieldio.read_symbol(args.symbol)
         g = psdo_apply(sym, f)
         num = tl_norm(SampledField(f.grid, g.values), pw, sp, bank, rng).value

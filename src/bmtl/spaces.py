@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .coeffseq import CoeffSequence
 from .dyadic import (CubeRange, cube_means, cube_sums, level_block_view, parent_sums,
@@ -70,13 +69,14 @@ class SpaceParams:
                            bool(params.get("homogeneous", homogeneous)))
 
 
-def float_params(params: dict, keys: str) -> list:
-    """The one-letter keys of JSON-style params as floats (numbers or numeric
-    strings such as "inf"); r defaults to infinity."""
+def float_params(params: dict, keys: str | list) -> list:
+    """The values at keys (a string of one-letter keys, or a list of keys) of
+    JSON-style params as floats (numbers or numeric strings such as "inf"); r
+    defaults to infinity."""
     try:
         return [float(params.get(key, "inf") if key == "r" else params[key]) for key in keys]
-    except TypeError as exc:
-        raise ValueError(f"space parameters {', '.join(keys)} must be numbers: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"parameters {', '.join(keys)} must be numbers: {exc}") from exc
 
 
 def check_nontrivial(p: float, t: float, r: float):
@@ -274,12 +274,57 @@ def bm_seq_norm(gs, p: float, t: float, r: float, q: float, cube_range: CubeRang
     return _level_sum(gs[0].grid, mags, p, t, r, q, cube_range).value
 
 
+def _cyclic_extension(a: np.ndarray, ax: int, left: int, right: int) -> np.ndarray:
+    """a along ax, swapped last, extended cyclically by left samples before and
+    right samples after (each at most N)."""
+    a = a.swapaxes(ax, -1)
+    return np.concatenate([a[..., a.shape[-1] - left:], a, a[..., :right]], axis=-1)
+
+
+def _cyclic_mean(a: np.ndarray, size: int, ax: int) -> np.ndarray:
+    """Means over the centred windows of odd length size <= N + 1 along ax,
+    wrapped on the torus: differences of one cumulative sum over the cyclic
+    extension by size // 2 on each side (and one sample more on the left, so
+    that every window sum is a difference of two prefix sums).  The sum runs
+    over the samples minus their mean, so it stays small and the differences
+    keep their relative accuracy."""
+    r = size // 2
+    ext = _cyclic_extension(a, ax, r + 1, r)
+    mu = ext.mean(axis=-1, keepdims=True)
+    ext -= mu
+    c = np.cumsum(ext, axis=-1, out=ext)
+    out = c[..., size:] - c[..., :-size]
+    out /= size
+    out += mu
+    return out.swapaxes(ax, -1)
+
+
+def _cyclic_max(a: np.ndarray, size: int, ax: int) -> np.ndarray:
+    """Maxima over the centred windows of odd length size <= N + 1 along ax,
+    wrapped on the torus, by doubling over the cyclic extension by size // 2 on
+    each side: after the step to width w, m[i] is the max of the w samples from
+    i, and the window from i is the union of the w-windows at i and at
+    i + size - w (2w > size)."""
+    n, r = a.shape[ax], size // 2
+    m = _cyclic_extension(a, ax, r, r)
+    w = 1
+    while 2 * w <= size:
+        m = np.maximum(m[..., :-w], m[..., w:])
+        w *= 2
+    return np.maximum(m[..., :n], m[..., size - w:size - w + n]).swapaxes(ax, -1)
+
+
 def hl_maximal(g: SampledField, eta: float = 1.0) -> SampledField:
     """Uncentered Hardy-Littlewood maximal function, powered by eta.
 
     Balls are sup-metric windows of radius k*h, k = 0..N/2, wrapped on the
     torus; uncentered sup over balls containing x equals a running max-filter
-    of the ball averages.
+    of the ball averages.  Both filters are separable, one axis at a time, and
+    read the samples extended cyclically by k on either side (numpy only): the
+    ball average is a difference of two cumulative sums over the extension
+    (_cyclic_mean), and the max-filter is exact, the max of two overlapping
+    power-of-two windows built by doubling (_cyclic_max).  At k = N/2 the window
+    holds N + 1 samples, so it meets one sample twice, as a wrapped filter does.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -291,10 +336,10 @@ def hl_maximal(g: SampledField, eta: float = 1.0) -> SampledField:
         size = 2 * k + 1
         avg = arr
         for ax in range(grid.dim):
-            avg = uniform_filter1d(avg, size=size, axis=ax, mode="wrap")
+            avg = _cyclic_mean(avg, size, ax)
         cand = avg
         for ax in range(grid.dim):
-            cand = maximum_filter1d(cand, size=size, axis=ax, mode="wrap")
+            cand = _cyclic_max(cand, size, ax)
         np.maximum(best, cand, out=best)
     return SampledField(grid, (best ** (1.0 / eta))[..., None])
 

@@ -166,12 +166,23 @@ def test_coeff_file_round_trip(tmp_path):
 # CLI
 
 
-def run_cli(*args):
+def run_python(*args):
     # the subprocess imports the bmtl this module imported, installed or not
     path = [str(Path(bmtl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, "-m", "bmtl.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "bmtl.cli", *args)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only: importing it would add ~0.4 s to every bmtl process
+    res = run_python("-c", "import sys, bmtl.cli; print([m for m in sys.modules"
+                           " if m.split('.')[0] == 'scipy'])")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_check_ap_and_reduce(tmp_path):
@@ -232,6 +243,12 @@ def test_cli_norm_and_filter(tmp_path):
         res = run_cli("norm", "--space", "F", "--params", bad, "--field", str(fpath))
         assert res.returncode == 2, bad_p
         assert "Traceback" not in res.stderr
+    for space, key, bad_value in (("peetre", "a", "x"), ("glambda", "lambda", None)):
+        bad = json.dumps({**good, key: bad_value})
+        res = run_cli("norm", "--space", space, "--params", bad, "--field", str(fpath))
+        assert res.returncode == 2, (space, res.stderr)
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert key in res.stderr
     out = tmp_path / "band.bin"
     res = run_cli("filter", "--field", str(fpath), "--level", "2", "--out", str(out))
     assert res.returncode == 0
@@ -277,6 +294,22 @@ def test_cli_transform_and_bound(tmp_path):
                   "--params", params, "--gamma", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["ratio"] <= 50.0
+    res = run_cli("bound", "--op", "psdo", "--field", str(fpath), "--params", params)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    assert "--symbol" in res.stderr
+    zpath = tmp_path / "zero.bin"
+    fieldio.write_field(zpath, SampledField(g, np.zeros_like(f.values)))
+    res = run_cli("bound", "--op", "bessel", "--field", str(zpath), "--params", params)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert json.loads(res.stdout)["ratio"] == float("inf")
+    wpath = tmp_path / "w.bin"
+    fieldio.write_weight(wpath, oscillating_weight(TorusGrid(1, 2, 5)))
+    res = run_cli("reduce", "--weight", str(wpath), "--p", "2.0", "--dirs", "0")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    assert "--dirs must be positive" in res.stderr
 
 
 def test_cli_malformed_coefficient_records(tmp_path):

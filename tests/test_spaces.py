@@ -10,10 +10,10 @@ from bmtl.fields import SampledField, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
-from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _level_sum,
-                         _matvec_norm, _pair_reduce, approx_norm, averaging, bm_array_norm,
-                         bm_norm, bm_seq_norm, glambda_norm, hl_maximal, lusin_norm,
-                         peetre_norm, seq_norm, tl_norm)
+from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _cyclic_max,
+                         _cyclic_mean, _level_sum, _matvec_norm, _pair_reduce, approx_norm,
+                         averaging, bm_array_norm, bm_norm, bm_seq_norm, glambda_norm,
+                         hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
 from bmtl.weights import (MatrixWeight, ReducingFamily, identity_weight, operator_norms,
                           oscillating_weight, reducing_operators)
 
@@ -562,6 +562,34 @@ def test_maximal_powered_monotone():
     assert np.all(m2 >= m1 - 1e-12)
     with pytest.raises(ValueError):
         hl_maximal(g, eta=0.0)
+
+
+def test_hl_maximal_matches_scipy_filters():
+    # the cyclic numpy filters against scipy's wrapped ones, at every radius up to
+    # N/2, where the window of N + 1 samples meets one sample twice
+    pytest.importorskip("scipy")
+    from scipy.ndimage import maximum_filter1d, uniform_filter1d
+    rng = np.random.default_rng(44)
+    for grid in (TorusGrid(1, 2, 6), TorusGrid(2, 2, 3)):     # N = 256, 32^2
+        vals = rng.random(grid.shape)
+        N = grid.points_per_axis
+        for eta in (1.0, 1.5):
+            arr = vals ** eta
+            best = arr.copy()
+            for k in range(1, N // 2 + 1):
+                size = 2 * k + 1
+                avg = arr
+                for ax in range(grid.dim):
+                    ref = uniform_filter1d(arr, size=size, axis=ax, mode="wrap")
+                    np.testing.assert_allclose(_cyclic_mean(arr, size, ax), ref, rtol=1e-12)
+                    ref = maximum_filter1d(arr, size=size, axis=ax, mode="wrap")
+                    assert np.array_equal(_cyclic_max(arr, size, ax), ref), (grid, k, ax)
+                    avg = uniform_filter1d(avg, size=size, axis=ax, mode="wrap")
+                for ax in range(grid.dim):
+                    avg = maximum_filter1d(avg, size=size, axis=ax, mode="wrap")
+                np.maximum(best, avg, out=best)
+            m = hl_maximal(scalar_field(grid, vals), eta=eta).scalar()
+            np.testing.assert_allclose(m, best ** (1.0 / eta), rtol=1e-12)
 
 
 def test_inhomogeneous_characterization_variants():

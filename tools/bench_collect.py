@@ -9,7 +9,8 @@ the same workload, seed and trace are paired across the two sides in file-name
 order, so name the i-th run of each side alike).  The BENCH file holds, per
 workload and seed:
   - untraced runs: `run_s`, `setup_s` and `peak_rss_mb` per run, their median and
-    quartiles, the failed cases, and for `run_s` the pairs the change won;
+    quartiles, the failed cases, and for each of the three the pairs the change
+    won (a lower value wins; ties count for neither side);
   - traced runs: the `.calls` and `.self_s` of the pair-kernel norms and of the
     Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), the FFT counters
     and self time, and whether every `.calls` count and work counter is equal;
@@ -70,10 +71,12 @@ def collect(parent: dict, change: dict) -> dict:
         if trace == 0:
             entry["untraced"] = {side: untraced(recs) for side, recs in sides.items() if recs}
             if all(sides.values()):
-                pairs = list(zip(*(
-                    [r["metrics"]["run_s"]["value"] for r in recs] for recs in sides.values())))
-                entry["untraced"]["run_s_pairs_change_won"] = sum(c < p for p, c in pairs)
-                entry["untraced"]["run_s_pairs"] = len(pairs)
+                for name in END_TO_END:
+                    pairs = list(zip(*([r["metrics"][name]["value"] for r in recs]
+                                       for recs in sides.values())))
+                    won = sum(c < p for p, c in pairs)
+                    entry["untraced"][f"{name}_pairs_change_won"] = won
+                entry["untraced"]["pairs"] = len(pairs)
         else:
             entry["traced"] = {side: {name: recs[0]["metrics"][name]["value"]
                                       for name in TRACED if name in recs[0]["metrics"]}
