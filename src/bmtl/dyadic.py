@@ -78,26 +78,23 @@ class DyadicCube:
     def parent(self) -> "DyadicCube":
         return DyadicCube(self.level - 1, tuple(i // 2 for i in self.index))
 
-    def dilated_axis_indices(self, grid: TorusGrid, factor: float) -> list:
-        """Per-axis grid indices of the concentric cube of side factor*side, torus-wrapped.
 
-        If the dilated cube covers a full axis it returns every index once.
-        """
-        N = grid.points_per_axis
-        w = self.points_per_axis(grid)
-        half = factor * w / 2.0
-        out = []
-        for i in self.index:
-            c = i * w + w / 2.0
-            lo = int(np.ceil(c - half - 1e-9))
-            hi = int(np.floor(c + half - 1e-9))
-            idx = np.arange(lo, hi + 1)
-            if idx.size >= N:
-                idx = np.arange(N)
-            else:
-                idx = np.unique(idx % N)
-            out.append(idx)
-        return out
+def dilated_windows(grid: TorusGrid, j: int, factor: float) -> np.ndarray:
+    """Grid indices along one axis of every level-j cube dilated concentrically
+    to side factor * 2^-j, torus-wrapped and sorted: a (count, size) array whose
+    row c belongs to the cubes of index c on that axis (the same on every axis).
+
+    A dilated cube that covers the whole axis holds every index once.
+    """
+    N = grid.points_per_axis
+    w = 1 << (grid.res_log2 - j)
+    half = factor * w / 2.0
+    c = np.arange(cubes_per_axis(grid, j)) * w + w / 2.0
+    lo = np.ceil(c - half - 1e-9).astype(int)
+    size = int(np.floor(c[0] + half - 1e-9)) - int(lo[0]) + 1
+    if size >= N:
+        return np.broadcast_to(np.arange(N), (c.size, N))
+    return np.sort((lo[:, None] + np.arange(size)) % N, axis=1)
 
 
 def cubes_per_axis(grid: TorusGrid, j: int) -> int:

@@ -72,11 +72,15 @@ class SpaceParams:
 def float_params(params: dict, keys: str | list) -> list:
     """The values at keys (a string of one-letter keys, or a list of keys) of
     JSON-style params as floats (numbers or numeric strings such as "inf"); r
-    defaults to infinity."""
+    defaults to infinity.  NaN is rejected, naming its key; infinities pass."""
     try:
-        return [float(params.get(key, "inf") if key == "r" else params[key]) for key in keys]
+        vals = [float(params.get(key, "inf") if key == "r" else params[key]) for key in keys]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"parameters {', '.join(keys)} must be numbers: {exc}") from exc
+    for key, val in zip(keys, vals):
+        if np.isnan(val):
+            raise ValueError(f"parameter {key} must be a number, got nan")
+    return vals
 
 
 def check_nontrivial(p: float, t: float, r: float):

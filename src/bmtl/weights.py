@@ -14,20 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (CubeRange, DyadicCube, cube_means, cubes_at_level, cubes_per_axis,
-                     level_block_view)
+from .dyadic import (CubeRange, DyadicCube, cube_means, cube_sums, cubes_per_axis,
+                     dilated_windows, level_block_view)
 from .grid import TorusGrid
 
 #: eigenvalues below this are considered degenerate when inverting W
 EIG_FLOOR = 1e-10
 
 
+def _closed_form_norm(s: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Spectral norm of [[a, b], [c, d]] from s = a + d, t = b - c, u = a - d and
+    v = b + c: (hypot(s, t) + hypot(u, v)) / 2, a sum of two non-negative terms,
+    so it neither cancels nor overflows."""
+    return 0.5 * (np.hypot(s, t) + np.hypot(u, v))
+
+
 def operator_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norms of a batch of matrices (largest singular value).
 
-    2 x 2 matrices [[a, b], [c, d]] use the closed form
-    (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, a sum of two non-negative
-    terms, so it neither cancels nor overflows; larger matrices go through the SVD.
+    2 x 2 matrices use the closed form _closed_form_norm; larger matrices go
+    through the SVD.
     """
     m = mats.shape[-1]
     if m == 1:
@@ -35,7 +41,7 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
     if m == 2:
         a, b = mats[..., 0, 0], mats[..., 0, 1]
         c, d = mats[..., 1, 0], mats[..., 1, 1]
-        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+        return _closed_form_norm(a + d, b - c, a - d, b + c)
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
@@ -146,30 +152,102 @@ def dtilde_over_pprime(d_tilde: float, p: float) -> float:
     return d_tilde / conj_exponent(p)
 
 
+def _check_p(p: float):
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
+
+
 def _strided(npts: int, cap: int) -> np.ndarray:
     """Evenly strided subsample of range(npts) with at most cap entries."""
     stride = max(1, int(np.ceil(npts / cap)))
     return np.arange(0, npts, stride)
 
 
-def _cube_point_indices(grid: TorusGrid, j: int, cap_per_axis: int):
-    """(ncubes, nsub) flat grid indices of strided sample points, per cube at level j."""
-    w = 1 << (grid.res_log2 - j)
-    count = cubes_per_axis(grid, j)
-    sub = _strided(w, cap_per_axis)
-    starts = np.arange(count) * w
-    ax = starts[:, None] + sub[None, :]  # (count, nsub)
-    if grid.dim == 1:
-        return ax
-    N = grid.points_per_axis
-    flat = (ax[:, :, None, None] * N + ax[None, None, :, :])
-    # cubes (c1, c2) -> flatten cube axes and point axes
-    return flat.transpose(0, 2, 1, 3).reshape(count * count, sub.size * sub.size)
-
-
 def _pair_cap(grid: TorusGrid) -> int:
     # keep the per-cube pair budget near 64^2 regardless of dimension
     return 64 if grid.dim == 1 else 8
+
+
+def _window_samples(grid: TorusGrid, j: int, factor: float, cap: int) -> np.ndarray:
+    """(ncubes, nsamples) flat grid indices of every level-j cube dilated by factor
+    (torus-wrapped), each axis window evenly strided to at most cap samples; cubes
+    and samples both in C order of their per-axis indices."""
+    win = dilated_windows(grid, j, factor)
+    ax = win[:, _strided(win.shape[1], cap)]
+    count, ns = ax.shape
+    N = grid.points_per_axis
+    flat = np.zeros((1, 1), dtype=ax.dtype)
+    for _ in range(grid.dim):
+        flat = (flat[:, None, :, None] * N + ax[None, :, None, :]).reshape(
+            flat.shape[0] * count, flat.shape[1] * ns)
+    return flat
+
+
+#: _closed_form_norm of the product XY reads its a + d, b - c, a - d and b + c.
+#: Each is bilinear: the flattened X (X00, X01, X10, X11) against these signed
+#: entries of the flattened Y (Y00, Y01, Y10, Y11)
+_FORM_ENTRIES = np.array([[0, 2, 1, 3], [1, 3, 0, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
+_FORM_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                        [1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
+
+
+def _product_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """||X[c, a] Y[c, b]|| for X (nc, na, m, m) and Y (nc, nb, m, m): (nc, na, nb).
+
+    For m = 2 the four bilinear forms of the closed form are one batched GEMM of
+    the flattened X against signed permutations of the flattened Y, so the
+    products are never formed; other m take operator_norms of the products.
+    """
+    nc, na, m = X.shape[0], X.shape[1], X.shape[-1]
+    if m != 2:
+        return operator_norms(X[:, :, None] @ Y[:, None])
+    nb = Y.shape[1]
+    Ys = Y.reshape(nc, nb, 4)[..., _FORM_ENTRIES] * _FORM_SIGNS     # (nc, nb, form, k)
+    G = X.reshape(nc, na, 4) @ Ys.transpose(0, 3, 2, 1).reshape(nc, 4, 4 * nb)
+    G = G.reshape(nc, na, 4, nb)
+    return _closed_form_norm(G[:, :, 0], G[:, :, 1], G[:, :, 2], G[:, :, 3])
+
+
+#: (x, y) sample pairs per block of cubes in _muckenhoupt_levels
+_MUCK_BLOCK_PAIRS = 1 << 16
+
+
+def _muckenhoupt_levels(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int) -> dict:
+    """{j: D} with D[i, c] the Muckenhoupt quantity of the c-th level-j cube Q
+    (C order) whose y-domain is dilated to 2^i Q, torus-wrapped, for
+    i = 0..i_cap(j), the largest i <= i_max with 2^i side(Q) <= L (at least 0).
+
+    p > 1: D_i = avg_x ( avg_y ||W^(1/p)(x) W^(-1/p)(y)||^p' )^(p/p');
+    p <= 1: D_i = max_y avg_x ||W^(1/p)(x) W^(-1/p)(y)||^p.
+    x runs over Q and y over 2^i Q, each axis evenly strided to at most 64
+    samples (8 in 2D), and each average is the mean over its samples, so the
+    identity weight has D_i = D_0.  The cubes of a level go in blocks of at most
+    _MUCK_BLOCK_PAIRS pairs.
+    """
+    grid = W.grid
+    m = W.channels
+    root = W.power(1.0 / p).reshape(-1, m, m)
+    iroot = W.power(-1.0 / p).reshape(-1, m, m)
+    cap = _pair_cap(grid)
+    out = {}
+    for j in cube_range.cube_levels():
+        i_cap = i_max
+        while i_cap >= 1 and 2.0 ** (i_cap - j) > grid.side:
+            i_cap -= 1
+        xs = _window_samples(grid, j, 1.0, cap)
+        D = np.empty((i_cap + 1, xs.shape[0]))
+        for i in range(i_cap + 1):
+            ys = _window_samples(grid, j, 2.0 ** i, cap)
+            step = max(1, _MUCK_BLOCK_PAIRS // (xs.shape[1] * ys.shape[1]))
+            for lo in range(0, xs.shape[0], step):
+                nrm = _product_norms(root[xs[lo:lo + step]], iroot[ys[lo:lo + step]])
+                if p > 1.0:
+                    pp = conj_exponent(p)
+                    D[i, lo:lo + step] = np.mean(np.mean(nrm ** pp, axis=2) ** (p / pp), axis=1)
+                else:
+                    D[i, lo:lo + step] = np.max(np.mean(nrm ** p, axis=1), axis=1)
+        out[j] = D
+    return out
 
 
 def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float:
@@ -180,27 +258,10 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
     The averages run over an evenly strided subsample of at most 64 points per axis
     of each cube (8 in 2D), so the value is a sampled estimate, not the exact sup.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     W.reject_if_degenerate()
-    grid = W.grid
-    root = W.power(1.0 / p).reshape(-1, W.channels, W.channels)
-    iroot = W.power(-1.0 / p).reshape(-1, W.channels, W.channels)
-    cap = _pair_cap(grid)
-    best = 0.0
-    for j in cube_range.cube_levels():
-        pts = _cube_point_indices(grid, j, cap)
-        X = root[pts]            # (ncubes, ns, m, m)
-        Y = iroot[pts]
-        nrm = operator_norms(X[:, :, None] @ Y[:, None])  # (ncubes, ns, ns)
-        if p > 1.0:
-            pp = conj_exponent(p)
-            inner = np.mean(nrm ** pp, axis=2) ** (p / pp)
-            vals = np.mean(inner, axis=1)
-        else:
-            vals = np.max(np.mean(nrm ** p, axis=1), axis=1)
-        best = max(best, float(np.max(vals)))
-    return best
+    levels = _muckenhoupt_levels(W, p, cube_range, 0)
+    return max(float(np.max(D[0])) for D in levels.values())
 
 
 def _unit_directions(m: int, count: int, seed: int = 7) -> np.ndarray:
@@ -214,11 +275,20 @@ def _unit_directions(m: int, count: int, seed: int = 7) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _quadratic_forms(G: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """y^T G y for symmetric G (..., m, m) and unit directions y (ndirs, m):
+    (..., ndirs), one GEMM against the outer products y y^T, clipped at 0
+    against rounding.  The relative error is about eps * cond(G)."""
+    m = dirs.shape[1]
+    outer = (dirs[:, :, None] * dirs[:, None, :]).reshape(-1, m * m)
+    quad = G.reshape(-1, m * m) @ outer.T
+    return np.maximum(quad, 0.0).reshape(G.shape[:-2] + (-1,))
+
+
 def _direction_magnitudes(W: MatrixWeight, p: float, dirs: np.ndarray) -> np.ndarray:
-    """|W^(1/p)(x) y|^p per grid point and direction: grid.shape + (ndirs,)."""
-    root = W.power(1.0 / p)
-    vecs = np.einsum("...ab,db->...da", root, dirs)
-    return np.linalg.norm(vecs, axis=-1) ** p
+    """|W^(1/p)(x) y|^p = (y^T W^(2/p)(x) y)^(p/2) per grid point and direction:
+    grid.shape + (ndirs,)."""
+    return _quadratic_forms(W.power(2.0 / p), dirs) ** (p / 2.0)
 
 
 def _rho_per_cube(grid: TorusGrid, mags: np.ndarray, p: float, j: int) -> np.ndarray:
@@ -278,8 +348,7 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
     ellipsoid-fit: least-squares refinement of log rho_Q over unit directions,
     initialized at the second-moment matrix.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     if method not in ("second-moment", "ellipsoid-fit"):
         raise ValueError(f"unknown method {method!r}")
     grid = W.grid
@@ -302,7 +371,9 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
 
 def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
                        n_dirs: int = 64, seed: int = 11) -> tuple:
-    """(c1, c2): extremes of rho_Q(y) / |A_Q y| over cubes and random unit directions."""
+    """(c1, c2): extremes of rho_Q(y) / |A_Q y| over cubes and random unit directions,
+    with |A_Q y| = (y^T A_Q^2 y)^(1/2)."""
+    _check_p(p)
     rng = np.random.default_rng(seed)
     m = W.channels
     if m == 1:
@@ -315,8 +386,7 @@ def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
     for j in family.cube_range.cube_levels():
         rho = _rho_per_cube(W.grid, dir_mags, p, j)              # (ncubes, ndirs)
         A = family.level_array(j).reshape(-1, m, m)
-        mags = np.linalg.norm(np.einsum("cab,db->cda", A, dirs), axis=-1)
-        ratio = rho / mags
+        ratio = rho / np.sqrt(_quadratic_forms(A @ A, dirs))
         c1 = min(c1, float(np.min(ratio)))
         c2 = max(c2, float(np.max(ratio)))
     return (c1, c2)
@@ -325,87 +395,64 @@ def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
 def doubling_exponent(W: MatrixWeight, p: float, samples: int = 200, seed: int = 3,
                       n_dirs: int = 16) -> float:
     """log2 of the largest mass ratio int_{2Q} w_y / int_Q w_y over sampled cubes
-    and directions, with w_y = |W^(1/p) y|^p and 2Q wrapped on the torus."""
+    and directions, with w_y = |W^(1/p) y|^p and 2Q wrapped on the torus.
+
+    A sampled estimate, not the sup over all cubes: `samples` seeded cubes, each
+    at a random level j in [1 - K, J - 2] and a random position, against n_dirs
+    fixed unit directions.  The mass of Q is its level-j cube sum.  2Q is the
+    concentric cube of twice the side: its mass is the sum of the 4^n
+    level-(j+1) cube sums centred on Q, torus-wrapped.  At the coarsest level,
+    2 side(Q) = L, those 4^n cubes tile the whole torus once.
+    """
+    _check_p(p)
     grid = W.grid
+    n = grid.dim
+    axes = tuple(range(n))
     rng = np.random.default_rng(seed)
-    dirs = _unit_directions(W.channels, n_dirs)
-    root = W.power(1.0 / p)
-    mags = np.linalg.norm(np.einsum("...ab,db->...da", root, dirs), axis=-1) ** p
+    mags = _direction_magnitudes(W, p, _unit_directions(W.channels, n_dirs))
     levels = list(range(1 - grid.side_log2, grid.res_log2 - 1))
+    sums = {}
+
+    def level_sums(level):
+        if level not in sums:
+            sums[level] = cube_sums(grid, mags, level)
+        return sums[level]
+
     best = 0.0
     for _ in range(samples):
         j = levels[rng.integers(len(levels))]
         count = cubes_per_axis(grid, j)
-        idx = tuple(int(rng.integers(count)) for _ in range(grid.dim))
-        cube = DyadicCube(j, idx)
-        inner = mags[cube.grid_slices(grid)].sum(axis=tuple(range(grid.dim)))
-        ax = cube.dilated_axis_indices(grid, 2.0)
-        outer = mags[np.ix_(*ax)].sum(axis=tuple(range(grid.dim)))
-        ratio = np.max(outer / inner)
-        best = max(best, float(ratio))
+        idx = tuple(int(rng.integers(count)) for _ in range(n))
+        block = np.ix_(*[(2 * i - 1 + np.arange(4)) % (2 * count) for i in idx])
+        outer = level_sums(j + 1)[block].sum(axis=axes)
+        best = max(best, float(np.max(outer / level_sums(j)[idx])))
     return float(np.log2(best))
 
 
-def _flat_indices(grid: TorusGrid, axis_lists) -> np.ndarray:
-    """Raveled grid indices of the Cartesian product of per-axis index arrays."""
-    if grid.dim == 1:
-        return np.asarray(axis_lists[0])
-    N = grid.points_per_axis
-    a, b = axis_lists
-    return (np.asarray(a)[:, None] * N + np.asarray(b)[None, :]).ravel()
-
-
 def _dimension_one_weight(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int) -> float:
-    """max over cubes, i of (1/i) log2(D_i/D_0), clamped to [0, n).
-
-    D_i dilates the y-integration domain to 2^i Q (torus-wrapped) while keeping
-    both normalizations at 1/|Q|, matching the i = 0 Muckenhoupt quantity.
-    """
-    grid = W.grid
-    root = W.power(1.0 / p).reshape(-1, W.channels, W.channels)
-    iroot = W.power(-1.0 / p).reshape(-1, W.channels, W.channels)
-    cap = _pair_cap(grid)
-    n = grid.dim
+    """max over cubes, i of (1/i) log2(D_i/D_0), clamped to [0, n), with D_i from
+    _muckenhoupt_levels."""
     d_best = 0.0
-    for j in cube_range.cube_levels():
-        w = 1 << (grid.res_log2 - j)
-        sub = _strided(w, cap)
-        for cube in cubes_at_level(grid, j):
-            xs = _flat_indices(grid, [i * w + sub for i in cube.index])
-            X = root[xs]
-            i_cap = i_max
-            while i_cap >= 1 and cube.side * 2.0 ** i_cap > grid.side:
-                i_cap -= 1
-            d0 = None
-            for i in range(0, i_cap + 1):
-                ax_full = cube.dilated_axis_indices(grid, 2.0 ** i)
-                ax = [a[_strided(a.size, cap)] for a in ax_full]
-                ys = _flat_indices(grid, ax)
-                Y = iroot[ys]
-                nrm = operator_norms(X[:, None] @ Y[None])
-                if p > 1.0:
-                    pp = conj_exponent(p)
-                    # inner integral averaged over the dilated cube: the identity
-                    # weight then has D_i = D_0 and dimension 0
-                    inner = np.mean(nrm ** pp, axis=1)
-                    val = float(np.mean(inner ** (p / pp)))
-                else:
-                    val = float(np.max(np.mean(nrm ** p, axis=0)))
-                if i == 0:
-                    d0 = val
-                elif d0 and d0 > 0:
-                    d_best = max(d_best, np.log2(val / d0) / i)
-    return float(min(max(d_best, 0.0), n - 1e-9))
+    for D in _muckenhoupt_levels(W, p, cube_range, i_max).values():
+        pos = D[0] > 0
+        for i in range(1, D.shape[0]):
+            d_best = max(d_best, float(np.max(np.log2(D[i, pos] / D[0, pos]) / i, initial=0.0)))
+    return float(min(max(d_best, 0.0), W.grid.dim - 1e-9))
 
 
 def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int = 4) -> tuple:
     """(d, d~, Delta): growth exponents of the cube-dilated Muckenhoupt quantities.
 
-    d~ is computed for W^(-1/(p-1)) at exponent p' when p > 1 and is 0 otherwise;
-    Delta = d/p + d~/p'.  Like ap_characteristic, the averages run over an evenly
-    strided subsample of at most 64 points per axis of each (dilated) cube (8 in
-    2D), so the exponents are sampled estimates.
+    d is the largest (1/i) log2(D_i / D_0) over the cubes Q of the range and
+    i = 1..i_max with 2^i side(Q) <= L, clamped to [0, n), where D_i is the
+    Muckenhoupt quantity of Q with its y-average taken over 2^i Q
+    (torus-wrapped) instead of Q.  d~ is the same for
+    W^(-1/(p-1)) at exponent p' when p > 1 and is 0 otherwise; Delta = d/p + d~/p'.
+    The averages run over an evenly strided subsample of at most 64 points per
+    axis of Q and of 2^i Q (8 in 2D), and only dyadic dilations are tried, so the
+    exponents are sampled estimates.
     """
+    _check_p(p)
     d = _dimension_one_weight(W, p, cube_range, i_max)
     if p > 1.0:
         Wt = MatrixWeight(W.grid, W.power(-1.0 / (p - 1.0)))

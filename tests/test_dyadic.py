@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmtl.dyadic import (CubeRange, DyadicCube, cube_sums, cubes_at_level, locate,
-                         spread_to_grid)
+from bmtl.dyadic import (CubeRange, DyadicCube, cube_sums, cubes_at_level, dilated_windows,
+                         locate, spread_to_grid)
 from bmtl.grid import TorusGrid
 
 
@@ -119,7 +119,19 @@ def test_spread_inverse_of_indexing():
 def test_dilated_indices_wrap():
     g = TorusGrid(1, 2, 4)
     c = DyadicCube(0, (0,))   # [0,1): 2Q = [-0.5, 1.5) wraps
-    idx = c.dilated_axis_indices(g, 2.0)[0]
+    idx = dilated_windows(g, 0, 2.0)[c.index[0]]
     coords = idx * g.spacing
     assert idx.size == 2 * c.points_per_axis(g)
     assert np.any(coords >= 3.5) and np.any(coords < 1.5)
+    # every row: the sorted samples of the concentric interval, wrapped; a
+    # window as wide as the torus holds every sample once
+    N = g.points_per_axis
+    for j in range(-2, 4):
+        for factor in (1.0, 2.0, 4.0, 8.0):
+            win = dilated_windows(g, j, factor)
+            w = 1 << (g.res_log2 - j)
+            for i, row in enumerate(win):
+                centre = i * w + w / 2.0
+                want = np.arange(N) if factor * w >= N else np.unique(
+                    np.arange(int(centre - factor * w / 2), int(centre + factor * w / 2)) % N)
+                np.testing.assert_array_equal(row, want)

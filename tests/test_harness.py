@@ -196,6 +196,12 @@ def test_cli_check_ap_and_reduce(tmp_path):
     res = run_cli("reduce", "--weight", str(wpath), "--p", "2.0", "--dirs", "64")
     assert res.returncode == 0
     assert json.loads(res.stdout)["ratio"] <= 1.0 + 1e-8
+    for cmd in ("check-ap", "reduce"):
+        res = run_cli(cmd, "--weight", str(wpath), "--p", "nan")
+        assert res.returncode == 2, (cmd, res.stdout)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert "p must be finite and positive" in res.stderr
 
 
 def test_cli_norm_and_filter(tmp_path):
@@ -249,6 +255,12 @@ def test_cli_norm_and_filter(tmp_path):
         assert res.returncode == 2, (space, res.stderr)
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
         assert key in res.stderr
+    for space, key in (("F", "s"), ("peetre", "a"), ("glambda", "lambda")):
+        bad = json.dumps({**good, key: "nan"})
+        res = run_cli("norm", "--space", space, "--params", bad, "--field", str(fpath))
+        assert res.returncode == 2, (space, res.stderr)
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert f"parameter {key} " in res.stderr, res.stderr
     out = tmp_path / "band.bin"
     res = run_cli("filter", "--field", str(fpath), "--level", "2", "--out", str(out))
     assert res.returncode == 0

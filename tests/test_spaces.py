@@ -17,7 +17,7 @@ from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _cy
 from bmtl.weights import (MatrixWeight, ReducingFamily, identity_weight, operator_norms,
                           oscillating_weight, reducing_operators)
 
-GRID = TorusGrid(1, 2, 8)          # N = 256, L = 4
+GRID = TorusGrid(1, 2, 8)          # N = 1024, L = 4
 RANGE = CubeRange(-2, 6)
 PAIR = make_admissible_pair()
 PART = make_inhom_partition()

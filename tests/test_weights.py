@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bmtl import weights
-from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level
+from bmtl.dyadic import CubeRange, DyadicCube, cube_means, cubes_at_level, cubes_per_axis
 from bmtl.grid import TorusGrid
 from bmtl.weights import (MatrixWeight, ap_characteristic, ap_dimensions, aqw_sup,
                           constant_weight, diagnose, doubling_exponent, dtilde_over_pprime,
@@ -89,6 +89,187 @@ def test_weight_kernels_match_svd_norms(monkeypatch):
     fast = kernels()
     monkeypatch.setattr(weights, "operator_norms", _svd_norms)
     np.testing.assert_allclose(fast, kernels(), rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-cube reference forms of the level-batched weight kernels: one DyadicCube,
+# one window and one batch of explicit products per cube and dilation
+
+
+def _ref_strided(npts, cap):
+    return np.arange(0, npts, max(1, int(np.ceil(npts / cap))))
+
+
+def _ref_dilated_axis_indices(grid, cube, factor):
+    """Per-axis grid indices of the concentric cube of side factor*side, torus-wrapped."""
+    N = grid.points_per_axis
+    w = cube.points_per_axis(grid)
+    half = factor * w / 2.0
+    out = []
+    for i in cube.index:
+        c = i * w + w / 2.0
+        idx = np.arange(int(np.ceil(c - half - 1e-9)), int(np.floor(c + half - 1e-9)) + 1)
+        out.append(np.arange(N) if idx.size >= N else np.unique(idx % N))
+    return out
+
+
+def _ref_flat(grid, axis_lists):
+    if grid.dim == 1:
+        return np.asarray(axis_lists[0])
+    a, b = axis_lists
+    return (a[:, None] * grid.points_per_axis + b[None, :]).ravel()
+
+
+def _ref_muckenhoupt(X, Y, p):
+    nrm = operator_norms(X[:, None] @ Y[None])      # (x, y)
+    if p > 1.0:
+        pp = p / (p - 1.0)
+        return float(np.mean(np.mean(nrm ** pp, axis=1) ** (p / pp)))
+    return float(np.max(np.mean(nrm ** p, axis=0)))
+
+
+def _ref_roots(W, p):
+    m = W.channels
+    return W.power(1.0 / p).reshape(-1, m, m), W.power(-1.0 / p).reshape(-1, m, m)
+
+
+def _ref_ap_characteristic(W, p, cube_range):
+    grid = W.grid
+    root, iroot = _ref_roots(W, p)
+    cap = 64 if grid.dim == 1 else 8
+    best = 0.0
+    for j in cube_range.cube_levels():
+        w = 1 << (grid.res_log2 - j)
+        sub = _ref_strided(w, cap)
+        for cube in cubes_at_level(grid, j):
+            pts = _ref_flat(grid, [i * w + sub for i in cube.index])
+            best = max(best, _ref_muckenhoupt(root[pts], iroot[pts], p))
+    return best
+
+
+def _ref_dimension(W, p, cube_range, i_max):
+    grid = W.grid
+    root, iroot = _ref_roots(W, p)
+    cap = 64 if grid.dim == 1 else 8
+    d_best = 0.0
+    for j in cube_range.cube_levels():
+        w = 1 << (grid.res_log2 - j)
+        sub = _ref_strided(w, cap)
+        for cube in cubes_at_level(grid, j):
+            X = root[_ref_flat(grid, [i * w + sub for i in cube.index])]
+            i_cap = i_max
+            while i_cap >= 1 and cube.side * 2.0 ** i_cap > grid.side:
+                i_cap -= 1
+            for i in range(i_cap + 1):
+                ax = [a[_ref_strided(a.size, cap)]
+                      for a in _ref_dilated_axis_indices(grid, cube, 2.0 ** i)]
+                val = _ref_muckenhoupt(X, iroot[_ref_flat(grid, ax)], p)
+                if i == 0:
+                    d0 = val
+                elif d0 > 0:
+                    d_best = max(d_best, np.log2(val / d0) / i)
+    return float(min(max(d_best, 0.0), grid.dim - 1e-9))
+
+
+def _ref_ap_dimensions(W, p, cube_range, i_max):
+    d = _ref_dimension(W, p, cube_range, i_max)
+    d_t = 0.0
+    if p > 1.0:
+        Wt = MatrixWeight(W.grid, W.power(-1.0 / (p - 1.0)))
+        d_t = _ref_dimension(Wt, p / (p - 1.0), cube_range, i_max)
+    return d, d_t
+
+
+def _ref_magnitudes(W, p, dirs):
+    return np.linalg.norm(np.einsum("...ab,db->...da", W.power(1.0 / p), dirs), axis=-1) ** p
+
+
+def _ref_doubling(W, p, samples=200, seed=3, n_dirs=16):
+    grid = W.grid
+    axes = tuple(range(grid.dim))
+    rng = np.random.default_rng(seed)
+    mags = _ref_magnitudes(W, p, weights._unit_directions(W.channels, n_dirs))
+    levels = list(range(1 - grid.side_log2, grid.res_log2 - 1))
+    best = 0.0
+    for _ in range(samples):
+        j = levels[rng.integers(len(levels))]
+        count = cubes_per_axis(grid, j)
+        cube = DyadicCube(j, tuple(int(rng.integers(count)) for _ in range(grid.dim)))
+        inner = mags[cube.grid_slices(grid)].sum(axis=axes)
+        outer = mags[np.ix_(*_ref_dilated_axis_indices(grid, cube, 2.0))].sum(axis=axes)
+        best = max(best, float(np.max(outer / inner)))
+    return float(np.log2(best))
+
+
+def _ref_sandwich(W, p, family, n_dirs=64, seed=11):
+    m = W.channels
+    rng = np.random.default_rng(seed)
+    if m == 1:
+        dirs = np.ones((1, 1))
+    else:
+        v = rng.standard_normal((n_dirs, m))
+        dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+    mags = _ref_magnitudes(W, p, dirs)
+    ratios = []
+    for j in family.cube_range.cube_levels():
+        rho = cube_means(W.grid, mags, j).reshape(-1, len(dirs)) ** (1.0 / p)
+        A = family.level_array(j).reshape(-1, m, m)
+        ratios.append(rho / np.linalg.norm(np.einsum("cab,db->cda", A, dirs), axis=-1))
+    ratios = np.concatenate(ratios)
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
+def _smooth_weight(grid, m, seed):
+    """B(x) B(x)^T + 0.3 I with B's entries random low-frequency trigonometric
+    polynomials: a non-commuting weight whose condition number stays below ~25."""
+    rng = np.random.default_rng(seed)
+    x = np.stack(grid.coords(), axis=-1) * (2.0 * np.pi / grid.side)
+    freq = rng.choice([-2, -1, 1, 2], size=(m, m, 2, grid.dim))
+    amp = rng.uniform(-1.0, 1.0, size=(m, m, 2))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(m, m, 2))
+    B = np.einsum("abt,...abt->...ab", amp, np.cos(np.einsum("...n,abtn->...abt", x, freq) + phase))
+    return MatrixWeight(grid, B @ np.swapaxes(B, -1, -2) + 0.3 * np.eye(m))
+
+
+# every (m, p) in 1D; in 2D, where the reference takes about 1 s per (m, p), each
+# m once and each p once
+_ALL_MP = [(m, p) for m in (1, 2, 3) for p in (0.8, 1.5, 4.0)]
+
+
+@pytest.mark.parametrize("grid, cube_range, i_max, cases", [
+    (TorusGrid(1, 2, 6), CubeRange(-2, 2), 2, _ALL_MP),                      # N = 256
+    (TorusGrid(2, 1, 4), CubeRange(-1, 1), 2, [(1, 4.0), (2, 0.8), (3, 1.5)]),  # 32^2
+])
+def test_weight_kernels_match_per_cube_reference(grid, cube_range, i_max, cases):
+    for m, p in cases:
+        W = _smooth_weight(grid, m, seed=m)
+        label = (grid.dim, m, p)
+        np.testing.assert_allclose(ap_characteristic(W, p, cube_range),
+                                   _ref_ap_characteristic(W, p, cube_range),
+                                   rtol=1e-12, atol=0.0, err_msg=str(label))
+        d, d_t, _ = ap_dimensions(W, p, cube_range, i_max)
+        np.testing.assert_allclose((d, d_t), _ref_ap_dimensions(W, p, cube_range, i_max),
+                                   rtol=1e-12, atol=0.0, err_msg=str(label))
+        np.testing.assert_allclose(doubling_exponent(W, p), _ref_doubling(W, p),
+                                   rtol=1e-12, atol=0.0, err_msg=str(label))
+        dirs = weights._unit_directions(m, 16)
+        np.testing.assert_allclose(weights._direction_magnitudes(W, p, dirs),
+                                   _ref_magnitudes(W, p, dirs),
+                                   rtol=1e-12, atol=0.0, err_msg=str(label))
+        fam = reducing_operators(W, p, cube_range)
+        np.testing.assert_allclose(sandwich_constants(W, p, fam), _ref_sandwich(W, p, fam),
+                                   rtol=1e-12, atol=0.0, err_msg=str(label))
+
+
+def test_product_norms_match_svd_of_products():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 3):
+        X = rng.standard_normal((5, 7, m, m)) * 10.0 ** rng.uniform(-50, 50, size=(5, 7, 1, 1))
+        Y = rng.standard_normal((5, 9, m, m)) * 10.0 ** rng.uniform(-50, 50, size=(5, 9, 1, 1))
+        got = weights._product_norms(X, Y)
+        assert got.shape == (5, 7, 9)
+        np.testing.assert_allclose(got, _svd_norms(X[:, :, None] @ Y[:, None]),
+                                   rtol=1e-12, atol=0.0, err_msg=str(m))
 
 
 def test_identity_characteristic_is_one():

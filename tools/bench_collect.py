@@ -11,9 +11,11 @@ workload and seed:
   - untraced runs: `run_s`, `setup_s` and `peak_rss_mb` per run, their median and
     quartiles, the failed cases, and for each of the three the pairs the change
     won (a lower value wins; ties count for neither side);
-  - traced runs: the `.calls` and `.self_s` of the pair-kernel norms and of the
-    Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), the FFT counters
-    and self time, and whether every `.calls` count and work counter is equal;
+  - traced runs: the `.calls` and `.self_s` of the pair-kernel norms, of the
+    Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`) and of the weight
+    diagnostics (`ap_characteristic`, `ap_dimensions`, `doubling_exponent`,
+    `sandwich_constants`, `diagnose`), the FFT counters and self time, and whether
+    every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
 """
 
@@ -28,7 +30,9 @@ import statistics
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
 TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm",
                                          "spaces.glambda_norm", "spaces.bm_array_norm",
-                                         "dyadic.cube_sums")
+                                         "dyadic.cube_sums", "weights.ap_characteristic",
+                                         "weights.ap_dimensions", "weights.doubling_exponent",
+                                         "weights.sandwich_constants", "weights.diagnose")
           for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls",
                                               "fft.self_s"]
 RUN_FIELDS = ("workload", "scale", "seed", "grids")
