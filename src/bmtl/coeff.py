@@ -8,17 +8,24 @@ Coefficients for cube level j are corner samples of the level-j band output
 level's coefficient comb through the bank's synthesis multiplier.  With the
 alias-safe band pairing, synthesis after analysis is the identity on fields
 whose spectrum lies in the covered annuli.
+
+An almost-diagonal operator {b_QP} is stored as dense level-pair blocks
+{(jQ, jP): array of shape (nQ, nP)}, where nQ and nP count the cubes of levels
+jQ and jP and both axes follow the row-major cube order of
+CoeffSequence.level_array(j).reshape(-1, channels); applying it is one matrix
+product per block.  ad_weight evaluates omega_QP for a single cube pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .coeffseq import CoeffSequence
-from .dyadic import CubeRange, DyadicCube, cubes_at_level
+from .dyadic import CubeRange, DyadicCube, cubes_per_axis
 from .fields import SampledField, spectral_derivative, to_spectral
 from .grid import TorusGrid
 from .lpa import band_outputs
@@ -92,8 +99,13 @@ class ADProfile:
     delta_cap: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        for name in ("s", "d", "d_tilde", "delta_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("p", "q", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def J(self) -> float:
@@ -129,17 +141,27 @@ def ad_weight(grid: TorusGrid, Q: DyadicCube, P: DyadicCube, prof: ADProfile,
     return float(_omega_arrays(grid, Q.side, P.side, np.asarray(dist), prof, variant))
 
 
+def _level_corners(grid: TorusGrid, j: int) -> np.ndarray:
+    """(ncubes, n) corners of the level-j cubes, in the row-major order of
+    CoeffSequence.level_array(j)."""
+    index = np.indices((cubes_per_axis(grid, j),) * grid.dim).reshape(grid.dim, -1).T
+    return 2.0 ** (-j) * index.astype(float)
+
+
 def ad_enumerate(grid: TorusGrid, cube_range: CubeRange, prof: ADProfile,
                  variant: str = "plain", drop_tol: float = 1e-12) -> tuple:
-    """All (Q, P, omega_QP) with omega_QP >= drop_tol, plus the dropped mass.
+    """The kept omega_QP as dense level-pair blocks, plus the dropped mass.
 
-    The profile's distance decay makes the operator banded; entries below the
-    threshold are discarded and their total omega mass is returned for audit.
+    Returns ({(jQ, jP): omega * (omega >= drop_tol)}, dropped).  Block (jQ, jP)
+    has shape (nQ, nP): row a is the a-th level-jQ cube and column b the b-th
+    level-jP cube, both in the row-major order of
+    CoeffSequence.level_array(j).reshape(-1, channels).  The profile's distance
+    decay makes the operator banded; entries below the threshold are stored as 0
+    and their total omega mass is returned for audit.
     """
     levels = cube_range.band_levels()
-    cubes = {j: cubes_at_level(grid, j) for j in levels}
-    corners = {j: np.array([c.corner for c in cubes[j]]) for j in levels}
-    kept = {}
+    corners = {j: _level_corners(grid, j) for j in levels}
+    blocks = {}
     dropped = 0.0
     for jQ in levels:
         for jP in levels:
@@ -148,30 +170,37 @@ def ad_enumerate(grid: TorusGrid, cube_range: CubeRange, prof: ADProfile,
             om = _omega_arrays(grid, 2.0 ** (-jQ), 2.0 ** (-jP), dist, prof, variant)
             keep = om >= drop_tol
             dropped += float(np.sum(om[~keep]))
-            for a, b in zip(*np.nonzero(keep)):
-                kept[(cubes[jQ][a], cubes[jP][b])] = float(om[a, b])
-    return kept, dropped
+            blocks[(jQ, jP)] = om * keep
+    return blocks, dropped
 
 
 def ad_random_operator(grid: TorusGrid, cube_range: CubeRange, prof: ADProfile,
                        variant: str = "plain", seed: int = 0,
                        drop_tol: float = 1e-12) -> dict:
-    """Random entries dominated by omega_QP: b_QP = u * omega_QP, u ~ U[-1, 1]."""
-    weights, _ = ad_enumerate(grid, cube_range, prof, variant, drop_tol)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, size=len(weights))
-    return {qp: float(c) * w for (qp, w), c in zip(weights.items(), u)}
+    """Random entries dominated by omega_QP: b_QP = u * omega_QP, u ~ U[-1, 1].
+
+    The blocks of ad_enumerate, each nonzero scaled in place.  The u are drawn
+    in one batch: level pairs in order, then row-major within each block.
+    """
+    blocks, _ = ad_enumerate(grid, cube_range, prof, variant, drop_tol)
+    kept = [b != 0.0 for b in blocks.values()]
+    counts = [int(np.count_nonzero(nz)) for nz in kept]
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=sum(counts))
+    for b, nz, part in zip(blocks.values(), kept, np.split(u, np.cumsum(counts)[:-1])):
+        b[nz] *= part
+    return blocks
 
 
 def ad_apply(entries: dict, coeffs: CoeffSequence) -> CoeffSequence:
-    """t_Q = sum_P b_QP s_P, per component."""
-    source = {P: s for P, s in coeffs.entries.items() if s.any()}   # zeros add nothing
+    """t_Q = sum_P b_QP s_P, per component: one product per level-pair block of
+    entries (the layout of ad_enumerate) whose source level jP is stored."""
+    grid, ch = coeffs.grid, coeffs.channels
     out = {}
-    for (Q, P), b in entries.items():
-        s = source.get(P)
-        if s is not None:
-            out[Q] = out.get(Q, 0.0) + b * s
-    return CoeffSequence(coeffs.grid, out, coeffs.channels)
+    for (jQ, jP), block in entries.items():
+        if jP in coeffs.arrays:
+            out[jQ] = out.get(jQ, 0.0) + block @ coeffs.arrays[jP].reshape(-1, ch)
+    return CoeffSequence(grid, {j: t.reshape((cubes_per_axis(grid, j),) * grid.dim + (ch,))
+                                for j, t in out.items()}, ch)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,20 @@ class RadialProfile:
         return self._fn(np.asarray(rho, dtype=float))
 
 
+def _on_support(rho: np.ndarray, fn) -> np.ndarray:
+    """fn(rho) where 1/2 < rho < 2 and 0 elsewhere: the annulus profiles vanish
+    outside that open interval, so fn is evaluated only inside it."""
+    out = np.zeros(np.shape(rho))
+    inside = (rho > 0.5) & (rho < 2.0)
+    out[inside] = fn(rho[inside])
+    return out
+
+
 def _phi_profile(rho: np.ndarray) -> np.ndarray:
-    up = _smooth_step((rho - 0.5) / (0.6 - 0.5))
-    down = _smooth_step((2.0 - rho) / (2.0 - 5.0 / 3.0))
-    return up * down
+    def bump(r):
+        return _smooth_step((r - 0.5) / (0.6 - 0.5)) * _smooth_step((2.0 - r) / (2.0 - 5.0 / 3.0))
+
+    return _on_support(rho, bump)
 
 
 @dataclass
@@ -94,30 +104,25 @@ def make_admissible_pair(smoothness_scale: float = 1.0) -> AdmissiblePair:
     else:
         s = float(smoothness_scale)
 
-        def phi_fn(rho, _s=s):
-            up = _smooth_step(((rho - 0.5) / (0.6 - 0.5)) ** (1.0 / _s))
-            down = _smooth_step(((2.0 - rho) / (2.0 - 5.0 / 3.0)) ** (1.0 / _s))
+        def bump(r, _s=s):
+            up = _smooth_step(((r - 0.5) / (0.6 - 0.5)) ** (1.0 / _s))
+            down = _smooth_step(((2.0 - r) / (2.0 - 5.0 / 3.0)) ** (1.0 / _s))
             return up * down
 
+        def phi_fn(rho):
+            return _on_support(rho, bump)
+
     def sq_sum(rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        pos = rho > 0
-        if np.any(pos):
-            v0 = np.floor(np.log2(rho[pos])).astype(int)
-            acc = np.zeros(v0.shape)
-            for dv in (-1, 0, 1, 2):
-                acc += phi_fn(rho[pos] * 2.0 ** (-(v0 + dv))) ** 2
-            out[pos] = acc
-        return out
+        """sum_v phi(2^-v rho)^2 for rho > 0.  With v0 = floor(log2 rho), only
+        v = v0 and v0 + 1 put 2^-v rho inside phi's support (1/2, 2)."""
+        v0 = np.floor(np.log2(rho)).astype(int)
+        return phi_fn(rho * 2.0 ** (-v0)) ** 2 + phi_fn(rho * 2.0 ** (-(v0 + 1))) ** 2
 
     def psi_fn(rho):
-        rho = np.asarray(rho, dtype=float)
         num = phi_fn(rho)
-        den = sq_sum(rho)
-        out = np.zeros_like(rho)
+        out = np.zeros_like(num)
         nz = num != 0.0
-        out[nz] = num[nz] / den[nz]
+        out[nz] = num[nz] / sq_sum(rho[nz])
         return out
 
     return AdmissiblePair(RadialProfile(phi_fn, "phi"), RadialProfile(psi_fn, "psi"))

@@ -74,21 +74,30 @@ def multiplier_symbol(grid: TorusGrid, mult: np.ndarray) -> SymbolGrid:
     return SymbolGrid(grid, vals)
 
 
-def psdo_apply(sigma: SymbolGrid, f: SampledField, chunk: int = 256) -> SampledField:
-    """Direct quantization: out(x) = (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi)."""
+#: rows of the phase table formed at once by psdo_apply
+_PSDO_ROWS = 256
+
+
+def psdo_apply(sigma: SymbolGrid, f: SampledField) -> SampledField:
+    """Direct quantization: out(x) = (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi).
+
+    With x = h k and xi = l / L on the lattice, x.xi = (k.l) / N, so each phase
+    is an N-th root of unity read from one table at index (k.l) mod N; l may be
+    taken as the FFT-order index itself, which equals the frequency mod N.
+    """
     grid = sigma.grid
     if f.grid != grid:
         raise ValueError("symbol and field grids differ")
     F = to_spectral(f)
-    npts = grid.npoints
+    n, npts = grid.points_per_axis, grid.npoints
     sig = sigma.values.reshape(npts, npts)
     Fc = F.coeffs.reshape(npts, f.channels)
-    coords = np.stack(grid.coords(), axis=-1).reshape(npts, grid.dim)
-    xi = np.stack(grid.freqs(), axis=-1).reshape(npts, grid.dim)
+    index = np.indices(grid.shape).reshape(grid.dim, npts).T      # k and l, row-major
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
     out = np.empty((npts, f.channels), dtype=complex)
-    for lo in range(0, npts, chunk):
-        hi = min(lo + chunk, npts)
-        phase = np.exp(2j * np.pi * (coords[lo:hi] @ xi.T))
+    for lo in range(0, npts, _PSDO_ROWS):
+        hi = min(lo + _PSDO_ROWS, npts)
+        phase = roots[(index[lo:hi] @ index.T) & (n - 1)]        # n is a power of 2
         out[lo:hi] = (sig[lo:hi] * phase) @ Fc
     scale = 1.0 / grid.side ** grid.dim
     return SampledField(grid, (out * scale).reshape(grid.shape + (f.channels,)))

@@ -149,7 +149,7 @@ def test_ad_apply_identity_and_zero():
     rng = np.random.default_rng(2)
     entries = {c: rng.standard_normal(1) for c in cubes_at_level(GRID, 2)}
     coeffs = CoeffSequence(GRID, entries, 1)
-    ident = {(c, c): 1.0 for c in cubes_at_level(GRID, 2)}
+    ident = {(2, 2): np.eye(len(cubes_at_level(GRID, 2)))}
     out = ad_apply(ident, coeffs)
     for c in entries:
         assert out.get(c) == pytest.approx(entries[c])
@@ -171,11 +171,80 @@ def test_ad_single_column_bound():
 def test_ad_enumerate_drop_accounting():
     prof = ADProfile(s=0.0, p=1.0, q=1.0, epsilon=1.0)
     kept, dropped = ad_enumerate(GRID, CubeRange(0, 4), prof, drop_tol=1e-6)
-    total = sum(kept.values())
+    total = sum(float(np.sum(b)) for b in kept.values())
     assert dropped <= 1e-4 * total
     kept_all, dropped_all = ad_enumerate(GRID, CubeRange(0, 4), prof, drop_tol=0.0)
     assert dropped_all == 0.0
-    assert len(kept_all) >= len(kept)
+    assert sum(map(np.count_nonzero, kept_all.values())) >= sum(map(np.count_nonzero, kept.values()))
+
+
+def _ad_per_entry_reference(grid, cube_range, prof, variant, seed, drop_tol):
+    """The per-entry form of ad_enumerate + ad_random_operator: {(Q, P): b_QP}
+    and the dropped mass, with u drawn in dict order."""
+    from bmtl.coeff import _omega_arrays
+    levels = cube_range.band_levels()
+    cubes = {j: cubes_at_level(grid, j) for j in levels}
+    corners = {j: np.array([c.corner for c in cubes[j]]) for j in levels}
+    kept, dropped = {}, 0.0
+    for jQ in levels:
+        for jP in levels:
+            diff = grid.wrap_delta(corners[jQ][:, None, :] - corners[jP][None, :, :])
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            om = _omega_arrays(grid, 2.0 ** (-jQ), 2.0 ** (-jP), dist, prof, variant)
+            keep = om >= drop_tol
+            dropped += float(np.sum(om[~keep]))
+            for a, b in zip(*np.nonzero(keep)):
+                kept[(cubes[jQ][a], cubes[jP][b])] = float(om[a, b])
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(kept))
+    return {qp: float(c) * w for (qp, w), c in zip(kept.items(), u)}, dropped
+
+
+def _ad_apply_reference(entries, coeffs):
+    source = {P: s for P, s in coeffs.entries.items() if s.any()}
+    out = {}
+    for (Q, P), b in entries.items():
+        s = source.get(P)
+        if s is not None:
+            out[Q] = out.get(Q, 0.0) + b * s
+    return CoeffSequence(coeffs.grid, out, coeffs.channels)
+
+
+@pytest.mark.parametrize("grid, cube_range", [(TorusGrid(1, 2, 6), CubeRange(0, 5)),
+                                              (TorusGrid(2, 2, 3), CubeRange(0, 2))])
+@pytest.mark.parametrize("variant", ["plain", "weighted"])
+def test_ad_blocks_match_per_entry_reference(grid, cube_range, variant):
+    prof = ADProfile(s=0.4, p=1.5, q=1.2, epsilon=0.5, d=0.3, d_tilde=0.5, delta_cap=0.4)
+    drop_tol = 0.02                      # drops most of the entries on both grids
+    ref, ref_dropped = _ad_per_entry_reference(grid, cube_range, prof, variant, 11, drop_tol)
+    blocks = ad_random_operator(grid, cube_range, prof, variant, seed=11, drop_tol=drop_tol)
+    _, dropped = ad_enumerate(grid, cube_range, prof, variant, drop_tol)
+    assert ref_dropped > 0.0 and dropped == ref_dropped
+    dense = {qp: np.zeros_like(b) for qp, b in blocks.items()}
+    for (Q, P), b in ref.items():
+        row = np.ravel_multi_index(Q.index, (cubes_per_axis(grid, Q.level),) * grid.dim)
+        col = np.ravel_multi_index(P.index, (cubes_per_axis(grid, P.level),) * grid.dim)
+        dense[(Q.level, P.level)][row, col] = b
+    assert all(np.array_equal(blocks[qp], dense[qp]) for qp in blocks)
+    assert sum(map(np.count_nonzero, blocks.values())) == len(ref)
+    rng = np.random.default_rng(12)
+    entries = {c: rng.standard_normal(2) + 1j * rng.standard_normal(2)
+               for j in (1, 2) for c in cubes_at_level(grid, j) if rng.random() < 0.5}
+    coeffs = CoeffSequence(grid, entries, 2)
+    out, want = ad_apply(blocks, coeffs), _ad_apply_reference(ref, coeffs)
+    assert out.levels() == want.levels()
+    for j in want.levels():
+        err = np.max(np.abs(out.level_array(j) - want.level_array(j)))
+        assert err <= 1e-13 * np.max(np.abs(want.level_array(j)))
+
+
+@pytest.mark.parametrize("field", ["s", "p", "q", "epsilon", "d", "d_tilde", "delta_cap"])
+def test_ad_profile_rejects_non_finite(field):
+    base = dict(s=0.4, p=1.5, q=1.2, epsilon=0.5, d=0.3, d_tilde=0.5, delta_cap=0.4)
+    bad = [np.nan, np.inf, -np.inf] + ([0.0, -1.0] if field in ("p", "q", "epsilon") else [])
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ADProfile(**{**base, field: value})
+    ADProfile(**{**base, field: 2.0})
 
 
 def test_ad_boundedness_ratio():

@@ -179,3 +179,50 @@ def test_multiplier_norm_hook_uniform(pair, grid):
     for j in (-2, 0, 3):
         again = h2_profile_norm(grid, pair.phi(grid.freq_radius()), 2.0)
         assert again == pytest.approx(ref, rel=1e-12)
+
+
+def _whole_grid_pair():
+    """phi and psi of make_admissible_pair() evaluated on every rho, the form
+    that the support-restricted profiles must reproduce bit for bit."""
+    from bmtl.lpa import _smooth_step
+
+    def phi(rho):
+        return (_smooth_step((rho - 0.5) / (0.6 - 0.5))
+                * _smooth_step((2.0 - rho) / (2.0 - 5.0 / 3.0)))
+
+    def psi(rho):
+        den = np.zeros_like(rho)
+        pos = rho > 0
+        v0 = np.floor(np.log2(rho[pos])).astype(int)
+        acc = np.zeros(v0.shape)
+        for dv in (-1, 0, 1, 2):
+            acc += phi(rho[pos] * 2.0 ** (-(v0 + dv))) ** 2
+        den[pos] = acc
+        num = phi(rho)
+        out = np.zeros_like(rho)
+        nz = num != 0.0
+        out[nz] = num[nz] / den[nz]
+        return out
+
+    return phi, psi
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 10), TorusGrid(2, 2, 6)])
+def test_profiles_on_support_match_whole_grid_forms(pair, grid):
+    phi, psi = _whole_grid_pair()
+    rho = grid.freq_radius()
+    for v in range(-4, grid.res_log2 + 2):
+        r = rho * 2.0 ** (-v)
+        assert np.array_equal(pair.phi(r), phi(r)), v
+        assert np.array_equal(pair.psi(r), psi(r)), v
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_smoothness_scaled_pair_stays_on_support(grid, scale):
+    sharp = make_admissible_pair(scale)
+    rho = np.linspace(0.0, 5.0, 5001)
+    assert np.all(np.isfinite(sharp.psi(rho)))
+    report = check_admissible(sharp, grid, range(-2, 6))
+    assert report["phi_support_leak"] == 0.0
+    assert report["psi_support_leak"] == 0.0
+    assert report["calderon_max_err"] <= 1e-12

@@ -297,3 +297,23 @@ def test_czs_elementary_single_level_matches_product():
     hand = (hz + np.max(np.abs(sig1))) * np.max(np.abs(psi1(SMALL.freq_radius())))
     assert np.isfinite(val)
     assert hand / 3.0 <= val <= 3.0 * hand
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 4), TorusGrid(2, 0, 3)])
+def test_psdo_matches_direct_exponential_sum(grid):
+    # the root-of-unity phase table against exp(2 pi i x.xi) summed directly
+    def fn(xs, xis):
+        xi2 = sum(xi * xi for xi in xis)
+        return (1.0 + 0.5 * np.cos(2 * np.pi * xs[0] / grid.side)) * (1.0 + xi2) ** -0.3 \
+            + 0.2j * np.sin(2 * np.pi * xs[-1] / grid.side) * xis[0]
+    sym = tabulate_symbol(grid, fn)
+    rng = np.random.default_rng(13)
+    f = SampledField(grid, rng.standard_normal(grid.shape + (2,)))
+    npts = grid.npoints
+    x = np.stack(grid.coords(), axis=-1).reshape(npts, grid.dim)
+    xi = np.stack(grid.freqs(), axis=-1).reshape(npts, grid.dim)
+    F = to_spectral(f).coeffs.reshape(npts, 2)
+    direct = (sym.values.reshape(npts, npts) * np.exp(2j * np.pi * (x @ xi.T))) @ F
+    direct = direct.reshape(grid.shape + (2,)) / grid.side ** grid.dim
+    out = psdo_apply(sym, f).values
+    assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))

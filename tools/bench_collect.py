@@ -12,10 +12,11 @@ workload and seed:
     quartiles, the failed cases, and for each of the three the pairs the change
     won (a lower value wins; ties count for neither side);
   - traced runs: the `.calls` and `.self_s` of the pair-kernel norms, of the
-    Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`) and of the weight
+    Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), of the weight
     diagnostics (`ap_characteristic`, `ap_dimensions`, `doubling_exponent`,
-    `sandwich_constants`, `diagnose`), the FFT counters and self time, and whether
-    every `.calls` count and work counter is equal;
+    `sandwich_constants`, `diagnose`) and of the transforms (`ad_random_operator`,
+    `ad_apply`, `phi_transform`, `phi_synthesis`, `psdo_apply`), the FFT counters
+    and self time, and whether every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
 """
 
@@ -32,7 +33,10 @@ TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm
                                          "spaces.glambda_norm", "spaces.bm_array_norm",
                                          "dyadic.cube_sums", "weights.ap_characteristic",
                                          "weights.ap_dimensions", "weights.doubling_exponent",
-                                         "weights.sandwich_constants", "weights.diagnose")
+                                         "weights.sandwich_constants", "weights.diagnose",
+                                         "coeff.ad_random_operator", "coeff.ad_apply",
+                                         "coeff.phi_transform", "coeff.phi_synthesis",
+                                         "operators.psdo_apply")
           for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls",
                                               "fft.self_s"]
 RUN_FIELDS = ("workload", "scale", "seed", "grids")
