@@ -204,6 +204,14 @@ def cmd_report(args) -> int:
 def cmd_filter(args) -> int:
     f = fieldio.read_field(args.field)
     pair = make_admissible_pair()
+    # phi(2^-j |xi|) vanishes unless 2^(j-1) < |xi| < 2^(j+1), and the nonzero
+    # lattice radii lie in [2^-side_log2, 2^res_log2], so no other level can hit
+    rho = f.grid.freq_radius()
+    levels = [j for j in range(-f.grid.side_log2 - 1, f.grid.res_log2 + 2)
+              if np.any(pair.phi(rho * 2.0 ** (-j)))]
+    if args.level not in levels:
+        raise ValueError(f"--level {args.level}: the band meets the frequency lattice "
+                         f"only at levels {levels[0]}..{levels[-1]}")
     out = band_filter(f, pair.phi, args.level)
     fieldio.write_field(args.out, out)
     print(json.dumps({"level": args.level, "l2": l2_norm(out)}, indent=1))

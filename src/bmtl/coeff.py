@@ -14,6 +14,12 @@ An almost-diagonal operator {b_QP} is stored as dense level-pair blocks
 jQ and jP and both axes follow the row-major cube order of
 CoeffSequence.level_array(j).reshape(-1, channels); applying it is one matrix
 product per block.  ad_weight evaluates omega_QP for a single cube pair.
+
+Atoms are child-level arrays: atom_rearrange moves the generator-i wavelet
+coefficient of Q onto a slice of the child level's array, Q's i-th child, whose
+atom is const * psi_Q^(i).  By linearity sum_P t_P a_P is then the wavelet
+synthesis of the coefficients moved back to their parents, so atom_synthesis
+builds no atom; atom_field builds one, for measure_atom_params.
 """
 
 from __future__ import annotations
@@ -296,33 +302,6 @@ def molecule_check(family: dict, params: MoleculeParams, eps: float = 1e-8,
     return report
 
 
-class AtomDictionary:
-    """Lazy cube -> SampledField map of rearranged wavelet atoms (built on access)."""
-
-    def __init__(self, grid: TorusGrid, db_order: int, j_min: int, sources: dict):
-        self.grid = grid
-        self.db_order = db_order
-        self.j_min = j_min
-        self.sources = sources  # child cube -> (generator, parent cube) or None
-
-    def __contains__(self, cube):
-        return cube in self.sources
-
-    def __len__(self):
-        return len(self.sources)
-
-    def keys(self):
-        return self.sources.keys()
-
-    def __getitem__(self, cube) -> SampledField:
-        from .wavelets import wavelet_basis_field
-        src = self.sources[cube]
-        if src is None:
-            return SampledField(self.grid, np.zeros(self.grid.shape + (1,)))
-        gen, parent = src
-        return wavelet_basis_field(self.grid, self.db_order, gen, parent, self.j_min)
-
-
 def measure_atom_params(atom: SampledField, cube: DyadicCube, L_max: int = 3,
                         N_max: int = 2, tol: float = 1e-8) -> AtomParams:
     """Measured (b, L, N) data of one atom: support factor relative to the cube,
@@ -356,51 +335,62 @@ def measure_atom_params(atom: SampledField, cube: DyadicCube, L_max: int = 3,
     return AtomParams(b=b, L=L, N=N_max, derivative_consts=consts)
 
 
-def atom_rearrange(coeffs: dict, db_order: int, cube_range: CubeRange,
-                   const: float = 1.0) -> tuple:
+def _child_slices(dim: int) -> list:
+    """Slices of a child-level array holding the i-th children (i = 1..2^n - 1)."""
+    return [tuple(slice(o, None, 2) for o in offs)
+            for offs in product(range(2), repeat=dim)][:-1]
+
+
+def atom_rearrange(coeffs: dict, cube_range: CubeRange, const: float = 1.0) -> CoeffSequence:
     """Reindex generator-i wavelet coefficients of Q onto Q's i-th child.
 
-    Child i of Q carries the atom const * psi_Q^(i) with coefficient
-    coeff / const; the 2^n-th child carries the zero atom.  Only nonzero
-    coefficients get an atom.  The approximation part (generator 0) is left on
-    its own cubes unchanged so synthesis is reproduced exactly.
+    Returns the child-level sequence t: child i of Q carries the atom
+    const * psi_Q^(i) (atom_field) with coefficient t = coeff / const, and the
+    2^n-th child carries the zero atom with coefficient 0.  The approximation
+    part (generator 0) stays on its own cubes; atom_synthesis takes it as is.
     """
     grid = coeffs[0].grid
     channels = coeffs[0].channels
-    n_det = 2 ** grid.dim - 1
-    child_offsets = list(product(range(2), repeat=grid.dim))  # DyadicCube.children order
     arrays = {}
-    sources = {}
-    for i in range(1, n_det + 1):
-        for j in coeffs[i].levels():
-            arr = coeffs[i].level_array(j)
-            nonzero = [DyadicCube(j, k) for k in np.argwhere(np.any(arr != 0, axis=-1))]
-            if not nonzero:
+    for i, sl in enumerate(_child_slices(grid.dim), 1):
+        for j, arr in coeffs[i].arrays.items():
+            if not np.any(arr):
                 continue
-            if j + 1 > grid.res_log2:
-                raise ValueError(f"child level of {nonzero[0]} overflows the grid")
-            if j + 1 > cube_range.j_max + 1:
-                raise ValueError(f"child of {nonzero[0]} leaves the range window")
+            if j + 1 > min(grid.res_log2, cube_range.j_max + 1):
+                raise ValueError(f"children of level-{j} cubes, at level {j + 1}, leave the "
+                                 f"grid (<= {grid.res_log2}) or the range window "
+                                 f"(<= {cube_range.j_max + 1})")
             child = arrays.setdefault(j + 1, np.zeros((2 * arr.shape[0],) * grid.dim
                                                       + (channels,), dtype=complex))
-            child[tuple(slice(o, None, 2) for o in child_offsets[i - 1])] = arr / const
-            for cube in nonzero:
-                sources[cube.children()[i - 1]] = (i, cube)
-    j_min = min(coeffs[0].levels(), default=cube_range.j_min)
-    atoms = AtomDictionary(grid, db_order, j_min, sources)
-    return atoms, CoeffSequence(grid, arrays, channels)
+            child[sl] = arr / const
+    return CoeffSequence(grid, arrays, channels)
 
 
-def atom_synthesis(atoms: AtomDictionary, coeffs: CoeffSequence, approx: CoeffSequence,
-                   db_order: int, const: float = 1.0) -> SampledField:
-    """sum_P t_P a_P over the given atoms plus the untouched approximation part."""
-    from .wavelets import empty_coeffs, wavelet_synthesize
+def atom_field(grid: TorusGrid, db_order: int, cube: DyadicCube,
+               const: float = 1.0) -> SampledField:
+    """The atom const * psi_P^(i) that atom_rearrange puts on cube, i being the
+    cube's position among its parent P's children; the 2^n-th child's atom is 0."""
+    from .wavelets import wavelet_basis_field
+    cube.validate(grid)
+    position = int(np.ravel_multi_index(tuple(k % 2 for k in cube.index), (2,) * grid.dim))
+    if position == 2 ** grid.dim - 1:
+        return SampledField(grid, np.zeros(grid.shape + (1,)))
+    parent = cube.parent()
+    psi = wavelet_basis_field(grid, db_order, position + 1, parent, parent.level)
+    return SampledField(grid, const * psi.values)
+
+
+def atom_synthesis(coeffs: CoeffSequence, approx: CoeffSequence, db_order: int,
+                   const: float = 1.0) -> SampledField:
+    """sum_P t_P a_P over the child-level coefficients of atom_rearrange, plus the
+    approximation part.
+
+    By linearity the sum is one wavelet synthesis: each child level's i-th
+    children, times const, are the level-below generator-i coefficients.
+    """
+    from .wavelets import wavelet_synthesize
     grid = coeffs.grid
-    acc = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
-    for cube in atoms.keys():
-        a = atoms[cube].scalar()
-        acc += const * a[..., None] * coeffs.get(cube)
-    base = empty_coeffs(grid, coeffs.channels)
-    base[0] = approx
-    acc += wavelet_synthesize(base, db_order).values
-    return SampledField(grid, acc)
+    gens = {i: CoeffSequence(grid, {j - 1: const * arr[sl] for j, arr in coeffs.arrays.items()},
+                             coeffs.channels)
+            for i, sl in enumerate(_child_slices(grid.dim), 1)}
+    return wavelet_synthesize({0: approx, **gens}, db_order)

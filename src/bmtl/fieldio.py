@@ -35,6 +35,24 @@ def _write_payload(fh, header: dict, arr: np.ndarray):
 _HEADER_TYPES = {"dim": int, "side_log2": int, "res_log2": int, "channels": int, "complex": bool}
 
 
+#: header keys of a coefficient file
+_COEFF_HEADER_TYPES = {key: _HEADER_TYPES[key] for key in ("dim", "side_log2", "res_log2",
+                                                           "channels")}
+
+
+def _typed_header(header, types: dict, defaults: dict = None) -> dict:
+    """header, a JSON object, with defaults filled in; raises ValueError unless
+    every key of types is present with exactly that JSON type."""
+    if not isinstance(header, dict):
+        raise ValueError(f"file header must be a JSON object, got {header!r}")
+    header = {**(defaults or {}), **header}
+    for key, kind in types.items():
+        value = header.get(key)
+        if type(value) is not kind:     # exact: JSON true is a bool, not an int
+            raise ValueError(f"file header {key!r} must be {kind.__name__}, got {value!r}")
+    return header
+
+
 def _read_payload(fh) -> tuple:
     """(header, grid, flat values) of a field or symbol file.
 
@@ -42,14 +60,8 @@ def _read_payload(fh) -> tuple:
     points x channels (x 2 if complex), raises ValueError before any array is built;
     a symbol file has one point per (x, xi) pair.
     """
-    header = json.loads(fh.readline().decode())
-    if not isinstance(header, dict):
-        raise ValueError(f"file header must be a JSON object, got {header!r}")
-    header.setdefault("complex", False)
-    for key, kind in _HEADER_TYPES.items():
-        value = header.get(key)
-        if type(value) is not kind:     # exact: JSON true is a bool, not an int
-            raise ValueError(f"file header {key!r} must be {kind.__name__}, got {value!r}")
+    header = _typed_header(json.loads(fh.readline().decode()), _HEADER_TYPES,
+                           {"complex": False})
     grid = TorusGrid(header["dim"], header["side_log2"], header["res_log2"])
     points = grid.npoints ** (2 if header.get("kind") == "symbol" else 1)
     expected = points * header["channels"] * (2 if header["complex"] else 1)
@@ -136,7 +148,8 @@ def write_coeffs(path, coeffs: CoeffSequence):
 
 def read_coeffs(path) -> CoeffSequence:
     with open(path) as fh:
-        head = json.loads(fh.readline())["header"]
+        head = _typed_header(json.loads(fh.readline()), {"header": dict})["header"]
+        head = _typed_header(head, _COEFF_HEADER_TYPES)
         grid = TorusGrid(head["dim"], head["side_log2"], head["res_log2"])
         entries = {}
         for line, rec in enumerate(map(json.loads, fh), 2):

@@ -73,6 +73,9 @@ def float_params(params: dict, keys: str | list) -> list:
     """The values at keys (a string of one-letter keys, or a list of keys) of
     JSON-style params as floats (numbers or numeric strings such as "inf"); r
     defaults to infinity.  NaN is rejected, naming its key; infinities pass."""
+    missing = [key for key in keys if key != "r" and key not in params]
+    if missing:
+        raise ValueError(f"missing parameters: {', '.join(missing)}")
     try:
         vals = [float(params.get(key, "inf") if key == "r" else params[key]) for key in keys]
     except (TypeError, ValueError) as exc:
@@ -404,8 +407,9 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
              masks: dict = None, truncation_check: bool = False) -> NormReport:
     """The sequence-side norm of cube coefficients.
 
-    masks, when given, replaces chi_Q by chi_{E_Q}: a dict cube -> boolean block
-    (cube-shaped) marking the retained samples.
+    masks, when given, replaces chi_Q by chi_{E_Q}: a dict level j -> boolean
+    array of grid.shape marking the retained samples of every level-j cube
+    (levels without a mask keep every sample).
     """
     _check_weighting(w, coeffs.channels)
     cube_range.validate(coeffs.grid)
@@ -414,6 +418,12 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
     bad = [j for j in coeffs.levels() if j not in levels]
     if bad:
         raise ValueError(f"coefficient levels {bad} outside the range window")
+    masks = masks or {}
+    for j, mask in masks.items():
+        if j not in levels:
+            raise ValueError(f"mask level {j} outside the band levels {list(levels)}")
+        if np.shape(mask) != grid.shape:
+            raise ValueError(f"mask at level {j} has shape {np.shape(mask)}, not {grid.shape}")
 
     def magnitudes():
         for j in levels:
@@ -423,12 +433,8 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
                 mag = spread_to_grid(grid, per_cube, j)
             else:
                 mag = w.magnitude(j, spread_to_grid(grid, dense, j))
-            if masks:
-                keep = np.ones(grid.shape, dtype=bool)
-                for cube, mk in masks.items():
-                    if cube.level == j:
-                        keep[cube.grid_slices(grid)] = mk
-                mag = mag * keep
+            if j in masks:
+                mag = mag * np.asarray(masks[j], dtype=bool)
             yield j, 2.0 ** (j * (sp.s + grid.dim / 2.0)) * mag
 
     rep = _level_sum(grid, magnitudes(), sp.p, sp.t, sp.r, sp.q, cube_range)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bmtl.coeff import (ADProfile, MoleculeParams, ad_apply, ad_enumerate,
-                        ad_random_operator, ad_weight, atom_rearrange,
-                        atom_synthesis, molecule_check, phi_synthesis, phi_transform)
+                        ad_random_operator, ad_weight, atom_field, atom_rearrange,
+                        atom_synthesis, measure_atom_params, molecule_check, phi_synthesis,
+                        phi_transform)
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import CubeRange, DyadicCube, cubes_at_level, cubes_per_axis
 from bmtl.fields import SampledField, l2_norm, scalar_field
@@ -437,7 +438,7 @@ def test_atom_rearrange_zero_input():
     from bmtl.wavelets import empty_coeffs
     coeffs = empty_coeffs(g, 1)
     coeffs[0] = CoeffSequence(g, {DyadicCube(0, (0,)): np.zeros(1)}, 1)
-    atoms, seq = atom_rearrange(coeffs, 4, CubeRange(0, 3))
+    seq = atom_rearrange(coeffs, CubeRange(0, 3))
     assert len(seq.entries) == 0
 
 
@@ -449,21 +450,20 @@ def test_atom_single_coefficient_support_and_synthesis():
     coeffs[0] = CoeffSequence(g, {DyadicCube(j_min, (0,)): np.zeros(1)}, 1)
     src = DyadicCube(4, (9,))
     coeffs[1] = CoeffSequence(g, {src: np.array([0.8])}, 1)
-    atoms, seq = atom_rearrange(coeffs, 6, CubeRange(j_min, 6))
+    seq = atom_rearrange(coeffs, CubeRange(j_min, 6))
     child = src.children()[0]
-    assert child in atoms
+    assert np.any(seq.get(child) != 0)
     assert seq.get(child)[0] == pytest.approx(0.8)
-    a = atoms[child].scalar()
+    a = atom_field(g, 6, child).scalar()
     nz = np.abs(a) > 1e-12
     dist = g.torus_dist(np.stack([g.coords()[0][nz]], axis=-1), src.corner)
     b = float(np.max(dist) / child.side)
     assert np.isfinite(b) and b > 0
-    rec = atom_synthesis(atoms, seq, coeffs[0], 6)
+    rec = atom_synthesis(seq, coeffs[0], 6)
     direct = wavelet_synthesize(coeffs, 6)
     assert np.max(np.abs(rec.values - direct.values)) < 1e-10
     # measured atom data: db6 kills moments through order 5, support is finite
-    from bmtl.coeff import measure_atom_params
-    params = measure_atom_params(atoms[child], child, L_max=5, N_max=1)
+    params = measure_atom_params(atom_field(g, 6, child), child, L_max=5, N_max=1)
     assert params.L == 5
     assert 0.0 < params.b < 60.0
     assert all(np.isfinite(v) for v in params.derivative_consts.values())
@@ -484,8 +484,8 @@ def test_atom_rearrange_sparse_gallery_synthesis():
                 detail[c] = rng.standard_normal(1)
     coeffs[0] = CoeffSequence(g, approx, 1)
     coeffs[1] = CoeffSequence(g, detail, 1)
-    atoms, seq = atom_rearrange(coeffs, 4, CubeRange(j_min, 4))
-    rec = atom_synthesis(atoms, seq, coeffs[0], 4)
+    seq = atom_rearrange(coeffs, CubeRange(j_min, 4))
+    rec = atom_synthesis(seq, coeffs[0], 4)
     direct = wavelet_synthesize(coeffs, 4)
     assert np.max(np.abs(rec.values - direct.values)) < 1e-10
 
@@ -497,7 +497,60 @@ def test_atom_child_overflow_rejected():
     coeffs[0] = CoeffSequence(g, {DyadicCube(0, (0,)): np.zeros(1)}, 1)
     coeffs[1] = CoeffSequence(g, {DyadicCube(3, (0,)): np.ones(1)}, 1)
     with pytest.raises(ValueError):
-        atom_rearrange(coeffs, 4, CubeRange(0, 1))
+        atom_rearrange(coeffs, CubeRange(0, 1))
+
+
+def _sparse_wavelet_coeffs(g: TorusGrid, j_min: int, j_top: int, rng) -> dict:
+    """Random generators: a full approximation at j_min and about a third of the
+    detail coefficients of levels [j_min, j_top] nonzero, 2 channels."""
+    from bmtl.wavelets import empty_coeffs
+    coeffs = empty_coeffs(g, 2)
+    coeffs[0] = CoeffSequence(g, {j_min: rng.standard_normal(
+        (cubes_per_axis(g, j_min),) * g.dim + (2,))}, 2)
+    for i in range(1, 2 ** g.dim):
+        arrays = {}
+        for j in range(j_min, j_top + 1):
+            shape = (cubes_per_axis(g, j),) * g.dim
+            keep = rng.random(shape) < 0.35
+            arrays[j] = rng.standard_normal(shape + (2,)) * keep[..., None]
+        coeffs[i] = CoeffSequence(g, arrays, 2)
+    return coeffs
+
+
+@pytest.mark.parametrize("g, j_min", [(TorusGrid(1, 2, 6), -1), (TorusGrid(2, 1, 4), -1)],
+                         ids=["1d_N256", "2d_32"])
+@pytest.mark.parametrize("const", [1.0, 2.0])
+def test_atom_synthesis_matches_per_atom_sum(g, j_min, const):
+    # the direct form: sum over every child cube P of t_P * const * psi (atom_field),
+    # the 2^n-th children carrying the zero atom
+    rng = np.random.default_rng(31)
+    db = 4
+    coeffs = _sparse_wavelet_coeffs(g, j_min, g.res_log2 - 1, rng)
+    seq = atom_rearrange(coeffs, CubeRange(j_min, g.res_log2 - 1), const)
+    from bmtl.wavelets import empty_coeffs
+    direct = wavelet_synthesize({**empty_coeffs(g, 2), 0: coeffs[0]}, db).values.astype(complex)
+    atoms = 0
+    for j, arr in seq.arrays.items():
+        for k in np.ndindex(arr.shape[:-1]):
+            if np.any(arr[k] != 0):
+                direct = direct + atom_field(g, db, DyadicCube(j, k), const).values * arr[k]
+                atoms += 1
+    assert atoms > 50
+    rec = atom_synthesis(seq, coeffs[0], db, const).values
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(rec - direct)) <= 1e-12 * scale
+    whole = wavelet_synthesize(coeffs, db).values
+    assert np.max(np.abs(rec - whole)) <= 1e-12 * scale
+
+
+def test_atom_field_positions_and_const():
+    g = TorusGrid(2, 1, 4)
+    parent = DyadicCube(1, (2, 1))
+    kids = parent.children()
+    for i, kid in enumerate(kids[:-1], 1):
+        psi = wavelet_basis_field(g, 4, i, parent, -1)   # j_min below the parent
+        assert np.array_equal(atom_field(g, 4, kid, 2.0).values, 2.0 * psi.values)
+    assert not np.any(atom_field(g, 4, kids[-1], 2.0).values)
 
 
 def test_synthesis_dictionary_molecular_moments():

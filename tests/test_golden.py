@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from bmtl.coeff import phi_synthesis, phi_transform
-from bmtl.dyadic import CubeRange, cubes_at_level
+from bmtl.dyadic import CubeRange
 from bmtl.fields import scalar_field
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise
@@ -66,11 +66,12 @@ def _one_dim(out: dict):
     out["1d/phi_synthesis"] = phi_synthesis(coeffs, PAIR).values
     _report(out, "1d/seq_W", seq_norm(coeffs, pw, sp, R1, truncation_check=True))
     _report(out, "1d/seq_AQ", seq_norm(coeffs, cw, sp, R1))
+    # level j: sample x of cube k is kept unless (x - corner + k) % 3 == 0
     masks = {}
     for j in (0, 2):
-        for k, cube in enumerate(cubes_at_level(G1, j)):
-            width = 1 << (G1.res_log2 - j)
-            masks[cube] = (np.arange(width) + k) % 3 != 0
+        x = np.arange(G1.points_per_axis)
+        width = 1 << (G1.res_log2 - j)
+        masks[j] = (x % width + x // width) % 3 != 0
     _report(out, "1d/seq_W_masked", seq_norm(coeffs, pw, sp, R1, masks=masks))
     _report(out, "1d/seq_AQ_masked", seq_norm(coeffs, cw, sp, R1, masks=masks))
     _report(out, "1d/peetre", peetre_norm(f, pw, sp, 4.0, PAIR, R1))

@@ -402,6 +402,42 @@ def test_cli_malformed_field_files(tmp_path):
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
+def test_cli_missing_keys_and_off_lattice_levels(tmp_path):
+    # each used to end in a bare KeyError ("error: 'p'") or, for the filter, exit 0
+    # with an all-zero band
+    g = TorusGrid(1, 2, 4)
+    fpath = tmp_path / "f.bin"
+    fieldio.write_field(fpath, band_limited_noise(g, 1, 0.5, 2.0, np.random.default_rng(5)))
+    cpath = tmp_path / "c.jsonl"
+    fieldio.write_coeffs(cpath, CoeffSequence(g, {DyadicCube(1, (3,)): np.ones(1)}, 1))
+    head, body = cpath.read_text().split("\n", 1)
+    header = json.loads(head)["header"]
+    no_side = tmp_path / "no_side.jsonl"
+    no_side.write_text(json.dumps({"header": {k: v for k, v in header.items()
+                                              if k != "side_log2"}}) + "\n" + body)
+    no_header = tmp_path / "no_header.jsonl"
+    no_header.write_text(json.dumps(header) + "\n" + body)
+    out = str(tmp_path / "out.bin")
+    cases = [(("bound", "--op", "hilbert", "--field", str(fpath), "--params", '{"s": 0.5}'),
+              "missing parameters: p, q, t"),
+             (("transform", "--mode", "phi", "--direction", "synthesize",
+               "--field", str(no_side), "--out", out), "'side_log2' must be int"),
+             (("transform", "--mode", "phi", "--direction", "synthesize",
+               "--field", str(no_header), "--out", out), "'header' must be dict")]
+    cases += [(("filter", "--field", str(fpath), "--level", level, "--out", out),
+               f"--level {level}: the band meets the frequency lattice only at levels -2..3")
+              for level in ("99", "-99", "4", "-3")]
+    for args, message in cases:
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert message in res.stderr, res.stderr
+    res = run_cli("filter", "--field", str(fpath), "--level", "3", "--out", out)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["l2"] > 0
+
+
 def test_equivalence_experiment_2d(tmp_path):
     cfg = small_config(tmp_path, dim=2, side_log2=1, res_log2=4, j_min=-1, j_max=2,
                        weights=["identity", "oscillating"],

@@ -283,12 +283,13 @@ def test_sparse_set_equivalence():
     sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf)
     entries, masks = {}, {}
     for j in (0, 1, 2, 3):
+        masks[j] = np.zeros(GRID.shape, dtype=bool)
         for c in cubes_at_level(GRID, j):
             entries[c] = rng.standard_normal(1)
             w = c.points_per_axis(GRID)
             mask = np.zeros(w, dtype=bool)
             mask[rng.permutation(w)[: w // 2]] = True
-            masks[c] = mask
+            masks[j][c.grid_slices(GRID)] = mask
     coeffs = CoeffSequence(GRID, entries, 1)
     w = PointwiseWeighting(identity_weight(GRID, 1), sp.p)
     rngc = CubeRange(0, 3)
@@ -296,6 +297,20 @@ def test_sparse_set_equivalence():
     sparse = seq_norm(coeffs, w, sp, rngc, masks=masks).value
     assert sparse <= full * (1.0 + 1e-12)
     assert full <= 50.0 * sparse
+
+
+def test_seq_norm_rejects_bad_masks():
+    sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf)
+    coeffs = CoeffSequence(GRID, {DyadicCube(1, (0,)): np.ones(1)}, 1)
+    w = PointwiseWeighting(identity_weight(GRID, 1), sp.p)
+    rngc = CubeRange(0, 3)
+    with pytest.raises(ValueError, match="shape"):
+        seq_norm(coeffs, w, sp, rngc, masks={1: np.ones(GRID.points_per_axis // 2, bool)})
+    with pytest.raises(ValueError, match="band levels"):
+        seq_norm(coeffs, w, sp, rngc, masks={4: np.ones(GRID.shape, bool)})
+    inh = CubeRange(-1, 3, inhomogeneous=True)
+    with pytest.raises(ValueError, match="band levels"):
+        seq_norm(coeffs, w, sp, inh, masks={-1: np.ones(GRID.shape, bool)})
 
 
 def test_gamma_j_averaging_bound():
