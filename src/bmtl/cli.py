@@ -7,6 +7,7 @@ Exit codes: 0 all thresholds met, 1 threshold violation, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,19 +17,28 @@ from . import fieldio
 from .coeff import phi_synthesis, phi_transform
 from .dyadic import MARGIN, CubeRange
 from .fields import SampledField, l2_norm
-from .harness import (ExperimentConfig, Report, emit_report, json_int, load_report,
-                      run_experiment)
+from .harness import (ExperimentConfig, Report, check_names, emit_report, json_bool,
+                      json_int, load_report, run_experiment)
 from .lpa import band_filter, bessel_potential, make_admissible_pair, make_inhom_partition
-from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, bm_norm,
-                     approx_norm, float_params, glambda_norm, lusin_norm, peetre_norm,
-                     seq_norm, tl_norm)
+from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
+                     approx_norm, bm_norm, float_params, glambda_norm, lusin_norm,
+                     peetre_norm, seq_norm, tl_norm)
 from .weights import diagnose, identity_weight, reducing_operators, sandwich_constants
 
 
-def _load_params(blob: str) -> dict:
+#: the --params keys of the level window and the space switch
+_RANGE_KEYS = ("j_min", "j_max", "inhomogeneous")
+#: the --params keys each norm reads besides SPACE_KEYS and _RANGE_KEYS
+_NORM_KEYS = {"peetre": ("a",), "glambda": ("lambda",)}
+
+
+def _load_params(blob: str, keys) -> dict:
+    """The --params JSON object; ValueError for anything else or for a key
+    outside keys and _RANGE_KEYS."""
     params = json.loads(blob)     # malformed JSON raises a ValueError
     if not isinstance(params, dict):
         raise ValueError(f"--params must be a JSON object, got {blob!r}")
+    check_names("--params", params, tuple(keys) + _RANGE_KEYS)
     return params
 
 
@@ -45,8 +55,10 @@ def _level(params: dict, key: str):
 
 
 def _range_from(params: dict, grid) -> CubeRange:
+    """The range of the --params levels; its inhomogeneous flag, a JSON boolean,
+    is the one switch between the homogeneous and the inhomogeneous space."""
     return _default_range(grid, _level(params, "j_min"), _level(params, "j_max"),
-                          bool(params.get("inhomogeneous", False)))
+                          json_bool(params.get("inhomogeneous", False), "inhomogeneous"))
 
 
 def cmd_check_ap(args) -> int:
@@ -69,7 +81,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    params = _load_params(args.params)
+    keys = "ptr" if args.space == "bm" else SPACE_KEYS + _NORM_KEYS.get(args.space, ())
+    params = _load_params(args.params, keys)
     f = fieldio.read_field(args.field)
     grid = f.grid
     rng = _range_from(params, grid)
@@ -80,7 +93,7 @@ def cmd_norm(args) -> int:
     sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
-    bank = make_admissible_pair() if sp.homogeneous else make_inhom_partition()
+    bank = make_inhom_partition() if rng.inhomogeneous else make_admissible_pair()
     if args.space == "F":
         w = CubewiseWeighting(reducing_operators(W, sp.p, rng)) if args.cubewise else pw
         rep = tl_norm(f, w, sp, bank, rng, truncation_check=args.truncation)
@@ -133,12 +146,12 @@ def cmd_transform(args) -> int:
 
 def cmd_bound(args) -> int:
     f = fieldio.read_field(args.field)
-    params = _load_params(args.params)
+    params = _load_params(args.params, SPACE_KEYS)
     rng = _range_from(params, f.grid)
     sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(f.grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
-    bank = make_admissible_pair() if sp.homogeneous else make_inhom_partition()
+    bank = make_inhom_partition() if rng.inhomogeneous else make_admissible_pair()
     if args.op == "hilbert":
         from .operators import hilbert_riesz_apply
         g = hilbert_riesz_apply(f)
@@ -146,7 +159,7 @@ def cmd_bound(args) -> int:
         num = tl_norm(out, pw, sp, bank, rng).value
     elif args.op == "bessel":
         lifted = bessel_potential(f, -args.gamma)
-        sp2 = SpaceParams(sp.s + args.gamma, sp.p, sp.q, sp.t, sp.r, sp.homogeneous)
+        sp2 = dataclasses.replace(sp, s=sp.s + args.gamma)
         num = tl_norm(lifted, pw, sp, bank, rng).value
         den = tl_norm(f, pw, sp2, bank, rng).value
         ratio = num / den if den > 0 else float("inf")

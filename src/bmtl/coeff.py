@@ -34,18 +34,11 @@ from .coeffseq import CoeffSequence
 from .dyadic import CubeRange, DyadicCube, cubes_per_axis
 from .fields import SampledField, spectral_derivative, to_spectral
 from .grid import TorusGrid
-from .lpa import band_outputs
+from .lpa import band_outputs, check_bank
 
 
 def _corner_view(grid: TorusGrid, values: np.ndarray, j: int) -> np.ndarray:
     return values[(slice(None, None, 1 << (grid.res_log2 - j)),) * grid.dim]
-
-
-def check_phi_range(grid: TorusGrid, bank, cube_range: CubeRange):
-    """The range fits the grid, and a partition bank comes with an inhomogeneous range."""
-    cube_range.validate(grid)
-    if not (bank.homogeneous or cube_range.inhomogeneous):
-        raise ValueError("partition banks go with inhomogeneous ranges")
 
 
 def phi_level(grid: TorusGrid, j: int, band: np.ndarray) -> np.ndarray:
@@ -59,10 +52,11 @@ def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence
 
     bank is an AdmissiblePair (homogeneous, conj-reflected phi) or an
     InhomPartition for an inhomogeneous range, whose level-0 slot carries the
-    low-pass part.
+    low-pass part; check_bank holds it to the range.
     """
     grid = f.grid
-    check_phi_range(grid, bank, cube_range)
+    cube_range.validate(grid)
+    check_bank(bank, cube_range)
     arrays = {j: phi_level(grid, j, band)
               for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels())}
     return CoeffSequence(grid, arrays, f.channels)

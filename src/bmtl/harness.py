@@ -14,14 +14,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coeff import check_phi_range, phi_level
+from .coeff import phi_level
 from .coeffseq import CoeffSequence
 from .dyadic import CubeRange
 from .fields import SampledField, l2_norm
 from .grid import TorusGrid
 from .lpa import covered_band, make_admissible_pair, make_inhom_partition
-from .spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, seq_norm,
-                     tl_norm, tl_norms, truncation_ratio)
+from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
+                     seq_norm, tl_norm, tl_norms, truncation_ratio)
 from .weights import diagnose, reducing_operators, weight_gallery
 
 
@@ -53,6 +53,8 @@ class ExperimentConfig:
         return CubeRange(self.j_min, self.j_max, self.inhomogeneous)
 
     def spaces(self) -> list:
+        for sp in self.space_params:
+            check_names("space_params", sp, SPACE_KEYS)
         return [SpaceParams.from_dict(sp, not self.inhomogeneous) for sp in self.space_params]
 
     @staticmethod
@@ -92,6 +94,9 @@ def _json_type(name: str, *kinds):
     return check
 
 
+json_bool = _json_type("a boolean", bool)
+
+
 def _json_list(name: str, kind):
     def check(value, key):
         if type(value) is not list or any(type(v) is not kind for v in value):
@@ -110,7 +115,7 @@ def _json_counts(value, key: str) -> dict:
 _CONFIG_TYPES = {
     **dict.fromkeys(("dim", "side_log2", "res_log2", "channels", "j_min", "j_max", "seed"),
                     json_int),
-    "inhomogeneous": _json_type("a boolean", bool),
+    "inhomogeneous": json_bool,
     "space_params": _json_list("objects", dict),
     "weights": _json_list("strings", str),
     "functions": _json_counts,
@@ -174,9 +179,9 @@ def harmonic_field(grid: TorusGrid, channels: int, freq_index: int,
 FUNCTION_KINDS = ("band_random", "bump", "harmonic")
 
 
-def _check_names(key: str, names, known):
-    """ValueError naming the config field key and the known names unless every
-    name is one of them."""
+def check_names(key: str, names, known):
+    """ValueError naming the config field or option key and the known names
+    unless every name is one of them."""
     unknown = [name for name in names if name not in known]
     if unknown:
         raise ValueError(f"{key}: unknown {', '.join(map(repr, unknown))}; "
@@ -218,14 +223,13 @@ def four_norms(f: SampledField, W, p: float, sp: SpaceParams, bank, cube_range,
 
     One band pass: each level's band output feeds both function-side level
     sums and gives that level's coefficients (the helpers of tl_norm and
-    phi_transform, with both of their bank checks).
-    bank: AdmissiblePair for homogeneous params, InhomPartition otherwise.
+    phi_transform; tl_norms holds the bank to the range).
+    bank: AdmissiblePair for a homogeneous range, InhomPartition otherwise.
     """
     if family is None:
         family = reducing_operators(W, p, cube_range)
     pw = PointwiseWeighting(W, p)
     cw = CubewiseWeighting(family)
-    check_phi_range(f.grid, bank, cube_range)
     arrays = {}
 
     def keep_coefficients(j, band):
@@ -246,14 +250,15 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     grid = cfg.grid()
     cube_range = cfg.cube_range()
     weights = weight_gallery(grid, cfg.channels)
-    _check_names("functions", cfg.functions, FUNCTION_KINDS)
-    _check_names("weights", cfg.weights, weights)
+    check_names("functions", cfg.functions, FUNCTION_KINDS)
+    check_names("weights", cfg.weights, weights)
+    spaces = cfg.spaces()
     rows = []
     times = {}
     if cfg.kind == "equivalence":
         pair = make_inhom_partition() if cfg.inhomogeneous else make_admissible_pair()
         gallery = function_gallery(grid, cube_range, cfg.channels, cfg.functions, cfg.seed)
-        for sp in cfg.spaces():
+        for sp in spaces:
             for wname in cfg.weights:
                 W = weights[wname]
                 family = reducing_operators(W, sp.p, cube_range)
@@ -279,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     })
                     times[rows[-1]["case"]] = time.perf_counter() - t1
     elif cfg.kind == "diagnostics":
-        for sp in cfg.spaces():
+        for sp in spaces:
             for wname in cfg.weights:
                 t1 = time.perf_counter()
                 diag = diagnose(weights[wname], sp.p, cube_range)
@@ -312,7 +317,7 @@ def _csv_cell(x) -> str:
     return text
 
 
-def emit_report(report: Report, path, fmt: str = "json", include_timing: bool = False):
+def emit_report(report: Report, path, fmt: str = "json"):
     """Write the report with stable ordering and 17 significant digits."""
     if fmt == "json":
         payload = {
@@ -323,8 +328,6 @@ def emit_report(report: Report, path, fmt: str = "json", include_timing: bool = 
                         for k, v in sorted(report.summary.items())},
             "passed": report.passed,
         }
-        if include_timing:
-            payload["wall_times"] = {k: _fmt(v) for k, v in sorted(report.wall_times.items())}
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
     elif fmt == "csv":

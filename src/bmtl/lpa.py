@@ -74,7 +74,6 @@ class AdmissiblePair:
 
     phi: RadialProfile
     psi: RadialProfile
-    homogeneous = True          # the bank of homogeneous spaces (class attribute)
 
     def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Level-j analysis multiplier: conj-reflected phi on cube level j's band."""
@@ -93,39 +92,22 @@ class AdmissiblePair:
         return acc
 
 
-def make_admissible_pair(smoothness_scale: float = 1.0) -> AdmissiblePair:
-    """Standard bump-based admissible pair.
-
-    smoothness_scale sharpens (>1) or relaxes (<1) the transition regions while
-    keeping the support and plateau; the dual profile is recomputed accordingly.
-    """
-    if smoothness_scale == 1.0:
-        phi_fn = _phi_profile
-    else:
-        s = float(smoothness_scale)
-
-        def bump(r, _s=s):
-            up = _smooth_step(((r - 0.5) / (0.6 - 0.5)) ** (1.0 / _s))
-            down = _smooth_step(((2.0 - r) / (2.0 - 5.0 / 3.0)) ** (1.0 / _s))
-            return up * down
-
-        def phi_fn(rho):
-            return _on_support(rho, bump)
-
+def make_admissible_pair() -> AdmissiblePair:
+    """Standard bump-based admissible pair; psi is phi over its dyadic square sum."""
     def sq_sum(rho):
         """sum_v phi(2^-v rho)^2 for rho > 0.  With v0 = floor(log2 rho), only
         v = v0 and v0 + 1 put 2^-v rho inside phi's support (1/2, 2)."""
         v0 = np.floor(np.log2(rho)).astype(int)
-        return phi_fn(rho * 2.0 ** (-v0)) ** 2 + phi_fn(rho * 2.0 ** (-(v0 + 1))) ** 2
+        return sum(_phi_profile(rho * 2.0 ** (-v)) ** 2 for v in (v0, v0 + 1))
 
     def psi_fn(rho):
-        num = phi_fn(rho)
+        num = _phi_profile(rho)
         out = np.zeros_like(num)
         nz = num != 0.0
         out[nz] = num[nz] / sq_sum(rho[nz])
         return out
 
-    return AdmissiblePair(RadialProfile(phi_fn, "phi"), RadialProfile(psi_fn, "psi"))
+    return AdmissiblePair(RadialProfile(_phi_profile, "phi"), RadialProfile(psi_fn, "psi"))
 
 
 @dataclass
@@ -134,7 +116,6 @@ class InhomPartition:
     phi_j = phi0(2^-j xi) - phi0(2^-j+1 xi) for j >= 1; sums telescope to 1."""
 
     phi0: RadialProfile
-    homogeneous = False         # the bank of inhomogeneous spaces (class attribute)
 
     def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Level-j analysis multiplier: phi_j on cube level j's band (j >= 0)."""
@@ -214,6 +195,15 @@ def band_filter(f: SampledField, profile: RadialProfile, j: int) -> SampledField
     if not f.is_complex:
         out = SampledField(f.grid, out.values.real)
     return out
+
+
+def check_bank(bank, cube_range):
+    """The range decides the space: an inhomogeneous range (levels D_+) needs an
+    InhomPartition, a homogeneous one an AdmissiblePair."""
+    want = InhomPartition if cube_range.inhomogeneous else AdmissiblePair
+    if not isinstance(bank, want):
+        kind = "inhomogeneous" if cube_range.inhomogeneous else "homogeneous"
+        raise ValueError(f"{kind} ranges need an {want.__name__}, got {type(bank).__name__}")
 
 
 def band_outputs(F, bank, levels, synthesis: bool = False):

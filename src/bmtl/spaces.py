@@ -3,16 +3,18 @@ maximal operators, and the Peetre / Lusin / g-lambda-star / approximation varian
 
 Outer norms aggregate |Q|^(1/t - 1/p) ||. chi_Q||_Lp over every cube of the level
 window in l^r (sup at r = infinity).  Every level-summed norm feeds one
-weighted magnitude per level into a single accumulator, _LevelSum (driven by
-_level_sum), which keeps the pointwise l^q sum over levels and only the
-finest-level cube sums of each level's magnitude^p; at the end every coarser
-cube level comes from 2^n-to-1 sums of those, batched over the band levels, so
-the per-level Bourgain-Morrey norms take one aggregation (_bm_norms, of which
-bm_array_norm, used for the value, is the batch of one).
+weighted magnitude per level into a single accumulator, _LevelSum, which
+keeps the pointwise l^q sum over levels and only the finest-level cube sums of
+each level's magnitude^p; at the end every coarser cube level comes from
+2^n-to-1 sums of those, batched over the band levels, so the per-level
+Bourgain-Morrey norms take one aggregation (_bm_norms, of which bm_array_norm,
+used for the value, is the batch of one).
 
 Band outputs come from lpa.band_outputs, so the cube <-> band pairing is the
-bank's.  tl_norms takes one band pass for several weightings: each level's
-band feeds every weighting's level sum in lockstep (and, in
+bank's.  Every function-side norm (tl, Peetre, Lusin, g-lambda-star,
+approximation) is one _band_pass: the range's inhomogeneous flag decides the
+space and the bank must match it; each level's band feeds every weighting's
+level sum in lockstep through the norm's level-j magnitude (and, in
 harness.four_norms, the phi-transform coefficients), and is then dropped, so
 no list of complex bands is kept.  Weighted magnitudes |M(x) v(x)| are taken
 component-wise by _matvec_norm.  Balls for the maximal operator are
@@ -41,10 +43,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .coeffseq import CoeffSequence
 from .dyadic import (CubeRange, cube_means, cube_sums, level_block_view, parent_sums,
                      spread_to_grid)
-from .fields import SampledField, SpectralField, to_spectral
+from .fields import SampledField, to_spectral
 from .grid import TorusGrid
-from .lpa import InhomPartition, band_outputs
+from .lpa import InhomPartition, band_outputs, check_bank
 from .weights import MatrixWeight, ReducingFamily
+
+
+#: the JSON keys SpaceParams.from_dict reads
+SPACE_KEYS = ("s", "p", "q", "t", "r")
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,9 @@ class SpaceParams:
 
     @staticmethod
     def from_dict(params: dict, homogeneous: bool) -> "SpaceParams":
-        """From JSON-style params: s, p, q, t, r as float_params reads them and
-        optional homogeneous (default: the given value).  Other keys are ignored."""
-        return SpaceParams(*float_params(params, "spqtr"),
-                           bool(params.get("homogeneous", homogeneous)))
+        """From JSON-style params: s, p, q, t, r as float_params reads them, and
+        homogeneous as given (the range's switch).  Other keys are ignored."""
+        return SpaceParams(*float_params(params, SPACE_KEYS), homogeneous)
 
 
 def float_params(params: dict, keys: str | list) -> list:
@@ -358,35 +363,35 @@ def averaging(g: SampledField, j: int) -> SampledField:
     return SampledField(grid, spread_to_grid(grid, means, j)[..., None])
 
 
-def _prologue(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange) -> SpectralField:
-    """Checks shared by the function-side norms on the weightings ws; returns the
-    spectrum of f."""
+def _band_pass(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange,
+               magnitude, on_band=None) -> list:
+    """Every function-side norm, for each weighting in ws, from one band pass.
+
+    The range decides the space; the bank and sp.homogeneous must agree with it.
+    Each level's band feeds weighting w's level sum with magnitude(w, j, band),
+    the weighted level-j magnitude, and then goes to on_band(j, band) when given
+    (harness.four_norms takes the phi coefficients there); no band outlives its level.
+    """
     for w in ws:
         _check_weighting(w, f.channels)
-    if getattr(bank, "homogeneous", None) != sp.homogeneous:
-        if sp.homogeneous:
-            raise ValueError("homogeneous norms need an AdmissiblePair")
-        raise ValueError("inhomogeneous norms need an InhomPartition")
+    check_bank(bank, cube_range)
+    if sp.homogeneous == cube_range.inhomogeneous:
+        raise ValueError(f"homogeneous = {sp.homogeneous} params disagree with the range")
     cube_range.validate(f.grid)
-    return to_spectral(f)
+    sums = [_LevelSum(f.grid, sp.p, sp.t, sp.r, sp.q, cube_range) for _ in ws]
+    for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels()):
+        for w, acc in zip(ws, sums):
+            acc.add(j, magnitude(w, j, band))
+        if on_band is not None:
+            on_band(j, band)
+    return [acc.report() for acc in sums]
 
 
 def tl_norms(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange,
              on_band=None) -> list:
-    """tl_norm of f for each weighting in ws, from one band pass.
-
-    Each level's band output feeds every weighting's level sum in lockstep and
-    is then handed to on_band(j, band) when given (harness.four_norms takes the
-    phi-transform coefficients there); no band outlives its level.
-    """
-    F = _prologue(f, ws, sp, bank, cube_range)
-    sums = [_LevelSum(f.grid, sp.p, sp.t, sp.r, sp.q, cube_range) for _ in ws]
-    for j, band in band_outputs(F, bank, cube_range.band_levels()):
-        for w, acc in zip(ws, sums):
-            acc.add(j, 2.0 ** (j * sp.s) * w.magnitude(j, band))
-        if on_band is not None:
-            on_band(j, band)
-    return [acc.report() for acc in sums]
+    """tl_norm of f for each weighting in ws from one _band_pass, bands then to on_band."""
+    return _band_pass(f, ws, sp, bank, cube_range,
+                      lambda w, j, band: 2.0 ** (j * sp.s) * w.magnitude(j, band), on_band)
 
 
 def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
@@ -529,39 +534,36 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
     |W^(1/p)(x) band(y)| / (1 + 2^j |x-y|)^a, then the usual aggregation."""
     if a <= 0:
         raise ValueError("a must be positive")
-    F = _prologue(f, (w,), sp, bank, cube_range)
     dist = _offset_dist(f.grid)
 
-    def sups():
-        for j, band in band_outputs(F, bank, cube_range.band_levels()):
-            # the max of |.|^2 / (1 + 2^j d)^(2a), one square root per x
-            kern = (1.0 + 2.0 ** j * dist) ** (-2.0 * a)
-            yield j, 2.0 ** (j * sp.s) * np.sqrt(_pair_reduce(w, band, kern, 1.0, np.maximum))
+    def sup(w, j, band):
+        # the max of |.|^2 / (1 + 2^j d)^(2a), one square root per x
+        kern = (1.0 + 2.0 ** j * dist) ** (-2.0 * a)
+        return 2.0 ** (j * sp.s) * np.sqrt(_pair_reduce(w, band, kern, 1.0, np.maximum))
 
-    return _level_sum(f.grid, sups(), sp.p, sp.t, sp.r, sp.q, cube_range)
+    rep, = _band_pass(f, (w,), sp, bank, cube_range, sup)
+    return rep
 
 
 def lusin_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
                cube_range: CubeRange) -> NormReport:
     """Ball-average variant: 2^(jn) mean over B(x, 2^-j) of the q-th power with
-    the weight frozen at the center."""
+    the weight frozen at the center.  No ball is below the grid spacing h:
+    validate keeps j <= J - MARGIN, so the radius 2^-j is at least 4h."""
     if np.isinf(sp.q):
         raise ValueError("lusin norm needs q < infinity")
-    F = _prologue(f, (w,), sp, bank, cube_range)
     grid = f.grid
     dist = _offset_dist(grid)
-    # levels whose ball radius 2^-j is below the grid spacing are skipped
-    levels = [j for j in cube_range.band_levels() if 2.0 ** (-j) >= grid.spacing]
 
-    def areas():
-        for j, band in band_outputs(F, bank, levels):
-            # indicator of the closed ball; 1e-9 of a grid spacing absorbs rounding in d
-            ball = (dist <= 2.0 ** (-j) + 1e-9 * grid.spacing).astype(float)
-            total = _pair_reduce(w, band, ball, sp.q / 2.0, np.add)
-            u = 2.0 ** (j * grid.dim) * grid.cell_measure * total
-            yield j, (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
+    def area(w, j, band):
+        # indicator of the closed ball; 1e-9 of a grid spacing absorbs rounding in d
+        ball = (dist <= 2.0 ** (-j) + 1e-9 * grid.spacing).astype(float)
+        total = _pair_reduce(w, band, ball, sp.q / 2.0, np.add)
+        u = 2.0 ** (j * grid.dim) * grid.cell_measure * total
+        return (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
 
-    return _level_sum(grid, areas(), sp.p, sp.t, sp.r, sp.q, cube_range)
+    rep, = _band_pass(f, (w,), sp, bank, cube_range, area)
+    return rep
 
 
 def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: float,
@@ -572,29 +574,28 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
     if lam <= 1.0 / min(1.0, sp.p, sp.q) + delta_cap / f.grid.dim:
         warnings.warn("lambda below the boundedness threshold; value still computed",
                       stacklevel=2)
-    F = _prologue(f, (w,), sp, bank, cube_range)
     grid = f.grid
     n = grid.dim
     dist = _offset_dist(grid)
 
-    def areas():
-        for j, v in band_outputs(F, bank, cube_range.band_levels()):
-            kern = (1.0 + 2.0 ** j * dist) ** (-lam * n * sp.q)
-            if sp.q == 2.0:
-                # the sum is a cyclic convolution with the offset table
-                Kf = np.fft.fftn(kern * grid.cell_measure)
-                P = w.W.power(2.0 / w.p)
-                G = np.einsum("...a,...b->...ab", v, np.conj(v)).real
-                axes = tuple(range(n))
-                conv = np.fft.ifftn(np.fft.fftn(G, axes=axes) * Kf[..., None, None],
-                                    axes=axes).real
-                u = 2.0 ** (j * n) * np.maximum(np.einsum("...ab,...ab->...", P, conv), 0.0)
-            else:
-                total = _pair_reduce(w, v, kern, sp.q / 2.0, np.add)
-                u = 2.0 ** (j * n) * grid.cell_measure * total
-            yield j, (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
+    def area(w, j, v):
+        kern = (1.0 + 2.0 ** j * dist) ** (-lam * n * sp.q)
+        if sp.q == 2.0:
+            # the sum is a cyclic convolution with the offset table
+            Kf = np.fft.fftn(kern * grid.cell_measure)
+            P = w.W.power(2.0 / w.p)
+            G = np.einsum("...a,...b->...ab", v, np.conj(v)).real
+            axes = tuple(range(n))
+            conv = np.fft.ifftn(np.fft.fftn(G, axes=axes) * Kf[..., None, None],
+                                axes=axes).real
+            u = 2.0 ** (j * n) * np.maximum(np.einsum("...ab,...ab->...", P, conv), 0.0)
+        else:
+            total = _pair_reduce(w, v, kern, sp.q / 2.0, np.add)
+            u = 2.0 ** (j * n) * grid.cell_measure * total
+        return (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
 
-    return _level_sum(grid, areas(), sp.p, sp.t, sp.r, sp.q, cube_range)
+    rep, = _band_pass(f, (w,), sp, bank, cube_range, area)
+    return rep
 
 
 def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,
@@ -605,24 +606,22 @@ def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,
     Returns ||W^(1/p) u_0||_bm + ||(sum_k 2^(ksq) |W^(1/p)(f - u_k)|^q)^(1/q)||_bm,
     an upper bound for the infimum over admissible approximating sequences.
     """
-    if sp.homogeneous:
+    if not cube_range.inhomogeneous:
         raise ValueError("approximation norm is defined on inhomogeneous spaces")
     thresh = f.grid.dim / min(1.0, sp.q, sp.p) + threshold_delta
     if sp.s <= thresh:
         warnings.warn(f"s = {sp.s} below the approximation threshold {thresh}",
                       stacklevel=2)
-    F = _prologue(f, (w,), sp, bank, cube_range)
-    grid = f.grid
     term1 = []   # ||W^(1/p) u_0||_bm, filled at the first level
+    u = np.zeros_like(f.values, dtype=complex)   # the low-pass u_k through level k
 
-    def tails():
-        u = np.zeros_like(f.values, dtype=complex)
-        for k, band in band_outputs(F, bank, cube_range.band_levels()):
-            u = u + band
-            if not term1:
-                term1.append(bm_array_norm(grid, w.magnitude(k, u), sp.p, sp.t, sp.r,
-                                           cube_range.cube_levels()))
-            yield k, 2.0 ** (k * sp.s) * w.magnitude(k, f.values - u)
+    def tail(w, k, band):
+        nonlocal u
+        u = u + band
+        if not term1:
+            term1.append(bm_array_norm(f.grid, w.magnitude(k, u), sp.p, sp.t, sp.r,
+                                       cube_range.cube_levels()))
+        return 2.0 ** (k * sp.s) * w.magnitude(k, f.values - u)
 
-    tail = _level_sum(grid, tails(), sp.p, sp.t, sp.r, sp.q, cube_range)
-    return NormReport(sum(term1) + tail.value, tail.per_level)
+    rep, = _band_pass(f, (w,), sp, bank, cube_range, tail)
+    return NormReport(sum(term1) + rep.value, rep.per_level)

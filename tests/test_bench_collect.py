@@ -1,0 +1,59 @@
+"""tools/bench_collect.py merges the parent's and the change's perfbench records
+into a BENCH file: paired wins, spreads and the equality of exact counts."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+bench_collect = importlib.import_module("bench_collect")
+
+
+def record(workload, trace, metrics, failed=0):
+    """A perfbench result record; metrics maps name -> (value, unit)."""
+    return {"env": {"workload": workload, "seed": 7}, "trace": trace,
+            "attempted": 3, "failed": failed,
+            "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+
+
+def untraced(run_s, setup_s, rss, failed=0):
+    return record("equiv_1d", 0, {"run_s": (run_s, "s"), "setup_s": (setup_s, "s"),
+                                  "peak_rss_mb": (rss, "MB")}, failed)
+
+
+def traced(workload, fft_calls, self_s):
+    return record(workload, 1, {"fft.calls": (fft_calls, "count"), "fft.self_s": (self_s, "s"),
+                                "spaces.peetre_norm.calls": (4, "count"),
+                                "fieldio.bytes": (100, "bytes")})
+
+
+def test_collect_pairs_spreads_and_counts():
+    parent = {("equiv_1d", 7, 0): [untraced(3.0, 0.2, 100.0), untraced(1.0, 0.2, 100.0),
+                                   untraced(2.0, 0.2, 100.0)],
+              ("equiv_1d", 7, 1): [traced("equiv_1d", 10, 0.5)],
+              ("transforms", 7, 1): [traced("transforms", 10, 0.5)]}
+    change = {("equiv_1d", 7, 0): [untraced(3.5, 0.2, 90.0), untraced(0.5, 0.2, 95.0),
+                                   untraced(2.0, 0.2, 99.0, failed=1)],
+              ("equiv_1d", 7, 1): [traced("equiv_1d", 10, 0.25)],
+              ("transforms", 7, 1): [traced("transforms", 12, 0.5)]}
+    out = bench_collect.collect(parent, change)
+
+    un = out["equiv_1d"]["seed7"]["untraced"]
+    assert un["pairs"] == 3
+    # run_s: one win (0.5 < 1.0), one tie (2.0) and one loss (3.5 > 3.0)
+    assert un["run_s_pairs_change_won"] == 1
+    assert un["setup_s_pairs_change_won"] == 0          # all ties
+    assert un["peak_rss_mb_pairs_change_won"] == 3
+    assert un["parent"]["run_s"] == {"runs": [3.0, 1.0, 2.0], "median": 2.0, "q1": 1.0, "q3": 3.0}
+    assert un["change"]["run_s"] == {"runs": [3.5, 0.5, 2.0], "median": 2.0, "q1": 0.5, "q3": 3.5}
+    assert un["change"]["peak_rss_mb"]["median"] == 95.0
+    assert un["change"]["failed"] == [0, 0, 1]
+
+    same = out["equiv_1d"]["seed7"]["traced"]
+    assert same["counts_equal"] is True                  # self times differ, counts do not
+    assert same["counts_differing"] == []
+    assert same["change"]["fft.self_s"] == 0.25
+    moved = out["transforms"]["seed7"]["traced"]
+    assert moved["counts_equal"] is False
+    assert moved["counts_differing"] == ["fft.calls"]
+    assert "untraced" not in out["transforms"]["seed7"]

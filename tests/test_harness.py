@@ -238,12 +238,24 @@ def test_cli_norm_and_filter(tmp_path):
         assert res.returncode == 2, bad
         assert "Traceback" not in res.stderr
     good = {"s": 0.5, "p": 1.5, "q": 1.5, "t": 2}
-    for bad in ("[1,2]", json.dumps({**good, "j_min": None}),
-                json.dumps({**good, "j_max": 2.5})):
-        res = run_cli("norm", "--space", "F", "--params", bad, "--field", str(fpath))
-        assert res.returncode == 2, bad
-        assert "Traceback" not in res.stderr
-        assert res.stderr.count("\n") == 1, res.stderr
+    window = {**good, "j_min": -2, "j_max": 4}
+    # the range's inhomogeneous flag, a JSON boolean, is the one switch
+    both = json.dumps({**window, "inhomogeneous": True, "homogeneous": True})
+    for space, bad, msg in (("F", "[1,2]", "JSON object"),
+                            ("F", json.dumps({**good, "j_min": None}), "j_min"),
+                            ("F", json.dumps({**good, "j_max": 2.5}), "j_max"),
+                            ("F", both, "unknown 'homogeneous'"),
+                            ("f", both, "unknown 'homogeneous'"),
+                            ("peetre", both, "unknown 'homogeneous'"),
+                            ("F", json.dumps({**window, "inhomogeneous": "false"}),
+                             "inhomogeneous must be a boolean"),
+                            ("F", json.dumps({**window, "inhomogenous": True}),
+                             "unknown 'inhomogenous'"),
+                            ("bm", json.dumps({**bm_params, "q": 1.5}), "unknown 'q'")):
+        res = run_cli("norm", "--space", space, "--params", bad, "--field", str(fpath))
+        assert res.returncode == 2, (space, bad)
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert msg in res.stderr, res.stderr
     for bad_p in ("abc", None):
         bad = json.dumps({"s": 0.5, "p": bad_p, "q": 1.5, "t": 2})
         res = run_cli("norm", "--space", "F", "--params", bad, "--field", str(fpath))
@@ -306,6 +318,15 @@ def test_cli_transform_and_bound(tmp_path):
                   "--params", params, "--gamma", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["ratio"] <= 50.0
+    window = json.loads(params)
+    for bad, msg in ((dict(window, inhomogeneous="false"), "inhomogeneous must be a boolean"),
+                     (dict(window, inhomogeneous=True, homogeneous=True), "unknown 'homogeneous'"),
+                     (dict(window, a=3.0), "unknown 'a'")):
+        res = run_cli("bound", "--op", "hilbert", "--field", str(fpath),
+                      "--params", json.dumps(bad))
+        assert res.returncode == 2, bad
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert msg in res.stderr, res.stderr
     res = run_cli("bound", "--op", "psdo", "--field", str(fpath), "--params", params)
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
@@ -366,7 +387,9 @@ def test_cli_bad_config_exit_code(tmp_path):
              '{"channels": "2"}': "channels", '{"weights": "identity"}': "weights"}
     # an unknown name is refused before the sweep, naming its field and the known names
     named = {'{"functions": {"nope": 1}}': ("functions", "band_random, bump, harmonic"),
-             '{"weights": ["nope"]}': ("weights", "oscillating")}
+             '{"weights": ["nope"]}': ("weights", "oscillating"),
+             '{"space_params": [{"s": 1, "p": 1, "q": 1, "t": 2, "nope": 1}]}':
+                 ("space_params", "s, p, q, t, r")}
     typed.update((text, key) for text, (key, _) in named.items())
     for i, text in enumerate(("{not json", "[1]", '{"nope": 1}', *typed)):
         paths.append(tmp_path / f"bad{i}.json")
@@ -491,7 +514,7 @@ def test_hypothesis_flag_when_q_exceeds_p(tmp_path):
 def test_four_norms_one_band_pass(grid, ranges, monkeypatch):
     W = oscillating_weight(grid)
     for bank, cube_range in zip((make_admissible_pair(), make_inhom_partition()), ranges):
-        sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=bank.homogeneous)
+        sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=not cube_range.inhomogeneous)
         f = band_limited_noise(grid, 2, 0.0, 2.0 ** cube_range.j_max,
                                np.random.default_rng(43))
         family = reducing_operators(W, sp.p, cube_range)

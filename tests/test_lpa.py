@@ -216,13 +216,3 @@ def test_profiles_on_support_match_whole_grid_forms(pair, grid):
         assert np.array_equal(pair.phi(r), phi(r)), v
         assert np.array_equal(pair.psi(r), psi(r)), v
 
-
-@pytest.mark.parametrize("scale", [0.5, 2.0])
-def test_smoothness_scaled_pair_stays_on_support(grid, scale):
-    sharp = make_admissible_pair(scale)
-    rho = np.linspace(0.0, 5.0, 5001)
-    assert np.all(np.isfinite(sharp.psi(rho)))
-    report = check_admissible(sharp, grid, range(-2, 6))
-    assert report["phi_support_leak"] == 0.0
-    assert report["psi_support_leak"] == 0.0
-    assert report["calderon_max_err"] <= 1e-12

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmtl.coeff import phi_transform
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import (CubeRange, DyadicCube, cube_sums, cubes_at_level, cubes_per_axis,
                          level_block_view)
 from bmtl.fields import SampledField, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
-from bmtl.harness import band_limited_noise, dilate_field
+from bmtl.harness import band_limited_noise, dilate_field, four_norms
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _cyclic_max,
                          _cyclic_mean, _level_sum, _matvec_norm, _pair_reduce, approx_norm,
@@ -189,6 +190,34 @@ def test_tl_channel_mismatch_rejected():
     w = PointwiseWeighting(identity_weight(GRID, 1), SP.p)
     with pytest.raises(ValueError):
         tl_norm(f, w, SP, PAIR, RANGE)
+
+
+# The range decides the space: the bank must be its bank, and the params must
+# agree with it.  j_min = 0 keeps the partition's levels valid, so only the
+# switch itself can raise.
+@pytest.mark.parametrize("bank, cube_range, homogeneous", [
+    (PAIR, CubeRange(0, 3, inhomogeneous=True), True),
+    (PART, CubeRange(0, 3), False),
+    (PAIR, CubeRange(0, 3), False),
+    (PART, CubeRange(0, 3, inhomogeneous=True), True),
+])
+def test_bank_and_params_must_match_range(bank, cube_range, homogeneous):
+    grid = TorusGrid(1, 1, 6)
+    f = band_limited_noise(grid, 2, 0.5, 4.0, np.random.default_rng(5))
+    W = identity_weight(grid, 2)
+    sp = SpaceParams(3.5, 1.5, 1.5, 2.0, np.inf, homogeneous=homogeneous)
+    w = PointwiseWeighting(W, sp.p)
+    calls = [lambda: tl_norm(f, w, sp, bank, cube_range),
+             lambda: peetre_norm(f, w, sp, 4.0, bank, cube_range),
+             lambda: lusin_norm(f, w, sp, bank, cube_range),
+             lambda: glambda_norm(f, w, sp, 3.0, bank, cube_range),
+             lambda: approx_norm(f, w, sp, bank, cube_range),
+             lambda: four_norms(f, W, sp.p, sp, bank, cube_range)]
+    if (bank is PART) != cube_range.inhomogeneous:
+        calls.append(lambda: phi_transform(f, bank, cube_range))
+    for call in calls:
+        with pytest.raises(ValueError, match="need an|disagree with the range|inhomogeneous spaces"):
+            call()
 
 
 def test_tl_quasinorm_axioms():
