@@ -4,8 +4,9 @@ atomic rearrangement of wavelet expansions.
 
 Coefficients for cube level j are corner samples of the level-j band output
 (lpa.band_outputs with the bank's analysis multiplier): s_Q = |Q|^(1/2) *
-(conj-reflected analysis filter applied to f)(x_Q).  Synthesis runs each
-level's coefficient comb through the bank's synthesis multiplier.  With the
+(conj-reflected analysis filter applied to f)(x_Q).  Synthesis is one
+spectral sum: each level's coefficient comb spectrum (the level array's DFT,
+tiled) times the bank's synthesis multiplier, then one inverse FFT.  With the
 alias-safe band pairing, synthesis after analysis is the identity on fields
 whose spectrum lies in the covered annuli.
 
@@ -62,24 +63,30 @@ def phi_transform(f: SampledField, bank, cube_range: CubeRange) -> CoeffSequence
     return CoeffSequence(grid, arrays, f.channels)
 
 
-def _comb_spectrum(coeffs: CoeffSequence, j: int):
-    """Spectrum of sum_Q s_Q |Q|^(-1/2) delta_(x_Q) over the level-j cubes."""
-    grid = coeffs.grid
-    comb = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
-    scale = 2.0 ** (-j * grid.dim / 2.0) / grid.cell_measure
-    _corner_view(grid, comb, j)[...] = coeffs.level_array(j) * scale
-    return to_spectral(SampledField(grid, comb))
-
-
 def phi_synthesis(coeffs: CoeffSequence, bank, levels=None) -> SampledField:
-    """sum_Q s_Q psi_Q, realized per level as a spectral product with the comb of coefficients."""
-    if levels is None:
-        levels = coeffs.levels()
-    acc = np.zeros(coeffs.grid.shape + (coeffs.channels,), dtype=complex)
-    for _, piece in band_outputs(lambda j: _comb_spectrum(coeffs, j), bank, levels,
-                                 synthesis=True):
-        acc += piece
-    return SampledField(coeffs.grid, acc)
+    """sum_Q s_Q psi_Q over the given levels (default: the stored ones), as one
+    spectral sum and one inverse FFT.
+
+    The level-j comb sum_Q s_Q |Q|^(-1/2) delta_(x_Q) (a grid delta is h^(-n) at
+    its sample) has stride s = 2^(J-j) on each axis, so its DFT is the small
+    level array's DFT tiled s times per axis: bin k holds entry k mod M (M cubes
+    per axis).  Each level's comb spectrum times bank.synthesis at j adds into
+    one grid spectrum, on the multiplier's support.
+    """
+    grid, ch = coeffs.grid, coeffs.channels
+    n = grid.dim
+    axes = tuple(range(n))
+    rho = grid.freq_radius()
+    total = np.zeros(grid.shape + (ch,), dtype=complex)
+    flat = total.reshape(-1, ch)
+    for j in coeffs.levels() if levels is None else levels:
+        scale = 2.0 ** (-j * n / 2.0) / grid.cell_measure
+        comb = np.fft.fftn(coeffs.level_array(j) * scale, axes=axes)
+        mult = bank.synthesis(rho, j).ravel()
+        bins = np.flatnonzero(mult)          # the multiplier's support
+        tiled = tuple(k % comb.shape[0] for k in np.unravel_index(bins, grid.shape))
+        flat[bins] += mult[bins, None] * comb[tiled]
+    return SampledField(grid, np.fft.ifftn(total, axes=axes))
 
 
 # ---------------------------------------------------------------------------

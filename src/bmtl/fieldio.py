@@ -4,17 +4,23 @@ Field files carry {"dim", "side_log2", "res_log2", "channels", "complex"} and
 the values in row-major point order, channels innermost, real/imag interleaved
 when complex.  Weight files are field files with channels = m*m (row-major
 matrix per point).  Symbol files add {"kind": "symbol"} and tabulate x-major,
-xi-minor.  Coefficient files are JSON lines {"cube": [j, [m...]], "value": ...}.
+xi-minor.  Coefficient files are a {"header": ...} line and JSON lines
+{"cube": [j, [m...]], "value": [[re, im], ...]}: written a level at a time from
+each level array, read in blocks of RECORD_BLOCK lines straight into the level
+arrays.  Records may come in any order; levels and indices are JSON integers,
+a repeated cube is an error, and every error names its file line.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain, islice
 
 import numpy as np
 
 from .coeffseq import CoeffSequence
-from .dyadic import DyadicCube
+from .dyadic import cubes_per_axis
 from .fields import SampledField
 from .grid import TorusGrid
 from .weights import MatrixWeight
@@ -131,31 +137,231 @@ def read_symbol(path):
     return SymbolGrid(grid, data.reshape(grid.shape * 2))
 
 
+
+
+#: coefficient records formatted or parsed per call: one json.loads over a whole
+#: 256^2 file, or one format of a whole level, costs MBs of peak memory
+RECORD_BLOCK = 256
+
+
+def _level_records(j: int, arr: np.ndarray):
+    """The JSON lines of level j's array in index order, RECORD_BLOCK records per
+    string, byte for byte what json.dumps gives per record: integers through %d,
+    floats through repr."""
+    n, channels = arr.ndim - 1, arr.shape[-1]
+    index = np.indices(arr.shape[:-1]).reshape(n, -1).T
+    cols = np.concatenate([index, arr.reshape(len(index), channels).view(float)], axis=1)
+    record = ('{"cube": [%d, [' % j + ", ".join(["%d"] * n) + ']], "value": ['
+              + ", ".join(["[%r, %r]"] * channels) + "]}\n")
+    for start in range(0, len(cols), RECORD_BLOCK):
+        rows = cols[start:start + RECORD_BLOCK]
+        yield (record * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_coeffs(path, coeffs: CoeffSequence):
+    """Header line, then one record per cube of each stored level."""
+    head = {
+        "dim": coeffs.grid.dim,
+        "side_log2": coeffs.grid.side_log2,
+        "res_log2": coeffs.grid.res_log2,
+        "channels": coeffs.channels,
+    }
     with open(path, "w") as fh:
-        head = {
-            "dim": coeffs.grid.dim,
-            "side_log2": coeffs.grid.side_log2,
-            "res_log2": coeffs.grid.res_log2,
-            "channels": coeffs.channels,
-        }
         fh.write(json.dumps({"header": head}, sort_keys=True) + "\n")
-        for cube, vec in coeffs.entries.items():
-            rec = {"cube": [cube.level, list(cube.index)],
-                   "value": [[z.real, z.imag] for z in vec.tolist()]}
-            fh.write(json.dumps(rec) + "\n")
+        for j, arr in coeffs.arrays.items():
+            fh.writelines(_level_records(j, arr))
+
+
+
+#: a JSON string; json refuses raw newlines in strings, so none spans a line end
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+#: change of bracket depth at each byte: +1 for [ and {, -1 for ] and }
+_NESTING = np.zeros(256, dtype=np.int8)
+_NESTING[[ord("["), ord("{")]] = 1
+_NESTING[[ord("]"), ord("}")]] = -1
+#: the bytes other than brackets and the line end
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b"[]{}\n")))
+
+
+def _json_line(text: str):
+    """The JSON value of one file line; a ValueError names the column."""
+    try:
+        return json.loads(text.rstrip("\n"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON: {exc.msg} at column {exc.pos + 1}") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def _load_block(text: str, count: int) -> list:
+    """The JSON values of text, count lines joined by commas inside [], from one
+    json.loads; ValueError unless there are count of them."""
+    try:
+        values = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if len(values) != count:
+        raise ValueError("not one JSON value per line")
+    return values
+
+
+def _split_at_lines(text: str, count: int) -> bool:
+    """Whether text, count lines joined by commas inside [] that parse as
+    coefficient records, kept every comma between lines at the top level.
+
+    A comma inside a value would let json.loads merge the lines around it into
+    one value.  JSON strings cannot span a line end (json refuses raw newlines in
+    them), so with the strings removed the bracket depth must be back at 1 at
+    every line end.  Records whose only strings are their "cube" and "value" keys
+    (4 quotes each) hold no bracket inside a string and need no removal.
+    """
+    if text.count('"') != 4 * count:
+        text = _JSON_STRING.sub("", text)
+    codes = np.frombuffer(text.encode().translate(None, _NOT_NESTING), dtype=np.uint8)
+    return bool(np.all(np.cumsum(_NESTING[codes])[codes == ord("\n")] == 1))
+
+
+def _require(ok: bool, items, good, what: str):
+    """ValueError naming the first item that is not good, unless ok (which says
+    that every item is)."""
+    if not ok:
+        bad = next(x for x in items if not good(x))
+        raise ValueError(f"{what}, got {json.dumps(bad)}")
+
+
+def _is_index(m, n: int) -> bool:
+    return type(m) is list and len(m) == n and all(type(i) is int for i in m)
+
+
+def _is_value(v, channels: int) -> bool:
+    return type(v) is list and len(v) == channels and all(
+        type(p) is list and len(p) == 2 and {type(x) for x in p} <= {int, float} for p in v)
+
+
+def _finite_floats(numbers: list):
+    """numbers as a binary64 array, or None if one is not finite there."""
+    try:
+        arr = np.array(numbers, dtype=float)
+    except OverflowError:       # an integer beyond binary64
+        return None
+    return arr if np.all(np.isfinite(arr)) else None
+
+
+def _record_arrays(records: list, grid: TorusGrid, channels: int) -> tuple:
+    """(level (k,), index (k, n), value (k, channels)) arrays of parsed coefficient
+    records, checked as whole lists.  Every check holds record by record, so a
+    list passes exactly when each of its records passes alone."""
+    n, lo, hi = grid.dim, -grid.side_log2, grid.res_log2
+    _require(set(map(type, records)) <= {dict}, records, lambda r: type(r) is dict,
+             "a coefficient record must be a JSON object")
+    try:
+        cubes = [r["cube"] for r in records]
+        values = [r["value"] for r in records]
+    except KeyError as exc:
+        raise ValueError(f"record has no {exc} key") from None
+
+    _require(set(map(type, cubes)) <= {list} and set(map(len, cubes)) <= {2}, cubes,
+             lambda c: type(c) is list and len(c) == 2, "cube must be [level, [index...]]")
+    levels = [c[0] for c in cubes]
+    _require(set(map(type, levels)) <= {int}, levels, lambda v: type(v) is int,
+             "cube level must be a JSON integer")
+    _require(min(levels) >= lo and max(levels) <= hi, levels, lambda v: lo <= v <= hi,
+             f"cube level must lie in [{lo}, {hi}]")
+    index = [c[1] for c in cubes]
+    what = f"cube index must be a list of {n} JSON integers"
+    _require(set(map(type, index)) <= {list} and set(map(len, index)) <= {n}, index,
+             lambda m: _is_index(m, n), what)
+    flat = list(chain.from_iterable(index))
+    _require(set(map(type, flat)) <= {int}, index, lambda m: _is_index(m, n), what)
+    level = np.array(levels, dtype=np.int64)
+    inside = min(flat) >= 0 and max(flat) < 1 << (hi - lo)     # within the finest level
+    if inside:
+        idx = np.array(flat, dtype=np.int64).reshape(len(index), n)
+        inside = bool(np.all(idx < np.left_shift(1, level - lo)[:, None]))
+    _require(inside, cubes, lambda c: all(0 <= i < 1 << (c[0] - lo) for i in c[1]),
+             "cube index must lie in [0, 2^(level + side_log2))")
+
+    what = f"value must be {channels} [re, im] pairs of JSON numbers"
+    _require(set(map(type, values)) <= {list} and set(map(len, values)) <= {channels}, values,
+             lambda v: _is_value(v, channels), what)
+    pairs = list(chain.from_iterable(values))
+    _require(set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}, values,
+             lambda v: _is_value(v, channels), what)
+    numbers = list(chain.from_iterable(pairs))
+    _require(set(map(type, numbers)) <= {int, float}, values,
+             lambda v: _is_value(v, channels), what)
+    value = _finite_floats(numbers)
+    _require(value is not None, values,
+             lambda v: _finite_floats(list(chain.from_iterable(v))) is not None,
+             "value must be finite")
+    return level, idx, value.view(complex).reshape(len(values), channels)
+
+
+def _block_arrays(lines: list, first_line: int, grid: TorusGrid, channels: int) -> tuple:
+    """_record_arrays of a block of record lines, the first of them file line
+    first_line.  One json.loads serves the whole block; when it or a check fails,
+    a pass line by line names the first bad line."""
+    text = "[" + ",".join(lines) + "]"
+    try:
+        arrays = _record_arrays(_load_block(text, len(lines)), grid, channels)
+        if _split_at_lines(text, len(lines)):
+            return arrays
+    except ValueError:
+        pass
+    records = []
+    for line, raw in enumerate(lines, first_line):
+        try:
+            records.append(_json_line(raw))
+            _record_arrays(records[-1:], grid, channels)
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
+    return _record_arrays(records, grid, channels)
+
+
+def _fill_levels(levels: dict, grid: TorusGrid, block: tuple, first_line: int):
+    """Write a block's (level, index, value) records, the first of them file line
+    first_line, into levels {j: (level array, file line that gave each cube or
+    0)}, allocating a level when a record first names it; ValueError at the
+    block's first record whose cube an earlier line gave."""
+    level, idx, value = block
+    lines = np.arange(first_line, first_line + len(level))
+    earlier = np.zeros(len(level), dtype=np.int64)
+    for j in np.unique(level).tolist():
+        at = np.flatnonzero(level == j)
+        shape = (cubes_per_axis(grid, j),) * grid.dim
+        if j not in levels:
+            levels[j] = (np.zeros(shape + value.shape[1:], dtype=complex),
+                         np.zeros(shape, dtype=np.int64))
+        values, given = levels[j]
+        p = np.ravel_multi_index(tuple(idx[at].T), shape)
+        earlier[at] = given.flat[p]
+        order = np.argsort(p, kind="stable")
+        twice = p[order[1:]] == p[order[:-1]]
+        earlier[at[order[1:][twice]]] = lines[at[order[:-1][twice]]]
+        values.reshape(-1, value.shape[1])[p] = value[at]
+        given.flat[p] = lines[at]
+    repeats = np.flatnonzero(earlier)
+    if repeats.size:
+        r = repeats[0]
+        cube = json.dumps([int(level[r]), idx[r].tolist()])
+        raise ValueError(f"line {lines[r]}: cube {cube} repeats line {earlier[r]}")
 
 
 def read_coeffs(path) -> CoeffSequence:
+    """The coefficient file at path.  Records may come in any order; a level named
+    by any record is stored whole, zero at the cubes no record gives.  Every error
+    names its file line."""
     with open(path) as fh:
-        head = _typed_header(json.loads(fh.readline()), {"header": dict})["header"]
-        head = _typed_header(head, _COEFF_HEADER_TYPES)
-        grid = TorusGrid(head["dim"], head["side_log2"], head["res_log2"])
-        entries = {}
-        for line, rec in enumerate(map(json.loads, fh), 2):
-            try:
-                j, idx = rec["cube"]
-                entries[DyadicCube(j, idx)] = np.array([complex(re, im) for re, im in rec["value"]])
-            except TypeError as exc:
-                raise ValueError(f"line {line}: malformed coefficient record: {exc}") from exc
-    return CoeffSequence(grid, entries, head["channels"])
+        try:
+            head = _typed_header(_json_line(fh.readline()), {"header": dict})["header"]
+            head = _typed_header(head, _COEFF_HEADER_TYPES)
+            grid = TorusGrid(head["dim"], head["side_log2"], head["res_log2"])
+        except ValueError as exc:
+            raise ValueError(f"line 1: {exc}") from None
+        channels = head["channels"]
+        levels, line = {}, 2
+        while block := list(islice(fh, RECORD_BLOCK)):
+            _fill_levels(levels, grid, _block_arrays(block, line, grid, channels), line)
+            line += len(block)
+    return CoeffSequence(grid, {j: values for j, (values, _) in levels.items()}, channels)

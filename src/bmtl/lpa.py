@@ -13,7 +13,9 @@ convention, that is the widest dyadic band whose cube-corner samples at spacing
 between cube level and profile dilation is BAND_LEVEL_OFFSET.  The pairing
 lives only in the banks' analysis and synthesis methods (AdmissiblePair for
 homogeneous levels, InhomPartition for levels j >= 0 with a low-pass slot at
-0); band_outputs applies them level by level for every norm and transform.
+0).  band_outputs applies the analysis side level by level for every norm and
+the phi-transform; phi synthesis applies the synthesis side to its one
+spectral sum.
 """
 
 from __future__ import annotations
@@ -206,21 +208,15 @@ def check_bank(bank, cube_range):
         raise ValueError(f"{kind} ranges need an {want.__name__}, got {type(bank).__name__}")
 
 
-def band_outputs(F, bank, levels, synthesis: bool = False):
-    """Yield (j, band_j) for j in levels, one level at a time: the spectrum times
-    bank's level-j analysis multiplier (synthesis multiplier if synthesis is
-    set), back on the grid with shape grid.shape + (channels,).
-
-    F is a SpectralField, or a function j -> SpectralField when each level has
-    its own input (the coefficient combs of phi_synthesis).
-    """
-    spectrum = F if callable(F) else (lambda j: F)
-    multiplier = bank.synthesis if synthesis else bank.analysis
+def band_outputs(F: SpectralField, bank, levels):
+    """Yield (j, band_j) for j in levels, one level at a time: the spectrum F times
+    bank's level-j analysis multiplier, back on the grid with shape
+    grid.shape + (channels,).  Analysis only: phi synthesis sums its levels in
+    the spectrum (coeff.phi_synthesis)."""
+    axes = tuple(range(F.grid.dim))
     for j in levels:
-        S = spectrum(j)
-        mult = multiplier(S.grid.freq_radius(), j)
-        axes = tuple(range(S.grid.dim))
-        yield j, np.fft.ifftn(S.coeffs * mult[..., None], axes=axes) / S.grid.cell_measure
+        mult = bank.analysis(F.grid.freq_radius(), j)
+        yield j, np.fft.ifftn(F.coeffs * mult[..., None], axes=axes) / F.grid.cell_measure
 
 
 def covered_band(range_levels) -> tuple:

@@ -2,8 +2,11 @@
 into a BENCH file: paired wins, spreads and the equality of exact counts."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 bench_collect = importlib.import_module("bench_collect")
@@ -24,6 +27,10 @@ def untraced(run_s, setup_s, rss, failed=0):
 def traced(workload, fft_calls, self_s):
     return record(workload, 1, {"fft.calls": (fft_calls, "count"), "fft.self_s": (self_s, "s"),
                                 "spaces.peetre_norm.calls": (4, "count"),
+                                "fieldio.write_coeffs.calls": (1, "count"),
+                                "fieldio.write_coeffs.self_s": (0.04, "s"),
+                                "fieldio.read_coeffs.calls": (1, "count"),
+                                "fieldio.read_coeffs.self_s": (self_s / 10, "s"),
                                 "fieldio.bytes": (100, "bytes")})
 
 
@@ -57,3 +64,35 @@ def test_collect_pairs_spreads_and_counts():
     assert moved["counts_equal"] is False
     assert moved["counts_differing"] == ["fft.calls"]
     assert "untraced" not in out["transforms"]["seed7"]
+    # the coefficient-file stages are reported, so a BENCH file shows where I/O time goes
+    assert moved["change"]["fieldio.write_coeffs.calls"] == 1
+    assert moved["parent"]["fieldio.read_coeffs.self_s"] == 0.05
+    assert same["change"]["fieldio.read_coeffs.self_s"] == 0.025
+
+
+def write_records(directory, records):
+    directory.mkdir()
+    for i, rec in enumerate(records):
+        (directory / f"run{i}.json").write_text(json.dumps(rec))
+
+
+def test_collect_refuses_unequal_run_counts(tmp_path, capsys):
+    # pairing with zip used to drop the longer side's extra runs without a word
+    write_records(tmp_path / "parent", [untraced(3.0, 0.2, 100.0), untraced(1.0, 0.2, 100.0),
+                                        untraced(2.0, 0.2, 100.0)])
+    write_records(tmp_path / "change", [untraced(2.0, 0.2, 90.0), untraced(0.5, 0.2, 95.0)])
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(out)]
+    assert bench_collect.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: equiv_1d seed 7:") and err.count("\n") == 1, err
+    assert "parent has 3 untraced runs and the change 2" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="parent has 3 untraced runs and the change 2"):
+        bench_collect.collect(bench_collect.load_runs(str(tmp_path / "parent")),
+                              bench_collect.load_runs(str(tmp_path / "change")))
+    # equal counts pair up
+    write_records(tmp_path / "more", [untraced(2.0, 0.2, 90.0)] * 3)
+    assert bench_collect.main(argv[:3] + [str(tmp_path / "more"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["equiv_1d"]["seed7"]["untraced"]["pairs"] == 3

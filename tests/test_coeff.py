@@ -79,6 +79,43 @@ def test_phi_synthesis_single_coefficient_matches_direct_sum():
     assert np.max(np.abs(out - ref)) < 1e-10
 
 
+def phi_synthesis_per_level(coeffs, bank, levels):
+    """phi_synthesis as it was: each level's coefficient comb on the whole grid,
+    one forward and one inverse FFT per level."""
+    grid = coeffs.grid
+    axes = tuple(range(grid.dim))
+    acc = np.zeros(grid.shape + (coeffs.channels,), dtype=complex)
+    for j in levels:
+        comb = np.zeros_like(acc)
+        stride = 1 << (grid.res_log2 - j)
+        comb[(slice(None, None, stride),) * grid.dim] = (
+            coeffs.level_array(j) * 2.0 ** (-j * grid.dim / 2.0) / grid.cell_measure)
+        spectrum = np.fft.fftn(comb, axes=axes) * grid.cell_measure
+        mult = bank.synthesis(grid.freq_radius(), j)
+        acc += np.fft.ifftn(spectrum * mult[..., None], axes=axes) / grid.cell_measure
+    return acc
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)], ids=["1d_256", "2d_32"])
+@pytest.mark.parametrize("inhomogeneous", [False, True])
+def test_phi_synthesis_matches_per_level_combs(grid, inhomogeneous):
+    from bmtl.lpa import make_inhom_partition
+    bank = make_inhom_partition() if inhomogeneous else PAIR
+    cr = CubeRange(0 if inhomogeneous else -grid.side_log2, grid.res_log2 - 2, inhomogeneous)
+    levels = list(cr.band_levels())
+    rng = np.random.default_rng(grid.dim)
+    arrays = {}
+    for j in levels[:-2] + levels[-1:]:           # level levels[-2] is not stored
+        shape = (cubes_per_axis(grid, j),) * grid.dim + (2,)
+        arrays[j] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = CoeffSequence(grid, arrays, 2)
+    for given, summed in ((None, coeffs.levels()), (levels, levels),
+                          (levels[-2:], levels[-2:])):
+        ref = phi_synthesis_per_level(coeffs, bank, summed)
+        out = phi_synthesis(coeffs, bank, given).values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_phi_round_trip_inhomogeneous():
     # partition analysis with its band-limited dual reproduces low frequencies too
     from bmtl.lpa import make_inhom_partition

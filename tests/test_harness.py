@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import bmtl
-from bmtl import fieldio
+from bmtl import cli, fieldio
 from bmtl.coeff import phi_transform
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import CubeRange, DyadicCube
@@ -174,7 +176,16 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    return run_python("-m", "bmtl.cli", *args)
+    """bmtl args, run in this process through cli.main: its exit code and captured
+    output.  SystemExit (argparse's errors) gives the exit code; any other
+    exception propagates and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["bmtl", *args], code, out.getvalue(), err.getvalue())
 
 
 def test_cli_import_loads_no_scipy():
@@ -183,6 +194,18 @@ def test_cli_import_loads_no_scipy():
                            " if m.split('.')[0] == 'scipy'])")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_entry_point_exit_code(tmp_path):
+    # the other CLI tests call cli.main in-process; this one goes through python -m
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"header": {"dim": 1, "side_log2": 2, "res_log2": 5, "channels": 1}}\n'
+                   '{"cube": [1, [3.5]], "value": [[1.0, 0.0]]}\n')
+    res = run_python("-m", "bmtl.cli", "transform", "--mode", "phi", "--direction",
+                     "synthesize", "--field", str(bad), "--out", str(tmp_path / "out.bin"))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: line 2: cube index") and res.stderr.count("\n") == 1
 
 
 def test_cli_check_ap_and_reduce(tmp_path):
@@ -349,16 +372,43 @@ def test_cli_malformed_coefficient_records(tmp_path):
     g = TorusGrid(1, 2, 5)
     cpath = tmp_path / "c.jsonl"
     fieldio.write_coeffs(cpath, CoeffSequence(g, {DyadicCube(1, (3,)): np.ones(1)}, 1))
-    header = cpath.read_text().splitlines()[0]
-    for rec in ({"cube": [1, 3], "value": [[1.0, 0.0]]},     # index not a list
-                {"cube": [1, [3]], "value": [1.0, 0.0]},     # value not [re, im] pairs
-                {"cube": [1, [3]], "value": [[1.0, 0.0], [2.0, 0.0]]}):   # wrong length
+    header, good = cpath.read_text().splitlines()[:2]
+    first = json.dumps({"cube": [2, [0]], "value": [[1.0, 0.0]]})
+    ok = {"cube": [1, [3]], "value": [[1.0, 0.0]]}
+    # (record lines after a good line 2, the first bad line, what its message says);
+    # each used to exit 2 unnamed, crash, or be read silently
+    cases = [([{"cube": [1, 3], "value": [[1.0, 0.0]]}], 3, "cube index must be a list"),
+             ([{"cube": [1, [3]], "value": [1.0, 0.0]}], 3, "value must be 1 [re, im] pairs"),
+             ([{"cube": [1, [3]], "value": [[1.0, 0.0], [2.0, 0.0]]}], 3,
+              "value must be 1 [re, im] pairs"),
+             ([{"cube": [1.0, [3]], "value": [[1.0, 0.0]]}], 3,
+              "cube level must be a JSON integer, got 1.0"),
+             ([{"cube": [1, [3.7]], "value": [[1.0, 0.0]]}], 3,
+              "cube index must be a list of 1 JSON integers, got [3.7]"),
+             ([{"cube": [True, [3]], "value": [[1.0, 0.0]]}], 3,
+              "cube level must be a JSON integer, got true"),
+             ([ok, {"cube": [3, [1]], "value": [[0.0, 0.0]]}, ok], 5,
+              "cube [1, [3]] repeats line 3"),
+             ([{"value": [[1.0, 0.0]]}], 3, "record has no 'cube' key"),
+             ([{"cube": [1, [3]], "value": [[1.0, 0.0, 2.0]]}], 3,
+              "value must be 1 [re, im] pairs of JSON numbers, got [[1.0, 0.0, 2.0]]"),
+             ([ok, '{"cube": [1, [4]], "value": [[1.0, 0.0]]'], 4,
+              "not JSON: Expecting ',' delimiter at column 41")]
+    for recs, line, message in cases:
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(header + "\n" + json.dumps(rec) + "\n")
+        body = [r if isinstance(r, str) else json.dumps(r) for r in recs]
+        bad.write_text("\n".join([header, first, *body]) + "\n")
         res = run_cli("transform", "--mode", "phi", "--direction", "synthesize",
                       "--field", str(bad), "--out", str(tmp_path / "out.bin"))
-        assert res.returncode == 2, rec
+        assert res.returncode == 2, recs
         assert "Traceback" not in res.stderr
+        assert res.stderr.startswith(f"error: line {line}: "), res.stderr
+        assert res.stderr.count("\n") == 1 and message in res.stderr, res.stderr
+    good_file = tmp_path / "good.jsonl"
+    good_file.write_text("\n".join([header, first, good]) + "\n")
+    res = run_cli("transform", "--mode", "phi", "--direction", "synthesize",
+                  "--field", str(good_file), "--out", str(tmp_path / "out.bin"))
+    assert res.returncode == 0, res.stderr
 
 
 def test_cli_equiv_and_report(tmp_path):

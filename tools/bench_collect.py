@@ -6,7 +6,9 @@
 Each DIR holds copies of the `.perfbench/results/<workload>-desk-seed<S>-trace<T>.json`
 records that `perfbench/run.py` writes, one file per run (any file names; runs of
 the same workload, seed and trace are paired across the two sides in file-name
-order, so name the i-th run of each side alike).  The BENCH file holds, per
+order, so name the i-th run of each side alike).  When both sides have untraced
+runs of a workload and seed, they must have the same number of them: otherwise
+the script exits 2 naming both counts.  The BENCH file holds, per
 workload and seed:
   - untraced runs: `run_s`, `setup_s` and `peak_rss_mb` per run, their median and
     quartiles, the failed cases, and for each of the three the pairs the change
@@ -15,8 +17,9 @@ workload and seed:
     Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), of the weight
     diagnostics (`ap_characteristic`, `ap_dimensions`, `doubling_exponent`,
     `sandwich_constants`, `diagnose`) and of the transforms (`ad_random_operator`,
-    `ad_apply`, `phi_transform`, `phi_synthesis`, `psdo_apply`), the FFT counters
-    and self time, and whether every `.calls` count and work counter is equal;
+    `ad_apply`, `phi_transform`, `phi_synthesis`, `psdo_apply`) and coefficient
+    files (`write_coeffs`, `read_coeffs`), the FFT counters and self time, and
+    whether every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
 """
 
@@ -27,6 +30,7 @@ import glob
 import json
 import os
 import statistics
+import sys
 
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
 TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm",
@@ -36,6 +40,7 @@ TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm
                                          "weights.sandwich_constants", "weights.diagnose",
                                          "coeff.ad_random_operator", "coeff.ad_apply",
                                          "coeff.phi_transform", "coeff.phi_synthesis",
+                                         "fieldio.write_coeffs", "fieldio.read_coeffs",
                                          "operators.psdo_apply")
           for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls",
                                               "fft.self_s"]
@@ -79,6 +84,10 @@ def collect(parent: dict, change: dict) -> dict:
         if trace == 0:
             entry["untraced"] = {side: untraced(recs) for side, recs in sides.items() if recs}
             if all(sides.values()):
+                n_parent, n_change = (len(recs) for recs in sides.values())
+                if n_parent != n_change:
+                    raise ValueError(f"{wl} seed {seed}: the parent has {n_parent} untraced "
+                                     f"runs and the change {n_change}; pairs need equal counts")
                 for name in END_TO_END:
                     pairs = list(zip(*([r["metrics"][name]["value"] for r in recs]
                                        for recs in sides.values())))
@@ -111,11 +120,16 @@ def main(argv=None) -> int:
     ap.add_argument("--note", default="")
     args = ap.parse_args(argv)
     parent, change = load_runs(args.parent), load_runs(args.change)
+    try:
+        workloads = collect(parent, change)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bench = {
         "note": args.note,
         "parent": {"sha": args.parent_sha, "env": stamp(parent)},
         "change": {"sha": args.change_sha, "env": stamp(change)},
-        "workloads": collect(parent, change),
+        "workloads": workloads,
     }
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
