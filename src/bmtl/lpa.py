@@ -30,8 +30,6 @@ from .grid import TorusGrid
 #: cube level j pairs with profile argument 2^(BAND_LEVEL_OFFSET - j) * xi
 BAND_LEVEL_OFFSET = 2
 
-_SUPPORT_TOL = 1e-14
-
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""

@@ -212,28 +212,27 @@ def _product_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 _MUCK_BLOCK_PAIRS = 1 << 16
 
 
-def _muckenhoupt_levels(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int) -> dict:
+def _muckenhoupt_levels(grid: TorusGrid, root: np.ndarray, iroot: np.ndarray, p: float,
+                        cube_range: CubeRange, i_max: int) -> dict:
     """{j: D} with D[i, c] the Muckenhoupt quantity of the c-th level-j cube Q
     (C order) whose y-domain is dilated to 2^i Q, torus-wrapped, for
-    i = 0..i_cap(j), the largest i <= i_max with 2^i side(Q) <= L (at least 0).
+    i = 0..i_cap(j), the largest i <= i_max with 2^i side(Q) <= L.
 
-    p > 1: D_i = avg_x ( avg_y ||W^(1/p)(x) W^(-1/p)(y)||^p' )^(p/p');
-    p <= 1: D_i = max_y avg_x ||W^(1/p)(x) W^(-1/p)(y)||^p.
+    root and iroot hold V^(1/p) and V^(-1/p) per grid point (grid.shape + (m, m)) for
+    a weight V: W, or the dual weight of ap_dimensions, whose roots are W's swapped.
+    p > 1: D_i = avg_x ( avg_y ||root(x) iroot(y)||^p' )^(p/p');
+    p <= 1: D_i = max_y avg_x ||root(x) iroot(y)||^p.
     x runs over Q and y over 2^i Q, each axis evenly strided to at most 64
     samples (8 in 2D), and each average is the mean over its samples, so the
     identity weight has D_i = D_0.  The cubes of a level go in blocks of at most
     _MUCK_BLOCK_PAIRS pairs.
     """
-    grid = W.grid
-    m = W.channels
-    root = W.power(1.0 / p).reshape(-1, m, m)
-    iroot = W.power(-1.0 / p).reshape(-1, m, m)
+    cube_range.validate(grid, margin=0)
+    root, iroot = (r.reshape((-1,) + r.shape[-2:]) for r in (root, iroot))
     cap = _pair_cap(grid)
     out = {}
     for j in cube_range.cube_levels():
-        i_cap = i_max
-        while i_cap >= 1 and 2.0 ** (i_cap - j) > grid.side:
-            i_cap -= 1
+        i_cap = min(i_max, grid.side_log2 + j)      # 2^(i - j) <= L = 2^side_log2
         xs = _window_samples(grid, j, 1.0, cap)
         D = np.empty((i_cap + 1, xs.shape[0]))
         for i in range(i_cap + 1):
@@ -260,19 +259,23 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
     """
     _check_p(p)
     W.reject_if_degenerate()
-    levels = _muckenhoupt_levels(W, p, cube_range, 0)
+    levels = _muckenhoupt_levels(W.grid, W.power(1.0 / p), W.power(-1.0 / p), p, cube_range, 0)
     return max(float(np.max(D[0])) for D in levels.values())
 
 
-def _unit_directions(m: int, count: int, seed: int = 7) -> np.ndarray:
+def _random_directions(m: int, count: int, seed: int) -> np.ndarray:
+    """count seeded random unit vectors in R^m; the single direction [1] when m = 1."""
     if m == 1:
         return np.ones((1, 1))
+    v = np.random.default_rng(seed).standard_normal((count, m))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _unit_directions(m: int, count: int, seed: int = 7) -> np.ndarray:
     if m == 2:
         ang = np.pi * (np.arange(count) + 0.5) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, m))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return _random_directions(m, count, seed)
 
 
 def _quadratic_forms(G: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -296,10 +299,12 @@ def _rho_per_cube(grid: TorusGrid, mags: np.ndarray, p: float, j: int) -> np.nda
     return cube_means(grid, mags, j).reshape(-1, mags.shape[-1]) ** (1.0 / p)
 
 
-def _second_moment_matrices(W: MatrixWeight, p: float, j: int) -> np.ndarray:
+def _second_moment_matrices(W: MatrixWeight, p: float, j: int) -> tuple:
+    """((avg_Q W^(2/p))^(1/2) per level-j cube, the smallest eigenvalue among them)."""
     avg = cube_means(W.grid, W.power(2.0 / p), j).reshape(-1, W.channels, W.channels)
     vals, vecs = np.linalg.eigh(avg)
-    return sym_power(np.maximum(vals, 0.0), vecs, 0.5)
+    vals = np.maximum(vals, 0.0)
+    return sym_power(vals, vecs, 0.5), float(np.sqrt(np.min(vals)))
 
 
 def _fit_log_ellipsoids(rho: np.ndarray, dirs: np.ndarray, init: np.ndarray,
@@ -358,8 +363,8 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
     dirs = _unit_directions(m, n_dirs)
     dir_mags = None
     for j in cube_range.cube_levels():
-        mats = _second_moment_matrices(W, p, j)
-        if np.min(np.linalg.eigvalsh(mats)) < EIG_FLOOR:
+        mats, low = _second_moment_matrices(W, p, j)
+        if low < EIG_FLOOR:
             raise ValueError(f"non-SPD reducing matrix at level {j}")
         if method == "ellipsoid-fit":
             if dir_mags is None:
@@ -374,13 +379,8 @@ def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
     """(c1, c2): extremes of rho_Q(y) / |A_Q y| over cubes and random unit directions,
     with |A_Q y| = (y^T A_Q^2 y)^(1/2)."""
     _check_p(p)
-    rng = np.random.default_rng(seed)
     m = W.channels
-    if m == 1:
-        dirs = np.ones((1, 1))
-    else:
-        v = rng.standard_normal((n_dirs, m))
-        dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+    dirs = _random_directions(m, n_dirs, seed)
     c1, c2 = np.inf, 0.0
     dir_mags = _direction_magnitudes(W, p, dirs)
     for j in family.cube_range.cube_levels():
@@ -429,15 +429,24 @@ def doubling_exponent(W: MatrixWeight, p: float, samples: int = 200, seed: int =
     return float(np.log2(best))
 
 
-def _dimension_one_weight(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int) -> float:
-    """max over cubes, i of (1/i) log2(D_i/D_0), clamped to [0, n), with D_i from
-    _muckenhoupt_levels."""
+def _growth_exponent(levels: dict, dim: int) -> float:
+    """max over cubes, i of (1/i) log2(D_i/D_0) in a _muckenhoupt_levels table,
+    clamped to [0, dim)."""
     d_best = 0.0
-    for D in _muckenhoupt_levels(W, p, cube_range, i_max).values():
+    for D in levels.values():
         pos = D[0] > 0
         for i in range(1, D.shape[0]):
             d_best = max(d_best, float(np.max(np.log2(D[i, pos] / D[0, pos]) / i, initial=0.0)))
-    return float(min(max(d_best, 0.0), W.grid.dim - 1e-9))
+    return float(min(max(d_best, 0.0), dim - 1e-9))
+
+
+def _dimensions(W: MatrixWeight, p: float, primal: dict, cube_range: CubeRange,
+                i_max: int) -> tuple:
+    """ap_dimensions from W's _muckenhoupt_levels table at i_max."""
+    dual = {} if p <= 1.0 else _muckenhoupt_levels(
+        W.grid, W.power(-1.0 / p), W.power(1.0 / p), conj_exponent(p), cube_range, i_max)
+    d, d_t = (_growth_exponent(levels, W.grid.dim) for levels in (primal, dual))
+    return (d, d_t, d / p + dtilde_over_pprime(d_t, p))
 
 
 def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int = 4) -> tuple:
@@ -446,21 +455,16 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
     d is the largest (1/i) log2(D_i / D_0) over the cubes Q of the range and
     i = 1..i_max with 2^i side(Q) <= L, clamped to [0, n), where D_i is the
     Muckenhoupt quantity of Q with its y-average taken over 2^i Q
-    (torus-wrapped) instead of Q.  d~ is the same for
-    W^(-1/(p-1)) at exponent p' when p > 1 and is 0 otherwise; Delta = d/p + d~/p'.
-    The averages run over an evenly strided subsample of at most 64 points per
-    axis of Q and of 2^i Q (8 in 2D), and only dyadic dilations are tried, so the
-    exponents are sampled estimates.
+    (torus-wrapped) instead of Q.  d~ is the same for W~ = W^(-1/(p-1)) at exponent
+    p' when p > 1 and is 0 otherwise; Delta = d/p + d~/p'.  As W~^(1/p') = W^(-1/p)
+    and W~^(-1/p') = W^(1/p), d~ is d's kernel at p' with W's cached roots swapped:
+    W^(-1/p) clips W's eigenvalues at EIG_FLOOR, W^(1/p) clips none.  The averages
+    run over at most 64 evenly strided points per axis of Q and of 2^i Q (8 in 2D),
+    and only dyadic dilations are tried, so the exponents are sampled estimates.
     """
     _check_p(p)
-    d = _dimension_one_weight(W, p, cube_range, i_max)
-    if p > 1.0:
-        Wt = MatrixWeight(W.grid, W.power(-1.0 / (p - 1.0)))
-        d_t = _dimension_one_weight(Wt, conj_exponent(p), cube_range, i_max)
-    else:
-        d_t = 0.0
-    delta = d / p + dtilde_over_pprime(d_t, p)
-    return (d, d_t, delta)
+    primal = _muckenhoupt_levels(W.grid, W.power(1.0 / p), W.power(-1.0 / p), p, cube_range, i_max)
+    return _dimensions(W, p, primal, cube_range, i_max)
 
 
 def strong_doubling_constant(family: ReducingFamily, p: float, d: float, d_tilde: float,
@@ -519,18 +523,17 @@ def aqw_sup(W: MatrixWeight, p: float, family: ReducingFamily) -> float:
 
 
 def diagnose(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int = 4) -> WeightDiagnostics:
-    """Assemble the full diagnostics bundle for one weight at one exponent."""
-    ap = ap_characteristic(W, p, cube_range)
+    """Assemble the full diagnostics bundle for one weight at one exponent: one
+    _muckenhoupt_levels table at i_max gives ap_char (the largest D_0) and d."""
+    _check_p(p)
+    W.reject_if_degenerate()
+    primal = _muckenhoupt_levels(W.grid, W.power(1.0 / p), W.power(-1.0 / p), p, cube_range, i_max)
+    ap = max(float(np.max(D[0])) for D in primal.values())
     beta = doubling_exponent(W, p)
-    d, d_t, delta = ap_dimensions(W, p, cube_range, i_max)
+    d, d_t, delta = _dimensions(W, p, primal, cube_range, i_max)
     family = reducing_operators(W, p, cube_range)
     c1, c2 = sandwich_constants(W, p, family)
-    margins = []
-    for v in (p, p + 0.5):
-        val = waq_integrability(W, p, family, v)
-        if np.isfinite(val):
-            margins.append(v - p)
-    delta_w = max(margins) if margins else 0.0
+    delta_w = 0.5 if np.isfinite(waq_integrability(W, p, family, p + 0.5)) else 0.0
     return WeightDiagnostics(ap, beta, d, d_t, delta, delta_w, (c1, c2))
 
 
@@ -539,9 +542,7 @@ def diagnose(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int = 4) -
 
 
 def identity_weight(grid: TorusGrid, m: int = 1) -> MatrixWeight:
-    eye = np.eye(m)
-    vals = np.broadcast_to(eye, grid.shape + (m, m)).copy()
-    return MatrixWeight(grid, vals)
+    return constant_weight(grid, np.eye(m))
 
 
 def constant_weight(grid: TorusGrid, M0: np.ndarray) -> MatrixWeight:

@@ -24,8 +24,12 @@ def untraced(run_s, setup_s, rss, failed=0):
                                   "peak_rss_mb": (rss, "MB")}, failed)
 
 
-def traced(workload, fft_calls, self_s):
+def traced(workload, fft_calls, self_s, power_calls=6):
     return record(workload, 1, {"fft.calls": (fft_calls, "count"), "fft.self_s": (self_s, "s"),
+                                "weights.MatrixWeight.power.calls": (power_calls, "count"),
+                                "weights.MatrixWeight.power.self_s": (self_s / 5, "s"),
+                                "weights.reducing_operators.calls": (2, "count"),
+                                "weights.reducing_operators.self_s": (0.01, "s"),
                                 "spaces.peetre_norm.calls": (4, "count"),
                                 "fieldio.write_coeffs.calls": (1, "count"),
                                 "fieldio.write_coeffs.self_s": (0.04, "s"),
@@ -42,7 +46,7 @@ def test_collect_pairs_spreads_and_counts():
     change = {("equiv_1d", 7, 0): [untraced(3.5, 0.2, 90.0), untraced(0.5, 0.2, 95.0),
                                    untraced(2.0, 0.2, 99.0, failed=1)],
               ("equiv_1d", 7, 1): [traced("equiv_1d", 10, 0.25)],
-              ("transforms", 7, 1): [traced("transforms", 12, 0.5)]}
+              ("transforms", 7, 1): [traced("transforms", 12, 0.5, power_calls=4)]}
     out = bench_collect.collect(parent, change)
 
     un = out["equiv_1d"]["seed7"]["untraced"]
@@ -62,12 +66,19 @@ def test_collect_pairs_spreads_and_counts():
     assert same["change"]["fft.self_s"] == 0.25
     moved = out["transforms"]["seed7"]["traced"]
     assert moved["counts_equal"] is False
-    assert moved["counts_differing"] == ["fft.calls"]
+    assert moved["counts_differing"] == ["fft.calls", "weights.MatrixWeight.power.calls"]
     assert "untraced" not in out["transforms"]["seed7"]
     # the coefficient-file stages are reported, so a BENCH file shows where I/O time goes
     assert moved["change"]["fieldio.write_coeffs.calls"] == 1
     assert moved["parent"]["fieldio.read_coeffs.self_s"] == 0.05
     assert same["change"]["fieldio.read_coeffs.self_s"] == 0.025
+    # so are the weight powers and reducing operators, so a BENCH file shows the powers
+    # a diagnostics change stops taking
+    assert (moved["parent"]["weights.MatrixWeight.power.calls"],
+            moved["change"]["weights.MatrixWeight.power.calls"]) == (6, 4)
+    assert same["change"]["weights.MatrixWeight.power.self_s"] == 0.05
+    assert moved["change"]["weights.reducing_operators.calls"] == 2
+    assert moved["parent"]["weights.reducing_operators.self_s"] == 0.01
 
 
 def write_records(directory, records):

@@ -219,12 +219,15 @@ def test_cli_check_ap_and_reduce(tmp_path):
     res = run_cli("reduce", "--weight", str(wpath), "--p", "2.0", "--dirs", "64")
     assert res.returncode == 0
     assert json.loads(res.stdout)["ratio"] <= 1.0 + 1e-8
+    bad_args = {("--p", "nan"): "p must be finite and positive",
+                ("--p", "2.0", "--j-max", "99"): "j_max 99 exceeds grid resolution minus margin (5)"}
     for cmd in ("check-ap", "reduce"):
-        res = run_cli(cmd, "--weight", str(wpath), "--p", "nan")
-        assert res.returncode == 2, (cmd, res.stdout)
-        assert res.stdout == ""
-        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
-        assert "p must be finite and positive" in res.stderr
+        for args, message in bad_args.items():
+            res = run_cli(cmd, "--weight", str(wpath), *args)
+            assert res.returncode == 2, (cmd, args, res.stdout)
+            assert res.stdout == ""
+            assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+            assert message in res.stderr, (cmd, res.stderr)
 
 
 def test_cli_norm_and_filter(tmp_path):

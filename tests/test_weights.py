@@ -319,6 +319,12 @@ def test_constant_weight_reducing_exact():
                 assert np.max(np.abs(A - root)) < 1e-10
 
 
+def test_reducing_rejects_non_spd_matrix():
+    W = constant_weight(GRID, np.diag([1e-30, 1.0]))      # A_Q = diag(1e-15, 1)
+    with pytest.raises(ValueError, match="non-SPD reducing matrix at level"):
+        reducing_operators(W, 2.0, RANGE)
+
+
 def test_second_moment_exact_at_p2():
     for name, W in weight_gallery(GRID, 2).items():
         fam = reducing_operators(W, 2.0, RANGE)
@@ -397,6 +403,15 @@ def test_dimensions_dtilde_zero_for_small_p():
     d, dt, delta = ap_dimensions(power_weight(GRID, 0.25), 0.7, CubeRange(-1, 2))
     assert dt == 0.0
     assert delta == pytest.approx(d / 0.7)
+
+
+def test_dimensions_of_ill_conditioned_constant_weight():
+    # min eigenvalue 1e-6 passes reject_if_degenerate, while W^(-1/(p-1)) = W^-2 has
+    # entries near 1e12, whose rounding exceeds MatrixWeight's 1e-10 symmetry check
+    t = 0.3
+    R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    W = constant_weight(GRID, R @ np.diag([1e-6, 1.0]) @ R.T)
+    assert ap_dimensions(W, 1.5, CubeRange(-1, 2)) == (0.0, 0.0, 0.0)
 
 
 def test_dimensions_power_golden():
@@ -485,3 +500,17 @@ def test_diagnose_bundle():
     d = diag.as_dict()
     assert set(d) == {"ap_char", "beta", "d", "d_tilde", "delta_cap", "delta_w",
                       "sandwich_c1", "sandwich_c2"}
+    # the bundle shares one table between ap_char and d; the standalone functions
+    # each build their own (m = 3 on small grids: its products go through the SVD)
+    small_1d, grid_2d, small_2d = TorusGrid(1, 1, 4), TorusGrid(2, 1, 4), TorusGrid(2, 1, 3)
+    for grid, cube_range, m, p in ((GRID, CubeRange(-1, 3), 2, 0.8),
+                                   (GRID, CubeRange(-1, 3), 2, 1.5),
+                                   (small_1d, CubeRange(-1, 2), 3, 3.0),
+                                   (grid_2d, CubeRange(-1, 1), 2, 1.5),
+                                   (small_2d, CubeRange(-1, 1), 3, 0.8)):
+        W = _smooth_weight(grid, m, seed=m)
+        diag = diagnose(W, p, cube_range, i_max=2)
+        np.testing.assert_allclose(
+            (diag.ap_char, diag.d, diag.d_tilde, diag.delta_cap),
+            (ap_characteristic(W, p, cube_range), *ap_dimensions(W, p, cube_range, i_max=2)),
+            rtol=1e-12, atol=0.0, err_msg=str((grid.dim, m, p)))

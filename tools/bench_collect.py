@@ -16,8 +16,9 @@ workload and seed:
   - traced runs: the `.calls` and `.self_s` of the pair-kernel norms, of the
     Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), of the weight
     diagnostics (`ap_characteristic`, `ap_dimensions`, `doubling_exponent`,
-    `sandwich_constants`, `diagnose`) and of the transforms (`ad_random_operator`,
-    `ad_apply`, `phi_transform`, `phi_synthesis`, `psdo_apply`) and coefficient
+    `reducing_operators`, `sandwich_constants`, `diagnose`, `MatrixWeight.power`)
+    and of the transforms (`ad_random_operator`, `ad_apply`, `phi_transform`,
+    `phi_synthesis`, `psdo_apply`) and coefficient
     files (`write_coeffs`, `read_coeffs`), the FFT counters and self time, and
     whether every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
@@ -37,7 +38,9 @@ TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm
                                          "spaces.glambda_norm", "spaces.bm_array_norm",
                                          "dyadic.cube_sums", "weights.ap_characteristic",
                                          "weights.ap_dimensions", "weights.doubling_exponent",
+                                         "weights.reducing_operators",
                                          "weights.sandwich_constants", "weights.diagnose",
+                                         "weights.MatrixWeight.power",
                                          "coeff.ad_random_operator", "coeff.ad_apply",
                                          "coeff.phi_transform", "coeff.phi_synthesis",
                                          "fieldio.write_coeffs", "fieldio.read_coeffs",
