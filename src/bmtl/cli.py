@@ -94,13 +94,17 @@ def cmd_norm(args) -> int:
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
     bank = make_inhom_partition() if rng.inhomogeneous else make_admissible_pair()
+    if args.space in ("F", "f") and args.cubewise:
+        # the truncation check reads A_Q one level past each end of the range
+        w = CubewiseWeighting(reducing_operators(
+            W, sp.p, rng.widened(grid) if args.truncation else rng))
+    else:
+        w = pw
     if args.space == "F":
-        w = CubewiseWeighting(reducing_operators(W, sp.p, rng)) if args.cubewise else pw
         rep = tl_norm(f, w, sp, bank, rng, truncation_check=args.truncation)
     elif args.space == "f":
-        coeffs = phi_transform(f, bank, rng)
-        w = CubewiseWeighting(reducing_operators(W, sp.p, rng)) if args.cubewise else pw
-        rep = seq_norm(coeffs, w, sp, rng)
+        rep = seq_norm(phi_transform(f, bank, rng), w, sp, rng,
+                       truncation_check=args.truncation)
     elif args.space == "peetre":
         a, = float_params({"a": 3.0, **params}, ["a"])
         rep = peetre_norm(f, pw, sp, a, bank, rng)

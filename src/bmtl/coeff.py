@@ -229,10 +229,15 @@ class MoleculeParams:
 
 @dataclass
 class AtomParams:
+    """Measured atom data.  wrapped: the support reaches the antipode of the cube
+    corner along some axis, so b and L, taken in wrapped coordinates about the
+    corner, mean nothing."""
+
     b: float
     L: int
     N: int
     derivative_consts: dict = None
+    wrapped: bool = False
 
 
 def _multi_indices(n: int, order: int) -> list:
@@ -307,13 +312,17 @@ def measure_atom_params(atom: SampledField, cube: DyadicCube, L_max: int = 3,
                         N_max: int = 2, tol: float = 1e-8) -> AtomParams:
     """Measured (b, L, N) data of one atom: support factor relative to the cube,
     the largest vanishing-moment order below tol, and derivative sup constants
-    scaled by l(Q)^(|gamma| + n/2)."""
+    scaled by l(Q)^(|gamma| + n/2); flagged wrapped when the support reaches the
+    antipode of the corner."""
     grid = atom.grid
     vals = atom.scalar()
     rel = _centered_coords(grid, cube.corner)
     dist = np.sqrt(sum(r * r for r in rel))
     nz = np.abs(vals) > 1e-12 * max(float(np.max(np.abs(vals))), 1e-300)
     b = float(np.max(dist[nz]) / cube.side) if np.any(nz) else 0.0
+    # the antipodal sample of each axis is the only one past half a spacing short of L/2
+    antipode = np.logical_or.reduce([np.abs(r) > (grid.side - grid.spacing) / 2.0 for r in rel])
+    wrapped = bool(np.any(nz & antipode))
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     L = -1
     for order in range(L_max + 1):
@@ -333,7 +342,7 @@ def measure_atom_params(atom: SampledField, cube: DyadicCube, L_max: int = 3,
     for gamma in _multi_indices(grid.dim, N_max):
         dv = spectral_derivative(atom, gamma).scalar()
         consts[gamma] = float(np.max(np.abs(dv)) * cube.side ** (sum(gamma) + grid.dim / 2.0))
-    return AtomParams(b=b, L=L, N=N_max, derivative_consts=consts)
+    return AtomParams(b=b, L=L, N=N_max, derivative_consts=consts, wrapped=wrapped)
 
 
 def _child_slices(dim: int) -> list:

@@ -96,14 +96,24 @@ def quad_integral(g: SampledField, region=None) -> float:
     return float(total)
 
 
+def fourier_multiply(f: SampledField, mult: np.ndarray) -> SampledField:
+    """The field whose spectrum is f's spectrum times the lattice multiplier mult
+    (grid.shape, FFT order) in every channel; real when f and mult are real."""
+    axes = tuple(range(f.grid.dim))
+    spec = np.fft.fftn(f.values, axes=axes) * f.grid.cell_measure
+    values = np.fft.ifftn(spec * mult[..., None], axes=axes) / f.grid.cell_measure
+    if not f.is_complex and not np.iscomplexobj(mult):
+        values = values.real
+    return SampledField(f.grid, values)
+
+
 def spectral_derivative(f: SampledField, orders) -> SampledField:
     """Partial derivative prod_i (d/dx_i)^orders[i] via the frequency lattice."""
-    F = to_spectral(f)
     mult = np.ones(f.grid.shape, dtype=complex)
     for freq, g in zip(f.grid.freqs(), orders):
         if g:
             mult = mult * (2j * np.pi * freq) ** g
-    out = from_spectral(SpectralField(F.grid, F.coeffs * mult[..., None]))
+    out = fourier_multiply(f, mult)
     if not f.is_complex:
         out = SampledField(f.grid, out.values.real)
     return out

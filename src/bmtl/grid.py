@@ -57,20 +57,15 @@ class TorusGrid:
 
     def coords(self) -> list:
         """Per-axis coordinate arrays broadcast to the full grid shape."""
-        ax = self.axis_coords()
-        if self.dim == 1:
-            return [ax]
-        return list(np.meshgrid(ax, ax, indexing="ij"))
+        return list(np.meshgrid(*[self.axis_coords()] * self.dim, indexing="ij"))
 
     def axis_freqs(self) -> np.ndarray:
         """Frequency lattice along one axis, xi in (1/L)*{-N/2,...,N/2-1}, FFT order."""
         return np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
     def freqs(self) -> list:
-        fx = self.axis_freqs()
-        if self.dim == 1:
-            return [fx]
-        return list(np.meshgrid(fx, fx, indexing="ij"))
+        """Per-axis frequency arrays broadcast to the full grid shape, FFT order."""
+        return list(np.meshgrid(*[self.axis_freqs()] * self.dim, indexing="ij"))
 
     def freq_radius(self) -> np.ndarray:
         """|xi| on the frequency lattice, FFT order, full grid shape."""

@@ -17,7 +17,7 @@ import numpy as np
 from .coeff import phi_level
 from .coeffseq import CoeffSequence
 from .dyadic import CubeRange
-from .fields import SampledField, l2_norm
+from .fields import SampledField, fourier_multiply, l2_norm
 from .grid import TorusGrid
 from .lpa import covered_band, make_admissible_pair, make_inhom_partition
 from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
@@ -138,12 +138,9 @@ def band_limited_noise(grid: TorusGrid, channels: int, lo: float, hi: float,
                        rng) -> SampledField:
     """Real field with spectrum restricted to the annulus lo <= |xi| <= hi."""
     rho = grid.freq_radius()
-    mask = (rho >= lo) & (rho <= hi)
-    white = rng.standard_normal(grid.shape + (channels,))
-    spec = np.fft.fftn(white, axes=tuple(range(grid.dim))) * mask[..., None]
-    vals = np.fft.ifftn(spec, axes=tuple(range(grid.dim))).real
-    scale = np.sqrt(np.sum(vals ** 2) * grid.cell_measure)
-    return SampledField(grid, vals / max(scale, 1e-300))
+    white = SampledField(grid, rng.standard_normal(grid.shape + (channels,)))
+    f = fourier_multiply(white, (rho >= lo) & (rho <= hi))
+    return SampledField(grid, f.values / max(l2_norm(f), 1e-300))
 
 
 def band_limited_bump(grid: TorusGrid, channels: int, lo: float, hi: float,
@@ -157,14 +154,9 @@ def band_limited_bump(grid: TorusGrid, channels: int, lo: float, hi: float,
     d = grid.torus_dist(coords, np.asarray(center))
     bump = np.exp(-(d / width) ** 2)
     rho = grid.freq_radius()
-    mask = (rho >= lo) & (rho <= hi)
-    out = np.empty(grid.shape + (channels,))
-    for c in range(channels):
-        spec = np.fft.fftn(bump * (1.0 + 0.3 * c)) * mask
-        out[..., c] = np.fft.ifftn(spec).real
-    f = SampledField(grid, out)
-    scale = l2_norm(f)
-    return SampledField(grid, out / max(scale, 1e-300))
+    scaled = SampledField(grid, bump[..., None] * (1.0 + 0.3 * np.arange(channels)))
+    f = fourier_multiply(scaled, (rho >= lo) & (rho <= hi))
+    return SampledField(grid, f.values / max(l2_norm(f), 1e-300))
 
 
 def harmonic_field(grid: TorusGrid, channels: int, freq_index: int,
@@ -213,8 +205,7 @@ def function_gallery(grid: TorusGrid, cube_range: CubeRange, channels: int,
 def dilate_field(f: SampledField) -> SampledField:
     """f(2x) on the same grid (exact for periodic sampling)."""
     idx = (2 * np.arange(f.grid.points_per_axis)) % f.grid.points_per_axis
-    vals = f.values[idx] if f.grid.dim == 1 else f.values[np.ix_(idx, idx)]
-    return SampledField(f.grid, vals)
+    return SampledField(f.grid, f.values[np.ix_(*[idx] * f.grid.dim)])
 
 
 def four_norms(f: SampledField, W, p: float, sp: SpaceParams, bank, cube_range,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SampledField, SpectralField, from_spectral, to_spectral
+from .fields import SampledField, SpectralField, fourier_multiply, to_spectral
 from .grid import TorusGrid
 
 #: cube level j pairs with profile argument 2^(BAND_LEVEL_OFFSET - j) * xi
@@ -189,12 +189,7 @@ def make_inhom_partition() -> InhomPartition:
 
 def band_filter(f: SampledField, profile: RadialProfile, j: int) -> SampledField:
     """Spectral multiplication by profile(2^-j |xi|), channelwise."""
-    F = to_spectral(f)
-    mult = profile(F.grid.freq_radius() * 2.0 ** (-j))
-    out = from_spectral(SpectralField(F.grid, F.coeffs * mult[..., None]))
-    if not f.is_complex:
-        out = SampledField(f.grid, out.values.real)
-    return out
+    return fourier_multiply(f, profile(f.grid.freq_radius() * 2.0 ** (-j)))
 
 
 def check_bank(bank, cube_range):
@@ -212,8 +207,9 @@ def band_outputs(F: SpectralField, bank, levels):
     grid.shape + (channels,).  Analysis only: phi synthesis sums its levels in
     the spectrum (coeff.phi_synthesis)."""
     axes = tuple(range(F.grid.dim))
+    rho = F.grid.freq_radius()
     for j in levels:
-        mult = bank.analysis(F.grid.freq_radius(), j)
+        mult = bank.analysis(rho, j)
         yield j, np.fft.ifftn(F.coeffs * mult[..., None], axes=axes) / F.grid.cell_measure
 
 
@@ -251,20 +247,12 @@ def check_admissible(pair: AdmissiblePair, grid: TorusGrid, levels) -> dict:
 
 def bessel_potential(f: SampledField, gamma: float) -> SampledField:
     """Spectral multiplication by (1+|xi|^2)^(-gamma/2)."""
-    F = to_spectral(f)
-    mult = (1.0 + F.grid.freq_radius() ** 2) ** (-gamma / 2.0)
-    out = from_spectral(SpectralField(F.grid, F.coeffs * mult[..., None]))
-    if not f.is_complex:
-        out = SampledField(f.grid, out.values.real)
-    return out
+    return fourier_multiply(f, (1.0 + f.grid.freq_radius() ** 2) ** (-gamma / 2.0))
 
 
 def h2_sobolev_norm(g: SampledField, s: float) -> float:
     """(sum_xi (1+|xi|^2)^s |F g(xi)|^2 / L^n)^(1/2) for a scalar field."""
-    G = to_spectral(g)
-    w = (1.0 + G.grid.freq_radius() ** 2) ** s
-    total = np.sum(w * np.abs(G.coeffs[..., 0]) ** 2) / G.grid.side ** G.grid.dim
-    return float(np.sqrt(total))
+    return h2_profile_norm(g.grid, to_spectral(g).coeffs[..., 0], s)
 
 
 def h2_profile_norm(grid: TorusGrid, profile_vals: np.ndarray, s: float) -> float:

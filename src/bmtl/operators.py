@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SampledField, SpectralField, from_spectral, to_spectral
+from .fields import SampledField, fourier_multiply, to_spectral
 from .grid import TorusGrid
 from .lpa import InhomPartition, RadialProfile, holder_zygmund_norm, make_inhom_partition
 from .fields import scalar_field
@@ -109,7 +109,6 @@ def hilbert_riesz_apply(f: SampledField, component: int = 1) -> SampledField:
     Multiplier -i sgn(xi), resp. -i xi_c / |xi|, with the zero mode mapped to 0.
     """
     grid = f.grid
-    F = to_spectral(f)
     if grid.dim == 1:
         mult = -1j * np.sign(grid.freqs()[0])
     else:
@@ -119,8 +118,7 @@ def hilbert_riesz_apply(f: SampledField, component: int = 1) -> SampledField:
         r = grid.freq_radius()
         with np.errstate(invalid="ignore", divide="ignore"):
             mult = np.where(r > 0, -1j * fx / np.where(r > 0, r, 1.0), 0.0)
-    out = from_spectral(SpectralField(grid, F.coeffs * mult[..., None]))
-    return out
+    return fourier_multiply(f, mult)
 
 
 def cz_kernel_check(kernel: SampledField, L: int, inner_radius_cells: int = 4) -> dict:
@@ -178,12 +176,8 @@ def multiplier_apply(mults: list, fs: list, support_radii: list = None) -> list:
             check_band_support(fk, radius)
     out = []
     for mk, fk in zip(mults, fs):
-        F = to_spectral(fk)
-        mv = mk(F.grid.freq_radius()) if isinstance(mk, RadialProfile) else np.asarray(mk)
-        res = from_spectral(SpectralField(F.grid, F.coeffs * mv[..., None]))
-        if not fk.is_complex and not np.iscomplexobj(mv):
-            res = SampledField(fk.grid, res.values.real)
-        out.append(res)
+        mv = mk(fk.grid.freq_radius()) if isinstance(mk, RadialProfile) else np.asarray(mk)
+        out.append(fourier_multiply(fk, mv))
     return out
 
 
@@ -231,9 +225,7 @@ def _xi_interior_mask(grid: TorusGrid, order: int) -> np.ndarray:
     N = grid.points_per_axis
     ax = np.zeros(N, dtype=bool)
     ax[order: N - order] = True
-    if grid.dim == 1:
-        return ax
-    return ax[:, None] & ax[None, :]
+    return np.logical_and.reduce(np.meshgrid(*[ax] * grid.dim, indexing="ij"))
 
 
 def hormander_seminorm(sigma: SymbolGrid, params: SymbolClassParams,

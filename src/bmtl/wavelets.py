@@ -8,7 +8,9 @@ factor that turns the sample-space isometry into a grid-L2 isometry:
 sum |<f, psi_Q>|^2 = ||f||_L2^2 over all detail and final approximation slots.
 
 Generator indexing: 0 is the final approximation (coarsest scaling part);
-1..2^n-1 are detail subbands (1D: 1; 2D: 1=LH, 2=HL, 3=HH).  Each generator's
+1..2^n-1 are detail subbands.  Bit k of generator i, counted from the most
+significant of n bits, picks the high-pass filter along axis k (2D: 1=LH,
+2=HL, 3=HH), the order of coeff._child_slices.  Each generator's
 coefficients are one CoeffSequence; every pyramid step writes its subbands
 whole as that level's array, and synthesis reads the level arrays back.
 """
@@ -117,16 +119,11 @@ def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> di
     a = f.values.astype(complex if f.is_complex else float)
     for step in range(1, depth + 1):
         j = grid.res_log2 - step
-        if grid.dim == 1:
-            bands = [_analysis_step(a, hi, 0)]
-            a = _analysis_step(a, lo, 0)
-        else:
-            row_lo = _analysis_step(a, lo, 0)
-            row_hi = _analysis_step(a, hi, 0)
-            bands = [_analysis_step(row_lo, hi, 1), _analysis_step(row_hi, lo, 1),
-                     _analysis_step(row_hi, hi, 1)]
-            a = _analysis_step(row_lo, lo, 1)
-        for i, band in enumerate(bands, 1):
+        bands = [a]
+        for axis in range(grid.dim):
+            bands = [_analysis_step(b, filt, axis) for b in bands for filt in (lo, hi)]
+        a = bands[0]
+        for i, band in enumerate(bands[1:], 1):
             out[i][j] = band * scale
     out[0][cube_range.j_min] = a * scale
     return {i: CoeffSequence(grid, arrays, f.channels) for i, arrays in out.items()}
@@ -145,12 +142,12 @@ def wavelet_synthesize(coeffs: dict, db_order: int) -> SampledField:
 
     a = band(0, j_min)
     for j in range(j_min, grid.res_log2):
-        if grid.dim == 1:
-            a = _synthesis_step(a, band(1, j), lo, hi, 0)
-        else:
-            row_lo = _synthesis_step(a, band(1, j), lo, hi, 1)
-            row_hi = _synthesis_step(band(2, j), band(3, j), lo, hi, 1)
-            a = _synthesis_step(row_lo, row_hi, lo, hi, 0)
+        bands = [a] + [band(i, j) for i in range(1, 2 ** grid.dim)]
+        # the last axis left is the lowest bit, so entries 2k and 2k + 1 differ only there
+        for axis in reversed(range(grid.dim)):
+            bands = [_synthesis_step(bands[k], bands[k + 1], lo, hi, axis)
+                     for k in range(0, len(bands), 2)]
+        a, = bands
     if np.max(np.abs(a.imag)) < 1e-13 * max(np.max(np.abs(a.real)), 1.0):
         a = a.real
     return SampledField(grid, a)

@@ -113,6 +113,9 @@ class ReducingFamily:
         return self.arrays[cube.level][cube.index]
 
     def level_array(self, j: int) -> np.ndarray:
+        if j not in self.arrays:
+            raise ValueError(f"reducing family has no level {j}: its window is "
+                             f"[{self.cube_range.j_min}, {self.cube_range.j_max}]")
         return self.arrays[j]
 
 

@@ -35,6 +35,10 @@ def traced(workload, fft_calls, self_s, power_calls=6):
                                 "fieldio.write_coeffs.self_s": (0.04, "s"),
                                 "fieldio.read_coeffs.calls": (1, "count"),
                                 "fieldio.read_coeffs.self_s": (self_s / 10, "s"),
+                                "wavelets.wavelet_analyze.calls": (2, "count"),
+                                "wavelets.wavelet_analyze.self_s": (self_s / 20, "s"),
+                                "wavelets.wavelet_synthesize.calls": (3, "count"),
+                                "wavelets.wavelet_synthesize.self_s": (0.02, "s"),
                                 "fieldio.bytes": (100, "bytes")})
 
 
@@ -79,6 +83,11 @@ def test_collect_pairs_spreads_and_counts():
     assert same["change"]["weights.MatrixWeight.power.self_s"] == 0.05
     assert moved["change"]["weights.reducing_operators.calls"] == 2
     assert moved["parent"]["weights.reducing_operators.self_s"] == 0.01
+    # and the wavelet transforms, so a BENCH file shows what the pyramid costs
+    assert moved["change"]["wavelets.wavelet_analyze.calls"] == 2
+    assert same["change"]["wavelets.wavelet_analyze.self_s"] == 0.0125
+    assert moved["parent"]["wavelets.wavelet_synthesize.calls"] == 3
+    assert moved["change"]["wavelets.wavelet_synthesize.self_s"] == 0.02
 
 
 def write_records(directory, records):

@@ -418,6 +418,22 @@ def test_wavelet_orthonormal_basis_roundtrip():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("db", [2, 4])
+def test_wavelet_2d_generators_are_separable_in_axis_order(db):
+    # bit k of generator i (most significant first) picks the 1D wavelet, not the
+    # scaling function, along axis k; the round trip and Parseval hold under any
+    # permutation of the generators, this pins their order
+    g1, g2 = TorusGrid(1, 1, 4), TorusGrid(2, 1, 4)
+    j, index = 1, (1, 2)
+    one_d = [[wavelet_basis_field(g1, db, gen, DyadicCube(j, (k,)), j).scalar()
+              for gen in (0, 1)] for k in index]
+    for i in range(4):
+        bits = ((i >> 1) & 1, i & 1)
+        expect = np.outer(one_d[0][bits[0]], one_d[1][bits[1]])
+        got = wavelet_basis_field(g2, db, i, DyadicCube(j, index), j).scalar()
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), i
+
+
 def test_wavelet_linearity():
     rng = np.random.default_rng(9)
     g = TorusGrid(1, 1, 6)
@@ -504,6 +520,18 @@ def test_atom_single_coefficient_support_and_synthesis():
     assert params.L == 5
     assert 0.0 < params.b < 60.0
     assert all(np.isfinite(v) for v in params.derivative_consts.values())
+
+
+def test_atom_params_flag_wrapped_atoms():
+    # a db6 atom spans 11 parent sides: on a side-4 torus the atoms of child levels
+    # 1-3 reach the antipode of their corner, where the wrapped coordinates jump
+    g = TorusGrid(1, 2, 10)
+    for j in range(1, 7):
+        child = DyadicCube(j, (2,))
+        params = measure_atom_params(atom_field(g, 6, child), child, L_max=5, N_max=0)
+        assert params.wrapped == (j <= 3), j
+        if not params.wrapped:
+            assert params.L == 5 and params.b <= 22.0, (j, params)
 
 
 def test_atom_rearrange_sparse_gallery_synthesis():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bmtl.dyadic import DyadicCube
-from bmtl.fields import (SampledField, from_spectral, l2_norm, quad_integral,
-                         scalar_field, spectral_derivative, spectral_l2_norm,
-                         to_spectral)
+from bmtl.fields import (SampledField, SpectralField, fourier_multiply, from_spectral,
+                         l2_norm, quad_integral, scalar_field, spectral_derivative,
+                         spectral_l2_norm, to_spectral)
 from bmtl.grid import TorusGrid
 
 
@@ -111,3 +111,25 @@ def test_spectral_derivative_harmonic():
     df = spectral_derivative(f, (1,))
     expect = 2 * np.pi * xi0 * np.cos(2 * np.pi * xi0 * x)
     assert np.max(np.abs(df.values[..., 0] - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)])
+@pytest.mark.parametrize("complex_f", [False, True])
+@pytest.mark.parametrize("complex_mult", [False, True])
+def test_fourier_multiply_matches_spectral_round_trip(grid, complex_f, complex_mult):
+    # oracle: the to_spectral -> from_spectral(SpectralField(...)) form, bit for bit;
+    # the result is real exactly when the field and the multiplier are
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal(grid.shape + (2,))
+    if complex_f:
+        vals = vals + 1j * rng.standard_normal(grid.shape + (2,))
+    f = SampledField(grid, vals)
+    mult = np.cos(3.0 * grid.freq_radius())
+    if complex_mult:
+        mult = mult * np.exp(1j * grid.freqs()[0])
+    out = fourier_multiply(f, mult)
+    direct = from_spectral(SpectralField(grid, to_spectral(f).coeffs * mult[..., None])).values
+    if not (complex_f or complex_mult):
+        direct = direct.real
+    assert out.values.dtype == direct.dtype
+    assert out.values.tobytes() == direct.tobytes()

@@ -305,6 +305,29 @@ def test_cli_norm_and_filter(tmp_path):
     assert out.exists()
 
 
+def test_cli_norm_truncation_with_every_weighting(tmp_path):
+    # the check reads the norm one level past each end of the range: the cubewise
+    # family is built on the widened range (each level's A_Q on its own, so the
+    # value is unchanged), and the sequence space passes the check on too
+    g = TorusGrid(1, 2, 7)
+    W = oscillating_weight(g)
+    fpath, wpath = tmp_path / "f.bin", tmp_path / "w.bin"
+    fieldio.write_field(fpath, band_limited_noise(g, W.channels, 0.5, 4.0,
+                                                  np.random.default_rng(2)))
+    fieldio.write_weight(wpath, W)
+    params = json.dumps({"s": 0.5, "p": 1.5, "q": 1.5, "t": 2.0, "j_min": -1, "j_max": 3})
+    for space in ("F", "f"):
+        for cubewise in ((), ("--cubewise",)):
+            args = ("norm", "--space", space, "--params", params, "--field", str(fpath),
+                    "--weight", str(wpath), *cubewise)
+            plain, checked = run_cli(*args), run_cli(*args, "--truncation")
+            assert plain.returncode == 0 and checked.returncode == 0, (space, checked.stderr)
+            plain, checked = json.loads(plain.stdout), json.loads(checked.stdout)
+            assert "truncation" not in plain
+            assert checked["value"] == plain["value"], (space, cubewise)
+            assert checked["truncation"] > 0, (space, cubewise)
+
+
 def test_cli_transform_and_bound(tmp_path):
     g = TorusGrid(1, 2, 7)
     rng = np.random.default_rng(3)

@@ -325,6 +325,14 @@ def test_reducing_rejects_non_spd_matrix():
         reducing_operators(W, 2.0, RANGE)
 
 
+def test_reducing_family_names_a_missing_level():
+    fam = reducing_operators(constant_weight(GRID, np.eye(2)), 2.0, CubeRange(-1, 2))
+    assert fam.level_array(2).shape[-2:] == (2, 2)
+    for j in (-2, 3):
+        with pytest.raises(ValueError, match=rf"no level {j}: its window is \[-1, 2\]"):
+            fam.level_array(j)
+
+
 def test_second_moment_exact_at_p2():
     for name, W in weight_gallery(GRID, 2).items():
         fam = reducing_operators(W, 2.0, RANGE)

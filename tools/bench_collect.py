@@ -18,7 +18,7 @@ workload and seed:
     diagnostics (`ap_characteristic`, `ap_dimensions`, `doubling_exponent`,
     `reducing_operators`, `sandwich_constants`, `diagnose`, `MatrixWeight.power`)
     and of the transforms (`ad_random_operator`, `ad_apply`, `phi_transform`,
-    `phi_synthesis`, `psdo_apply`) and coefficient
+    `phi_synthesis`, `wavelet_analyze`, `wavelet_synthesize`, `psdo_apply`) and coefficient
     files (`write_coeffs`, `read_coeffs`), the FFT counters and self time, and
     whether every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
@@ -43,6 +43,8 @@ TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm
                                          "weights.MatrixWeight.power",
                                          "coeff.ad_random_operator", "coeff.ad_apply",
                                          "coeff.phi_transform", "coeff.phi_synthesis",
+                                         "wavelets.wavelet_analyze",
+                                         "wavelets.wavelet_synthesize",
                                          "fieldio.write_coeffs", "fieldio.read_coeffs",
                                          "operators.psdo_apply")
           for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls",
