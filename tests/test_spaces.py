@@ -12,11 +12,13 @@ from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field, four_norms
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _cyclic_max,
-                         _cyclic_mean, _level_sum, _matvec_norm, _pair_reduce, approx_norm,
+                         _cyclic_mean, _level_sum, _matvec_norm, _offset_dist, _pair_reduce,
+                         _pair_sums, _real_band, _series_sum, _series_table, approx_norm,
                          averaging, bm_array_norm, bm_norm, bm_seq_norm, glambda_norm,
                          hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
-from bmtl.weights import (MatrixWeight, ReducingFamily, identity_weight, operator_norms,
-                          oscillating_weight, reducing_operators)
+from bmtl.weights import (MatrixWeight, ReducingFamily, constant_weight, identity_weight,
+                          operator_norms, oscillating_weight, power_weight, reducing_operators,
+                          rotated_diag_weight)
 
 GRID = TorusGrid(1, 2, 8)          # N = 1024, L = 4
 RANGE = CubeRange(-2, 6)
@@ -523,6 +525,117 @@ def test_pair_reduce_reads_offset_tables(grid):
             want = [op.reduce(np.linalg.norm(v @ root[x].T, axis=1) ** (2 * power)
                               * kern[tuple(offsets[x].T)]) for x in range(npts)]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _pair_kernels(grid, j, q):
+    """The level-j Lusin ball and g-lambda-star tail (lambda = 3) offset tables."""
+    dist = _offset_dist(grid)
+    return [(dist <= 2.0 ** (-j) + 1e-9 * grid.spacing).astype(float),
+            (1.0 + 2.0 ** j * dist) ** (-3.0 * grid.dim * q)]
+
+
+# 1D N = 256 and 2D 32^2: m = 1 (power_weight) and the m = 2 weights, whose
+# largest rho runs from 0 (identity) to 0.92 (rotated_diag in 1D, n_max ~ 100).
+@pytest.mark.parametrize("grid, cube_range", [(TorusGrid(1, 1, 7), CubeRange(-1, 5)),
+                                              (TorusGrid(2, 1, 4), CubeRange(-1, 2))])
+@pytest.mark.parametrize("make_weight", [
+    lambda g: power_weight(g, 0.5), lambda g: identity_weight(g, 2),
+    lambda g: constant_weight(g, np.array([[2.0, 0.5], [0.5, 1.0]])), oscillating_weight,
+    rotated_diag_weight], ids=["power", "identity", "constant", "oscillating", "rotated_diag"])
+def test_angular_pair_sum_matches_direct(grid, cube_range, make_weight):
+    """The angular series against _pair_reduce at every level with a nonzero band,
+    both kernels and q in {1.5, 2, 3}, to 1e-12 of the level's largest sum; the
+    stated bound holds against the series at twice the order."""
+    rng = np.random.default_rng(31)
+    W = make_weight(grid)
+    m = W.channels
+    f = band_limited_noise(grid, m, 0.0, 2.0 ** cube_range.j_max, rng)
+    w = PointwiseWeighting(W, 1.5)
+    P = W.power(2.0 / w.p)
+    # (T/2) I, whose pair sum is (T/2)^s [K (*) R^s], the scale of the bound
+    half_trace = np.trace(P, axis1=-2, axis2=-1) / m
+    iso = PointwiseWeighting(MatrixWeight(grid, (half_trace ** (w.p / 2))[..., None, None]
+                                          * np.eye(m)), w.p)
+    levels = 0
+    for q in (1.5, 2.0, 3.0):
+        s = q / 2.0
+        table = _series_table(w, s)
+        assert table is not None
+        n_max = len(table.coef) - 1
+        if m == 1 or q == 2.0:
+            assert n_max == (0 if m == 1 else 1) and table.error == 0.0
+        finer = _series_table(w, s, 2 * n_max)
+        rough = [_series_table(w, s, n) for n in (1, 3, 6) if n < n_max]
+        for j, band in band_outputs(to_spectral(f), PAIR, cube_range.band_levels()):
+            if not band.any():
+                continue
+            assert _real_band(band)
+            levels += 1
+            for kern in _pair_kernels(grid, j, q):
+                ref = _pair_reduce(w, band, kern, s, np.add)
+                top = np.max(ref)
+                got = _series_sum(table, band, kern)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * top
+                np.testing.assert_array_equal(_pair_sums(w, q)(band, kern), got)
+                scale = _pair_reduce(iso, band, kern, s, np.add)
+                for t in [table] + rough:
+                    moved = np.abs(_series_sum(t, band, kern) - _series_sum(finer, band, kern))
+                    assert np.all(moved <= t.error * scale + 1e-13 * top)
+    assert levels >= 6
+
+
+def test_angular_series_truncation_is_visible():
+    """A short series moves far above rounding, so the bound check above can
+    fail: at n_max = 6 on the oscillating weight the sum moves by ~1e-4 of
+    itself, below the stated bound (~1e-2) and within a factor 1000 of it."""
+    grid = TorusGrid(1, 1, 7)
+    w = PointwiseWeighting(oscillating_weight(grid), 1.5)
+    band = next(b for j, b in band_outputs(to_spectral(band_limited_noise(
+        grid, 2, 0.0, 32.0, np.random.default_rng(31))), PAIR, range(3, 4)))
+    kern = _pair_kernels(grid, 3, 1.5)[1]
+    short, full = _series_table(w, 0.75, 6), _series_table(w, 0.75)
+    exact = _series_sum(full, band, kern)
+    moved = np.max(np.abs(_series_sum(short, band, kern) - exact) / exact)
+    assert 1e-6 < moved <= short.error < 1e3 * moved
+    assert full.error <= 1e-17
+
+
+def test_pair_sums_dispatch():
+    """A genuinely complex m = 2 band at q = 1.5 takes _pair_reduce, bit for bit
+    (the series would be wrong there); at q = 2, and for m = 1, the series is
+    exact for it too; a weight beyond the order limit and m = 3 always take
+    _pair_reduce; a zero band sums to zeros."""
+    grid = TorusGrid(1, 1, 6)
+    rng = np.random.default_rng(32)
+    w = PointwiseWeighting(oscillating_weight(grid), 1.5)
+    band = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    assert not _real_band(band)
+    kern = _pair_kernels(grid, 2, 1.5)[1]
+    direct = _pair_reduce(w, band, kern, 0.75, np.add)
+    np.testing.assert_array_equal(_pair_sums(w, 1.5)(band, kern), direct)
+    wrong = _series_sum(_series_table(w, 0.75), band, kern)
+    assert np.max(np.abs(wrong - direct)) > 1e-6 * np.max(direct)
+    got = _pair_sums(w, 2.0)(band, kern)
+    ref = _pair_reduce(w, band, kern, 1.0, np.add)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(ref))
+    np.testing.assert_array_equal(got, _series_sum(_series_table(w, 1.0), band, kern))
+    w1 = PointwiseWeighting(power_weight(grid, 0.5), 1.5)
+    ref = _pair_reduce(w1, band[..., :1], kern, 0.75, np.add)
+    np.testing.assert_allclose(_pair_sums(w1, 1.5)(band[..., :1], kern), ref,
+                               rtol=0, atol=1e-12 * np.max(ref))
+    # rho near 1 needs more terms than the limit: every band goes direct
+    steep = PointwiseWeighting(rotated_diag_weight(grid, 6.0), 1.5)
+    assert _series_table(steep, 0.75) is None
+    np.testing.assert_array_equal(_pair_sums(steep, 1.5)(band.real + 0j, kern),
+                                  _pair_reduce(steep, band.real + 0j, kern, 0.75, np.add))
+    w3 = PointwiseWeighting(identity_weight(grid, 3), 1.5)
+    band3 = rng.standard_normal(grid.shape + (3,)) + 0j
+    np.testing.assert_array_equal(_pair_sums(w3, 1.5)(band3, kern),
+                                  _pair_reduce(w3, band3, kern, 0.75, np.add))
+    zero = np.zeros(grid.shape + (2,), dtype=complex)
+    for q, op in ((1.5, np.add), (2.0, np.maximum)):
+        np.testing.assert_array_equal(_pair_reduce(w, zero, kern, q / 2, op), np.zeros(grid.shape))
+    np.testing.assert_array_equal(_pair_sums(w, 1.5)(zero, kern), np.zeros(grid.shape))
 
 
 def test_approx_norm_bandlimited_tail_vanishes():
