@@ -22,7 +22,7 @@ from .harness import (ExperimentConfig, Report, check_names, emit_report, json_b
 from .lpa import band_filter, bessel_potential, make_admissible_pair, make_inhom_partition
 from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
                      approx_norm, bm_norm, float_params, glambda_norm, lusin_norm,
-                     peetre_norm, seq_norm, tl_norm)
+                     peetre_norm, seq_norm, tl_norm, truncation_ratio)
 from .weights import diagnose, identity_weight, reducing_operators, sandwich_constants
 
 
@@ -100,11 +100,13 @@ def cmd_norm(args) -> int:
             W, sp.p, rng.widened(grid) if args.truncation else rng))
     else:
         w = pw
-    if args.space == "F":
-        rep = tl_norm(f, w, sp, bank, rng, truncation_check=args.truncation)
-    elif args.space == "f":
-        rep = seq_norm(phi_transform(f, bank, rng), w, sp, rng,
-                       truncation_check=args.truncation)
+    if args.space in ("F", "f"):
+        def norm_on(r):     # on a widened range, f takes that range's own coefficients
+            return (tl_norm(f, w, sp, bank, r) if args.space == "F"
+                    else seq_norm(phi_transform(f, bank, r), w, sp, r))
+        rep = norm_on(rng)
+        if args.truncation:
+            rep.truncation = truncation_ratio(rep.value, grid, rng, norm_on)
     elif args.space == "peetre":
         a, = float_params({"a": 3.0, **params}, ["a"])
         rep = peetre_norm(f, pw, sp, a, bank, rng)

@@ -78,7 +78,7 @@ def to_spectral(f: SampledField) -> SpectralField:
 
 def from_spectral(F: SpectralField) -> SampledField:
     axes = tuple(range(F.grid.dim))
-    values = np.fft.ifftn(F.coeffs, axes=axes) / F.grid.cell_measure
+    values = np.fft.ifftn(F.coeffs, axes=axes) * (1.0 / F.grid.cell_measure)
     return SampledField(F.grid, values)
 
 
@@ -101,7 +101,7 @@ def fourier_multiply(f: SampledField, mult: np.ndarray) -> SampledField:
     (grid.shape, FFT order) in every channel; real when f and mult are real."""
     axes = tuple(range(f.grid.dim))
     spec = np.fft.fftn(f.values, axes=axes) * f.grid.cell_measure
-    values = np.fft.ifftn(spec * mult[..., None], axes=axes) / f.grid.cell_measure
+    values = np.fft.ifftn(spec * mult[..., None], axes=axes) * (1.0 / f.grid.cell_measure)
     if not f.is_complex and not np.iscomplexobj(mult):
         values = values.real
     return SampledField(f.grid, values)

@@ -72,6 +72,11 @@ class TorusGrid:
         fs = self.freqs()
         return np.sqrt(sum(f * f for f in fs))
 
+    def radius(self) -> np.ndarray:
+        """|x|, the torus distance of every sample to the origin, full grid shape;
+        also the distance of the offset x - y at (x - y) mod N per axis."""
+        return self.torus_dist(np.stack(self.coords(), axis=-1), np.zeros(self.dim))
+
     def wrap_delta(self, d):
         """Minimal signed displacement on the torus, in (-L/2, L/2]."""
         L = self.side

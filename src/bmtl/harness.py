@@ -208,7 +208,7 @@ def dilate_field(f: SampledField) -> SampledField:
     return SampledField(f.grid, f.values[np.ix_(*[idx] * f.grid.dim)])
 
 
-def four_norms(f: SampledField, W, p: float, sp: SpaceParams, bank, cube_range,
+def four_norms(f: SampledField, W, sp: SpaceParams, bank, cube_range,
                family=None) -> dict:
     """F(W), F(A_Q), and the two sequence norms of the phi-transform coefficients.
 
@@ -218,8 +218,8 @@ def four_norms(f: SampledField, W, p: float, sp: SpaceParams, bank, cube_range,
     bank: AdmissiblePair for a homogeneous range, InhomPartition otherwise.
     """
     if family is None:
-        family = reducing_operators(W, p, cube_range)
-    pw = PointwiseWeighting(W, p)
+        family = reducing_operators(W, sp.p, cube_range)
+    pw = PointwiseWeighting(W, sp.p)
     cw = CubewiseWeighting(family)
     arrays = {}
 
@@ -256,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 pw = PointwiseWeighting(W, sp.p)
                 for fname, f in gallery:
                     t1 = time.perf_counter()
-                    norms = four_norms(f, W, sp.p, sp, pair, cube_range, family)
+                    norms = four_norms(f, W, sp, pair, cube_range, family)
                     vals = [v for v in norms.values() if v > 0]
                     spread = max(vals) / min(vals) if vals else 1.0
                     trunc = truncation_ratio(

@@ -208,9 +208,10 @@ def band_outputs(F: SpectralField, bank, levels):
     the spectrum (coeff.phi_synthesis)."""
     axes = tuple(range(F.grid.dim))
     rho = F.grid.freq_radius()
+    scale = 1.0 / F.grid.cell_measure
     for j in levels:
         mult = bank.analysis(rho, j)
-        yield j, np.fft.ifftn(F.coeffs * mult[..., None], axes=axes) / F.grid.cell_measure
+        yield j, np.fft.ifftn(F.coeffs * mult[..., None], axes=axes) * scale
 
 
 def covered_band(range_levels) -> tuple:

@@ -134,8 +134,7 @@ def cz_kernel_check(kernel: SampledField, L: int, inner_radius_cells: int = 4) -
 
     grid = kernel.grid
     n = grid.dim
-    coords = np.stack(grid.coords(), axis=-1)
-    dist = grid.torus_dist(coords, np.zeros(n))
+    dist = grid.radius()
     vals = kernel.scalar().copy()
     origin = (0,) * n
     vals[origin] = 0.0
@@ -368,9 +367,7 @@ def kernel_weighted_mass(piece: SymbolGrid, j: int, a: float) -> float:
     grid = piece.grid
     xi_axes = tuple(range(grid.dim, 2 * grid.dim))
     M = np.fft.ifftn(piece.values, axes=xi_axes) * (grid.npoints / grid.side ** grid.dim)
-    coords = np.stack(grid.coords(), axis=-1)
-    ydist = grid.torus_dist(coords, np.zeros(grid.dim))
-    weight = (1.0 + 2.0 ** j * ydist) ** a
+    weight = (1.0 + 2.0 ** j * grid.radius()) ** a
     mass = np.sum(np.abs(M) * weight.reshape((1,) * grid.dim + grid.shape),
                   axis=xi_axes) * grid.cell_measure
     return float(np.max(mass))

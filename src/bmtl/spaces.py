@@ -25,12 +25,13 @@ points with one kernel, _pair_reduce, in 1D and 2D alike.  Its penalty, like the
 Lusin ball and the g-lambda-star tail, depends on the euclidean torus distance
 of x - y only, so each norm tabulates its kernel once per level on the offsets
 ((1 + 2^j d)^(-2a), the indicator of the closed ball B(0, 2^-j),
-(1 + 2^j d)^(-lambda n q)) and reads it at (x - y) mod N.  _pair_reduce is exact
-on the grid: no pair is truncated or sampled, and the pairs it skips, outside
-the support window of the table, have kernel value 0.
+(1 + 2^j d)^(-lambda n q), d = grid.radius()) and reads it at (x - y) mod N.
+_pair_reduce is exact on the grid: no pair is truncated or sampled, and the
+pairs it skips, outside the support window of the table, have kernel value 0.
 
-The Lusin and g-lambda-star norms sum |W^(1/p)(x) v(y)|^q K(x - y) over y, and
-_pair_sums takes that sum as a short series of cyclic convolutions.  With
+The Lusin and g-lambda-star norms, one routine _area_norm given the level-j
+kernel, sum |W^(1/p)(x) v(y)|^q K(x - y) over y, and _pair_sums takes that sum
+as a short series of cyclic convolutions, one FFT pair per term.  With
 P = W^(2/p) = (T/2)(I + rho R(phi)) (T = tr P, R(phi) the reflection by angle
 phi) and the band's Gram entries G = Re(v vbar^T), R = G00 + G11 and
 Z = G00 - G11 + 2i G01, the pair term is (T/2)^s (R + rho Re(e^(i phi) Zbar))^s,
@@ -90,6 +91,8 @@ class SpaceParams:
     def __post_init__(self):
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
+        if not np.isfinite(self.s):
+            raise ValueError(f"parameter s must be finite, got {self.s}")
         check_nontrivial(self.p, self.t, self.r)
 
     @staticmethod
@@ -117,7 +120,10 @@ def float_params(params: dict, keys: str | list) -> list:
 
 
 def check_nontrivial(p: float, t: float, r: float):
-    """Admissible exponents: 0 < p < t < r < inf, or 0 < p <= t < r = inf."""
+    """Admissible exponents: 0 < p < t < r < inf, or 0 < p <= t < r = inf, with p
+    finite (at p = inf every cube sum would be raised to 1/p = 0)."""
+    if not np.isfinite(p):
+        raise ValueError(f"parameter p must be finite, got {p}")
     if np.isinf(r):
         ok = 0 < p <= t
     else:
@@ -434,7 +440,7 @@ def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
 
 
 def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
-             masks: dict = None, truncation_check: bool = False) -> NormReport:
+             masks: dict = None) -> NormReport:
     """The sequence-side norm of cube coefficients.
 
     masks, when given, replaces chi_Q by chi_{E_Q}: a dict level j -> boolean
@@ -467,11 +473,7 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
                 mag = mag * np.asarray(masks[j], dtype=bool)
             yield j, 2.0 ** (j * (sp.s + grid.dim / 2.0)) * mag
 
-    rep = _level_sum(grid, magnitudes(), sp.p, sp.t, sp.r, sp.q, cube_range)
-    if truncation_check:
-        rep.truncation = truncation_ratio(rep.value, grid, cube_range,
-                                          lambda wide: seq_norm(coeffs, w, sp, wide, masks))
-    return rep
+    return _level_sum(grid, magnitudes(), sp.p, sp.t, sp.r, sp.q, cube_range)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +486,6 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
 # neither larger size was faster in every run (10 of 12 each), so 2^14 stays;
 # at 2D 64^2, levels [-2, 2] (4 runs), they took 2.78, 2.47 and 2.40 s.
 _PAIR_BLOCK_ENTRIES = 1 << 14
-
-
-def _offset_dist(grid: TorusGrid) -> np.ndarray:
-    """The torus distance of every offset x - y, indexed by (x - y) mod N per axis."""
-    coords = np.stack(grid.coords(), axis=-1).reshape(-1, grid.dim)
-    return grid.torus_dist(coords, np.zeros(grid.dim)).reshape(grid.shape)
 
 
 def _circulant_view(kern: np.ndarray) -> np.ndarray:
@@ -648,48 +644,24 @@ def _series_sum(table: _Series, band: np.ndarray, kern: np.ndarray) -> np.ndarra
     """The Lusin / g-lambda-star pair sum sum_y |W^(1/p)(x) band(y)|^(2s) K(x - y)
     by the angular series of table, exact where the module docstring says so.
 
-    The terms R^s (Zbar/R)^n go through the convolution in batches of n, in place
-    in one array of 128 KiB (_PAIR_BLOCK_ENTRIES / 2 complex entries) or of one
-    term where that is larger; a second such array holds the batch's e^(in phi)."""
-    shape = kern.shape
-    axes = tuple(range(1, kern.ndim + 1))
+    Term n, R^s (Zbar/R)^n, and its phase factor e^(in phi) are each the previous
+    one times one factor; each term takes its own convolution."""
     v = band.reshape(-1, band.shape[-1])
     G = v.real ** 2 + v.imag ** 2
     R = G.sum(axis=1)
-    term, turn = R ** table.s, 1.0
-    terms = len(table.coef)
-    step = min(terms, max(1, _PAIR_BLOCK_ENTRIES // (2 * len(R))))
-    batch = np.empty((step, len(R)), dtype=complex)
-    if terms > 1:
+    if len(table.coef) > 1:
         zbar = (G[:, 0] - G[:, 1]) - 2j * (v[:, 0] * np.conj(v[:, 1])).real
         u = np.divide(zbar, R, out=np.zeros_like(zbar), where=R > 0)
-        turns = np.empty_like(batch)
     Kf = np.fft.fftn(kern)
+    term, turn = R ** table.s, 1.0
     total = np.zeros(len(R))
-    for lo in range(0, terms, step):
-        k = min(step, terms - lo)
-        b = batch[:k]
-        b[0] = term
-        if terms > 1:
-            # R^s u^n and e^(in phi) for n = lo..lo + k - 1, then the next batch's start
-            b[1:] = u
-            np.cumprod(b, axis=0, out=b)
-            term = b[-1] * u
-            t = turns[:k]
-            t[0] = turn
-            t[1:] = table.phase
-            np.cumprod(t, axis=0, out=t)
-            turn = t[-1] * table.phase
-        cube = b.reshape((k,) + shape)
-        np.fft.fftn(cube, axes=axes, out=cube)
-        cube *= Kf
-        np.fft.ifftn(cube, axes=axes, out=cube)
-        if terms > 1:
-            b *= t
-        coef = np.take(table.coef[lo:lo + k], table.index, axis=1)
-        total += np.einsum("nx,nx->x", coef, b.real)
+    for n, coef in enumerate(table.coef):
+        if n:
+            term, turn = term * u, turn * table.phase
+        conv = np.fft.ifftn(np.fft.fftn(term.reshape(kern.shape)) * Kf).ravel()
+        total += coef[table.index] * (turn * conv).real
     total *= table.scale
-    return np.maximum(total, 0.0).reshape(shape)
+    return np.maximum(total, 0.0).reshape(kern.shape)
 
 
 def _real_band(band: np.ndarray) -> bool:
@@ -723,7 +695,7 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
     |W^(1/p)(x) band(y)| / (1 + 2^j |x-y|)^a, then the usual aggregation."""
     if a <= 0:
         raise ValueError("a must be positive")
-    dist = _offset_dist(f.grid)
+    dist = f.grid.radius()
 
     def sup(w, j, band):
         # the max of |.|^2 / (1 + 2^j d)^(2a), one square root per x
@@ -734,6 +706,23 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
     return rep
 
 
+def _area_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
+               cube_range: CubeRange, kernel) -> NormReport:
+    """The Lusin and g-lambda-star norms: per level, the q-th root of
+    2^(jsq) 2^(jn) int |W^(1/p)(x) band(y)|^q K(x - y) dy, with K = kernel(j, d)
+    on the torus distances d of the offsets, then the usual aggregation."""
+    grid = f.grid
+    dist = grid.radius()
+    pair_sum = _pair_sums(w, sp.q)
+
+    def area(w, j, band):
+        u = 2.0 ** (j * grid.dim) * grid.cell_measure * pair_sum(band, kernel(j, dist))
+        return (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
+
+    rep, = _band_pass(f, (w,), sp, bank, cube_range, area)
+    return rep
+
+
 def lusin_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
                cube_range: CubeRange) -> NormReport:
     """Ball-average variant: 2^(jn) mean over B(x, 2^-j) of the q-th power with
@@ -741,19 +730,9 @@ def lusin_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, bank,
     validate keeps j <= J - MARGIN, so the radius 2^-j is at least 4h."""
     if np.isinf(sp.q):
         raise ValueError("lusin norm needs q < infinity")
-    grid = f.grid
-    dist = _offset_dist(grid)
-    pair_sum = _pair_sums(w, sp.q)
-
-    def area(w, j, band):
-        # indicator of the closed ball; 1e-9 of a grid spacing absorbs rounding in d
-        ball = (dist <= 2.0 ** (-j) + 1e-9 * grid.spacing).astype(float)
-        total = pair_sum(band, ball)
-        u = 2.0 ** (j * grid.dim) * grid.cell_measure * total
-        return (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
-
-    rep, = _band_pass(f, (w,), sp, bank, cube_range, area)
-    return rep
+    # indicator of the closed ball; 1e-9 of a grid spacing absorbs rounding in d
+    return _area_norm(f, w, sp, bank, cube_range,
+                      lambda j, d: (d <= 2.0 ** (-j) + 1e-9 * f.grid.spacing).astype(float))
 
 
 def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: float,
@@ -764,18 +743,8 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
     if lam <= 1.0 / min(1.0, sp.p, sp.q) + delta_cap / f.grid.dim:
         warnings.warn("lambda below the boundedness threshold; value still computed",
                       stacklevel=2)
-    grid = f.grid
-    n = grid.dim
-    dist = _offset_dist(grid)
-    pair_sum = _pair_sums(w, sp.q)
-
-    def area(w, j, v):
-        kern = (1.0 + 2.0 ** j * dist) ** (-lam * n * sp.q)
-        u = 2.0 ** (j * n) * grid.cell_measure * pair_sum(v, kern)
-        return (2.0 ** (j * sp.s * sp.q) * u) ** (1.0 / sp.q)
-
-    rep, = _band_pass(f, (w,), sp, bank, cube_range, area)
-    return rep
+    return _area_norm(f, w, sp, bank, cube_range,
+                      lambda j, d: (1.0 + 2.0 ** j * d) ** (-lam * f.grid.dim * sp.q))
 
 
 def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,

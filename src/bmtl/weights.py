@@ -556,17 +556,13 @@ def constant_weight(grid: TorusGrid, M0: np.ndarray) -> MatrixWeight:
 
 def power_weight(grid: TorusGrid, alpha: float) -> MatrixWeight:
     """Scalar |x|^alpha with torus distance to 0, clipped below at h^alpha."""
-    coords = np.stack(grid.coords(), axis=-1)
-    dist = grid.torus_dist(coords, np.zeros(grid.dim))
-    w = np.maximum(dist, grid.spacing) ** alpha
+    w = np.maximum(grid.radius(), grid.spacing) ** alpha
     return MatrixWeight(grid, w[..., None, None])
 
 
 def rotated_diag_weight(grid: TorusGrid, alpha: float = 0.5, angle: float = np.pi / 5) -> MatrixWeight:
     """Fixed rotation of diag(|x|^alpha, 1): two channels, same A_p behavior as the diagonal."""
-    coords = np.stack(grid.coords(), axis=-1)
-    dist = grid.torus_dist(coords, np.zeros(grid.dim))
-    w = np.maximum(dist, grid.spacing) ** alpha
+    w = np.maximum(grid.radius(), grid.spacing) ** alpha
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])
     diag = np.zeros(grid.shape + (2, 2))

@@ -128,10 +128,10 @@ def test_criterion_04_four_norm_equivalence():
         fam = reducing_operators(W, sp.p, base)
         fam2 = reducing_operators(W, sp.p, shifted)
         for fname, f in gallery:
-            norms = four_norms(f, W, sp.p, sp, PAIR, base, fam)
+            norms = four_norms(f, W, sp, PAIR, base, fam)
             spread = max(norms.values()) / min(norms.values())
             worst_spread = max(worst_spread, spread)
-            norms_d = four_norms(dilate_field(f), W, sp.p, sp, PAIR, shifted, fam2)
+            norms_d = four_norms(dilate_field(f), W, sp, PAIR, shifted, fam2)
             spread_d = max(norms_d.values()) / min(norms_d.values())
             worst_drift = max(worst_drift, abs(spread_d - spread) / spread)
     ok = worst_spread <= C_CFG and worst_drift <= 0.10

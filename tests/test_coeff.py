@@ -149,7 +149,7 @@ def test_inhomogeneous_four_norm_spread():
     sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=False)
     cr = CubeRange(0, 6, inhomogeneous=True)
     f = band_limited_noise(GRID, 2, 0.0, 8.0, rng)
-    norms = four_norms(f, W, sp.p, sp, part, cr)
+    norms = four_norms(f, W, sp, part, cr)
     spread = max(norms.values()) / min(norms.values())
     assert spread <= 50.0
 

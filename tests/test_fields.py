@@ -12,6 +12,15 @@ def grid1d(K=2, J=8):
     return TorusGrid(1, K, J)
 
 
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)])
+def test_radius_is_torus_dist_to_origin(grid):
+    pts = np.stack([c.ravel() for c in grid.coords()], axis=-1)
+    want = [grid.torus_dist(x, np.zeros(grid.dim)) for x in pts]
+    got = grid.radius()
+    assert got.shape == grid.shape
+    np.testing.assert_array_equal(got.ravel(), want)
+
+
 def test_roundtrip_identity():
     g = grid1d()
     rng = np.random.default_rng(0)

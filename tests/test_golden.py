@@ -64,7 +64,7 @@ def _one_dim(out: dict):
     coeffs = phi_transform(f, PAIR, R1)
     _coeffs(out, "1d/phi", coeffs)
     out["1d/phi_synthesis"] = phi_synthesis(coeffs, PAIR).values
-    _report(out, "1d/seq_W", seq_norm(coeffs, pw, sp, R1, truncation_check=True))
+    _report(out, "1d/seq_W", seq_norm(coeffs, pw, sp, R1))
     _report(out, "1d/seq_AQ", seq_norm(coeffs, cw, sp, R1))
     # level j: sample x of cube k is kept unless (x - corner + k) % 3 == 0
     masks = {}

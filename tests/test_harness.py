@@ -299,6 +299,19 @@ def test_cli_norm_and_filter(tmp_path):
         assert res.returncode == 2, (space, res.stderr)
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
         assert f"parameter {key} " in res.stderr, res.stderr
+    # p = inf raised every cube sum to 1/p = 0, so each of these printed 1.0 and
+    # exited 0; s = inf ended in "norm value must be nonnegative, got nan"
+    inf_p = {"p": "inf", "t": "inf"}
+    cases = [(("norm", "--space", space, "--params", json.dumps({**window, **inf_p})), "p")
+             for space in ("F", "f", "peetre", "lusin")]
+    cases += [(("norm", "--space", "bm", "--params", json.dumps({**bm_params, **inf_p})), "p"),
+              (("bound", "--op", "hilbert", "--params", json.dumps({**window, **inf_p})), "p"),
+              (("norm", "--space", "F", "--params", json.dumps({**window, "s": "inf"})), "s")]
+    for args, key in cases:
+        res = run_cli(*args, "--field", str(apath))
+        assert res.returncode == 2, (args, res.stdout)
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert f"parameter {key} must be finite" in res.stderr, res.stderr
     out = tmp_path / "band.bin"
     res = run_cli("filter", "--field", str(fpath), "--level", "2", "--out", str(out))
     assert res.returncode == 0
@@ -308,7 +321,8 @@ def test_cli_norm_and_filter(tmp_path):
 def test_cli_norm_truncation_with_every_weighting(tmp_path):
     # the check reads the norm one level past each end of the range: the cubewise
     # family is built on the widened range (each level's A_Q on its own, so the
-    # value is unchanged), and the sequence space passes the check on too
+    # value is unchanged), and the sequence space takes the phi coefficients of the
+    # widened range, so its ratio tracks the function space's
     g = TorusGrid(1, 2, 7)
     W = oscillating_weight(g)
     fpath, wpath = tmp_path / "f.bin", tmp_path / "w.bin"
@@ -316,6 +330,7 @@ def test_cli_norm_truncation_with_every_weighting(tmp_path):
                                                   np.random.default_rng(2)))
     fieldio.write_weight(wpath, W)
     params = json.dumps({"s": 0.5, "p": 1.5, "q": 1.5, "t": 2.0, "j_min": -1, "j_max": 3})
+    ratios = {}
     for space in ("F", "f"):
         for cubewise in ((), ("--cubewise",)):
             args = ("norm", "--space", space, "--params", params, "--field", str(fpath),
@@ -326,6 +341,9 @@ def test_cli_norm_truncation_with_every_weighting(tmp_path):
             assert "truncation" not in plain
             assert checked["value"] == plain["value"], (space, cubewise)
             assert checked["truncation"] > 0, (space, cubewise)
+            ratios[space, cubewise] = checked["truncation"]
+    for cubewise in ((), ("--cubewise",)):
+        assert abs(ratios["f", cubewise] / ratios["F", cubewise] - 1.0) <= 0.25, ratios
 
 
 def test_cli_transform_and_bound(tmp_path):
@@ -603,7 +621,7 @@ def test_four_norms_one_band_pass(grid, ranges, monkeypatch):
         inverse = []
         ifftn = np.fft.ifftn
         monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: inverse.append(1) or ifftn(*a, **k))
-        norms = four_norms(f, W, sp.p, sp, bank, cube_range, family)
+        norms = four_norms(f, W, sp, bank, cube_range, family)
         monkeypatch.undo()
         assert len(inverse) == len(cube_range.band_levels())
         assert sorted(norms) == sorted(separate)

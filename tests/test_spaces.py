@@ -12,7 +12,7 @@ from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field, four_norms
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _cyclic_max,
-                         _cyclic_mean, _level_sum, _matvec_norm, _offset_dist, _pair_reduce,
+                         _cyclic_mean, _level_sum, _matvec_norm, _pair_reduce,
                          _pair_sums, _real_band, _series_sum, _series_table, approx_norm,
                          averaging, bm_array_norm, bm_norm, bm_seq_norm, glambda_norm,
                          hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
@@ -214,7 +214,7 @@ def test_bank_and_params_must_match_range(bank, cube_range, homogeneous):
              lambda: lusin_norm(f, w, sp, bank, cube_range),
              lambda: glambda_norm(f, w, sp, 3.0, bank, cube_range),
              lambda: approx_norm(f, w, sp, bank, cube_range),
-             lambda: four_norms(f, W, sp.p, sp, bank, cube_range)]
+             lambda: four_norms(f, W, sp, bank, cube_range)]
     if (bank is PART) != cube_range.inhomogeneous:
         calls.append(lambda: phi_transform(f, bank, cube_range))
     for call in calls:
@@ -529,7 +529,7 @@ def test_pair_reduce_reads_offset_tables(grid):
 
 def _pair_kernels(grid, j, q):
     """The level-j Lusin ball and g-lambda-star tail (lambda = 3) offset tables."""
-    dist = _offset_dist(grid)
+    dist = grid.radius()
     return [(dist <= 2.0 ** (-j) + 1e-9 * grid.spacing).astype(float),
             (1.0 + 2.0 ** j * dist) ** (-3.0 * grid.dim * q)]
 
