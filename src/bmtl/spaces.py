@@ -20,14 +20,22 @@ no list of complex bands is kept.  Weighted magnitudes |M(x) v(x)| are taken
 component-wise by _matvec_norm.  Balls for the maximal operator are
 sup-metric windows with grid-multiple radii, wrapped on the torus.
 
-The Peetre norm reduces |W^(1/p)(x) band(y)| over every pair (x, y) of sample
+The Peetre norm reduces |W^(1/p)(x) band(y)| over the pairs (x, y) of sample
 points with one kernel, _pair_reduce, in 1D and 2D alike.  Its penalty, like the
 Lusin ball and the g-lambda-star tail, depends on the euclidean torus distance
 of x - y only, so each norm tabulates its kernel once per level on the offsets
 ((1 + 2^j d)^(-2a), the indicator of the closed ball B(0, 2^-j),
 (1 + 2^j d)^(-lambda n q), d = grid.radius()) and reads it at (x - y) mod N.
-_pair_reduce is exact on the grid: no pair is truncated or sampled, and the
-pairs it skips, outside the support window of the table, have kernel value 0.
+_pair_reduce is exact on the grid: no pair is sampled, and the pairs it skips,
+outside the support window of the table, have kernel value 0.  Peetre's max,
+_pair_max, runs it over growing windows of the table (the offsets with
+kern >= t, t falling by _WINDOW_STEP per pass, the first axis narrowed in 2D).
+Row x is final once tr W^(2/p)(x) max_y |band(y)|^2 times the largest kern
+outside the window, a bound on every pair outside it, is at most the window's
+max at x.  A max does not round and a window's pairs are the full table's own
+numbers (every block takes the same GEMM arithmetic, _GEMM_COLUMNS), so the
+result is the full reduction bit for bit; rows never certified take the whole
+table in the last pass.
 
 The Lusin and g-lambda-star norms, one routine _area_norm given the level-j
 kernel, sum |W^(1/p)(x) v(y)|^q K(x - y) over y, and _pair_sums takes that sum
@@ -425,17 +433,13 @@ def tl_norms(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange,
                       lambda w, j, band: 2.0 ** (j * sp.s) * w.magnitude(j, band), on_band)
 
 
-def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange,
-            truncation_check: bool = False) -> NormReport:
+def tl_norm(f: SampledField, w, sp: SpaceParams, bank, cube_range: CubeRange) -> NormReport:
     """The function-side norm: l^q over levels of weighted band outputs, then bm_norm.
 
     Pointwise weighting gives the W-version; Cubewise gives the A_Q-version
     (matrix locked per cube of the band's level).
     """
     rep, = tl_norms(f, (w,), sp, bank, cube_range)
-    if truncation_check:
-        rep.truncation = truncation_ratio(rep.value, f.grid, cube_range,
-                                          lambda wide: tl_norm(f, w, sp, bank, wide))
     return rep
 
 
@@ -480,12 +484,30 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
 # characterization norms (Pointwise weighting only)
 
 
-# (x, y) pairs per block of _pair_reduce: 128 KiB per float array.  On a 2-vCPU
-# x86 host the three norms together (medians of 12 alternating runs, 1D N = 2048,
-# levels [-2, 7]) took 0.96 s at 2^14, 0.93 s at 2^15 and 0.90 s at 2^16, but
-# neither larger size was faster in every run (10 of 12 each), so 2^14 stays;
-# at 2D 64^2, levels [-2, 2] (4 runs), they took 2.78, 2.47 and 2.40 s.
+# (x, y) pairs per block of _pair_reduce, counted as its x-samples times the
+# y-samples they read: 128 KiB per float array.  On a 2-vCPU x86 host, in one
+# process (medians of 9 rounds in shuffled order; 1D N = 2048, levels [-2, 7],
+# both characterize_1d inputs, _WINDOW_STEP 2^-8) Peetre / Lusin / g-lambda-star took
+# 0.096 / 0.168 / 0.273 s at 2^13, 0.080 / 0.162 / 0.245 s at 2^14,
+# 0.101 / 0.154 / 0.243 s at 2^15 and 0.126 / 0.168 / 0.247 s at 2^16; at 2D
+# 64^2, levels [-2, 2] (3 rounds), 0.103 / 0.151 / 0.346 s at 2^14,
+# 0.090 / 0.144 / 0.323 s at 2^15 and 0.197 / 0.242 / 0.320 s at 2^16.
 _PAIR_BLOCK_ENTRIES = 1 << 14
+
+# The y-samples of a block are whole multiples of this, and its x-samples even
+# and at least 2, so that every block takes the same GEMM arithmetic and a
+# pair's sq has the same bits in any block.  With OpenBLAS 0.3.31 on AVX-512,
+# (r x 4) @ (4 x w) changed the last bit in the last w mod 8 columns once
+# r >= 16 and w >= 255, and a single row (a GEMV) changed others; with w a
+# multiple of 16 and 2 <= r < 1200, 4000 random shapes for each of m = 1, 2, 3
+# all matched.
+_GEMM_COLUMNS = 16
+
+# t falls by this factor per _pair_max pass.  On the same host Peetre took
+# 0.111, 0.082, 0.092, 0.094 and 0.103 s at 2^-4, 2^-6, 2^-8, 2^-10 and 2^-12
+# (1D N = 2048 as above, medians of 11 rounds), and at 2D 128^2, levels [-2, 3],
+# 1.25-1.28 s at 2^-6 against 1.45-1.56 s at 2^-8.
+_WINDOW_STEP = 2.0 ** -6
 
 
 def _circulant_view(kern: np.ndarray) -> np.ndarray:
@@ -507,18 +529,48 @@ def _support(kern: np.ndarray) -> tuple:
     return int(hits[(k + 1) % len(hits)]), N + 1 - int(gaps[k])
 
 
+def _row_blocks(grid: TorusGrid, length: int):
+    """The blocks of x of _pair_reduce for a kernel whose support spans length
+    first-axis offsets: (box, lo, hi, width), box the slices of the block's
+    x-samples lo .. hi - 1 (flat order; whole first-axis lines, or one run within
+    a line) and width the first-axis lines of y it reads.
+
+    A block reads at most _PAIR_BLOCK_ENTRIES pairs, x-samples times y-samples,
+    but has an even number, at least 2, of x-samples; width is the block's lines
+    plus length - 1, rounded up to whole _GEMM_COLUMNS y-samples, at most N."""
+    N = grid.points_per_axis
+    line = grid.npoints // N            # samples per first-axis index
+    unit = max(1, _GEMM_COLUMNS // line)
+    counts = np.arange(1, N + 1)
+    widths = np.minimum(N, -(-(counts + length - 1) // unit) * unit)
+    fit = counts[counts * widths * line * line <= _PAIR_BLOCK_ENTRIES]
+    lines, seg = (int(fit[-1]) if fit.size else 1), line
+    if line == 1:
+        lines = max(2, lines // 2 * 2)
+    elif not fit.size:                  # not one whole line: a run within one
+        seg = min(line, max(2, _PAIR_BLOCK_ENTRIES // (int(widths[0]) * line) // 2 * 2))
+    width = int(widths[lines - 1])
+    for i in range(0, N, lines):
+        for c in range(0, line, seg):
+            lo = i * line + c
+            box = (slice(i, i + lines),) + (slice(c, c + seg),) * (grid.dim - 1)
+            yield box, lo, lo + min(lines, N - i) * min(seg, line - c), width
+
+
 def _pair_reduce(w: PointwiseWeighting, band: np.ndarray, kern: np.ndarray,
-                 power: float, op) -> np.ndarray:
+                 power: float, op, rows: np.ndarray = None) -> np.ndarray:
     """The kernel of the Peetre, Lusin and g-lambda-star norms, exact over all
-    pairs (x, y) of sample points, taken in blocks of rows x.
+    pairs (x, y) of sample points, taken in blocks of x (_row_blocks).
 
     Returns op.reduce over y of sq^power * K, where sq[x, y] =
     |W^(1/p)(x) band(y)|^2 in the Gram form W^(2/p)(x) . Re(v vbar)(y), clipped
     at 0 against rounding, and K[x, y] = kern[(x - y) mod N] (per axis) reads
     the norm's kernel from its offset table (a circulant view, no per-pair
-    distance).  op is np.maximum or np.add.  Each block of rows reads only the
-    columns y whose first coordinate lies in the support of kern, widened by
-    the block: pairs outside it have K = 0, so they cannot change the value.
+    distance).  op is np.maximum or np.add.  Each block reads only the y whose
+    first coordinate lies in the support of kern, widened by the block: pairs
+    outside it have K = 0, so they cannot change the value.  rows, a boolean
+    array of grid.shape, skips every block with no True sample; their entries
+    are 0.
     """
     grid = w.W.grid
     if not band.any():
@@ -530,25 +582,55 @@ def _pair_reduce(w: PointwiseWeighting, band: np.ndarray, kern: np.ndarray,
     G = np.concatenate([G, G])          # first axis doubled, like the columns of K
     K = _circulant_view(kern)
     start, length = _support(kern)
-    line = grid.npoints // N            # samples per first-axis index
-    step = max(1, _PAIR_BLOCK_ENTRIES // grid.npoints)
-    counts = [min(N, max(1, step // N ** (n - 1 - ax))) for ax in range(n)]
+    line = grid.npoints // N
     cols = tuple(range(-n, 0))
-    out = np.empty(grid.npoints)
-    for lo in range(0, grid.npoints, step):
-        first = np.unravel_index(lo, grid.shape)
-        rows = tuple(slice(i, i + c) for i, c in zip(first, counts))
-        c0, width = (first[0] - start - length + 1) % N, counts[0] + length - 1
-        if width >= N:
-            c0, width = 0, N
-        sq = np.maximum(P[lo:lo + step] @ G[c0 * line:(c0 + width) * line].T, 0.0)
-        Kb = K[rows + (slice(c0, c0 + width),)]
+    todo = None if rows is None else rows.ravel()
+    out = np.zeros(grid.npoints)
+    for box, lo, hi, width in _row_blocks(grid, length):
+        if todo is not None and not todo[lo:hi].any():
+            continue
+        c0 = 0 if width == N else (box[0].start - start - length + 1) % N
+        sq = np.maximum(P[lo:hi] @ G[c0 * line:(c0 + width) * line].T, 0.0)
+        Kb = K[box + (slice(c0, c0 + width),)]
         sq = sq.reshape(Kb.shape)
         if power != 1.0:
             np.power(sq, power, out=sq)
         np.multiply(sq, Kb, out=sq)
-        out[lo:lo + step] = op.reduce(sq, axis=cols).ravel()
+        out[lo:hi] = op.reduce(sq, axis=cols).ravel()
     return out.reshape(grid.shape)
+
+
+def _pair_max(w: PointwiseWeighting, band: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """_pair_reduce(w, band, kern, 1.0, np.maximum), the same array, from passes
+    over growing windows of the table: the offsets where kern >= t.
+
+    After a pass, row x is certified once no pair outside the window can beat
+    the window's max there: sq[x, y] = P(x) . Re(v vbar)(y) <= tr P(x) |v(y)|^2
+    (P = W^(2/p) positive semidefinite, any m, complex v too), so every such
+    pair is at most tr P(x) max_y |v(y)|^2 times the largest kern outside the
+    window; 1e-12 of slack covers the rounding of both sides, and a NaN anywhere
+    in the bound or the max leaves its row uncertified.  A certified row's max is
+    then the full one, bit for bit, since a max does not round and the window's
+    pairs are the same numbers.  t falls by _WINDOW_STEP a pass, and at least to
+    the largest kern left outside; the pass whose window holds every entry reads
+    the table itself.  Each later pass recomputes only the blocks of _pair_reduce
+    that hold an uncertified row.
+    """
+    P = w.W.power(2.0 / w.p)
+    top = np.max(np.sum(band.real ** 2 + band.imag ** 2, axis=-1))
+    bound = np.trace(P, axis1=-2, axis2=-1) * top * (1.0 + 1e-12)
+    best = np.zeros(kern.shape)
+    todo = np.ones(kern.shape, dtype=bool)
+    t = np.max(kern, initial=0.0, where=~np.isnan(kern))
+    while todo.any():
+        t = min(t * _WINDOW_STEP, np.max(kern, initial=0.0, where=kern < t))
+        inside = kern >= t
+        if not (kern < t).any():        # the window holds every entry but NaN
+            return np.where(todo, _pair_reduce(w, band, kern, 1.0, np.maximum, todo), best)
+        got = _pair_reduce(w, band, np.where(inside, kern, 0.0), 1.0, np.maximum, todo)
+        best = np.where(todo, got, best)
+        todo &= ~(bound * np.max(kern, initial=0.0, where=~inside) <= best)
+    return best
 
 
 # The angular series of the Lusin and g-lambda-star sums (module docstring).
@@ -693,14 +775,14 @@ def peetre_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, a: floa
                 bank, cube_range: CubeRange) -> NormReport:
     """Translation-penalized maximal variant: per level, sup over all y of
     |W^(1/p)(x) band(y)| / (1 + 2^j |x-y|)^a, then the usual aggregation."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not a > 0:
+        raise ValueError(f"parameter a must be positive, got {a}")
     dist = f.grid.radius()
 
     def sup(w, j, band):
         # the max of |.|^2 / (1 + 2^j d)^(2a), one square root per x
         kern = (1.0 + 2.0 ** j * dist) ** (-2.0 * a)
-        return 2.0 ** (j * sp.s) * np.sqrt(_pair_reduce(w, band, kern, 1.0, np.maximum))
+        return 2.0 ** (j * sp.s) * np.sqrt(_pair_max(w, band, kern))
 
     rep, = _band_pass(f, (w,), sp, bank, cube_range, sup)
     return rep
@@ -740,6 +822,8 @@ def glambda_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams, lam: f
     """Full-torus polynomially weighted variant of the Lusin norm."""
     if np.isinf(sp.q):
         raise ValueError("g-lambda-star norm needs q < infinity")
+    if np.isnan(lam):
+        raise ValueError("parameter lambda must be a number, got nan")
     if lam <= 1.0 / min(1.0, sp.p, sp.q) + delta_cap / f.grid.dim:
         warnings.warn("lambda below the boundedness threshold; value still computed",
                       stacklevel=2)

@@ -22,7 +22,7 @@ from bmtl.harness import band_limited_noise
 from bmtl.lpa import make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams,
                          approx_norm, bm_seq_norm, glambda_norm, lusin_norm,
-                         peetre_norm, seq_norm, tl_norm)
+                         peetre_norm, seq_norm, tl_norm, truncation_ratio)
 from bmtl.weights import oscillating_weight, reducing_operators
 
 GOLDEN = Path(__file__).with_name("golden_values.npz")
@@ -45,6 +45,14 @@ def _report(out: dict, name: str, rep):
         out[f"{name}/truncation"] = np.array([rep.truncation])
 
 
+def _tl_truncation(f, w, sp, bank, cube_range):
+    """tl_norm with its truncation ratio against the widened range."""
+    rep = tl_norm(f, w, sp, bank, cube_range)
+    rep.truncation = truncation_ratio(rep.value, f.grid, cube_range,
+                                      lambda wide: tl_norm(f, w, sp, bank, wide))
+    return rep
+
+
 def _coeffs(out: dict, name: str, seq):
     cubes = sorted(seq.entries, key=lambda c: (c.level, c.index))
     out[f"{name}/coeffs"] = np.array([seq.entries[c] for c in cubes])
@@ -58,7 +66,7 @@ def _one_dim(out: dict):
     sp_r = SpaceParams(0.5, 1.5, 2.0, 2.0, 3.0)
     pw = PointwiseWeighting(W, sp.p)
     cw = CubewiseWeighting(reducing_operators(W, sp.p, R1))
-    _report(out, "1d/tl_W", tl_norm(f, pw, sp, PAIR, R1, truncation_check=True))
+    _report(out, "1d/tl_W", _tl_truncation(f, pw, sp, PAIR, R1))
     _report(out, "1d/tl_AQ", tl_norm(f, cw, sp, PAIR, R1))
     _report(out, "1d/tl_W_finite_r", tl_norm(f, pw, sp_r, PAIR, R1))
     coeffs = phi_transform(f, PAIR, R1)
@@ -79,7 +87,7 @@ def _one_dim(out: dict):
     _report(out, "1d/glambda_q2", glambda_norm(f, pw, sp_r, 3.0, PAIR, R1))
     _report(out, "1d/glambda_q1.5", glambda_norm(f, pw, sp, 3.0, PAIR, R1))
     sp_inh = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=False)
-    _report(out, "1d/tl_inh", tl_norm(f, pw, sp_inh, PART, R1_INH, truncation_check=True))
+    _report(out, "1d/tl_inh", _tl_truncation(f, pw, sp_inh, PART, R1_INH))
     sp_app = SpaceParams(3.0, 1.5, 1.5, 2.0, np.inf, homogeneous=False)
     _report(out, "1d/approx", approx_norm(f, pw, sp_app, PART, R1_INH))
     coeffs_inh = phi_transform(f, PART, R1_INH)
@@ -98,7 +106,7 @@ def _two_dim(out: dict):
     sp_q2 = SpaceParams(0.5, 1.5, 2.0, 2.0, np.inf)
     pw = PointwiseWeighting(W, sp.p)
     cw = CubewiseWeighting(reducing_operators(W, sp.p, R2))
-    _report(out, "2d/tl_W", tl_norm(f, pw, sp, PAIR, R2, truncation_check=True))
+    _report(out, "2d/tl_W", _tl_truncation(f, pw, sp, PAIR, R2))
     _report(out, "2d/tl_AQ", tl_norm(f, cw, sp, PAIR, R2))
     coeffs = phi_transform(f, PAIR, R2)
     _coeffs(out, "2d/phi", coeffs)

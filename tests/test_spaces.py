@@ -12,10 +12,11 @@ from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field, four_norms
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
 from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, _cyclic_max,
-                         _cyclic_mean, _level_sum, _matvec_norm, _pair_reduce,
-                         _pair_sums, _real_band, _series_sum, _series_table, approx_norm,
-                         averaging, bm_array_norm, bm_norm, bm_seq_norm, glambda_norm,
-                         hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm)
+                         _cyclic_mean, _level_sum, _matvec_norm, _pair_max, _pair_reduce,
+                         _pair_sums, _real_band, _row_blocks, _series_sum, _series_table,
+                         approx_norm, averaging, bm_array_norm, bm_norm, bm_seq_norm,
+                         glambda_norm, hl_maximal, lusin_norm, peetre_norm, seq_norm, tl_norm,
+                         truncation_ratio)
 from bmtl.weights import (MatrixWeight, ReducingFamily, constant_weight, identity_weight,
                           operator_norms, oscillating_weight, power_weight, reducing_operators,
                           rotated_diag_weight)
@@ -507,7 +508,9 @@ def test_pair_norms_match_direct_oracle(grid, bank, cube_range):
 @pytest.mark.parametrize("grid", [TorusGrid(1, 1, 7), TorusGrid(2, 1, 4)])
 def test_pair_reduce_reads_offset_tables(grid):
     """K[x, y] = kern[(x - y) mod N] per axis, for tables that are not symmetric
-    in the offset and whose support is a short cyclic run that wraps."""
+    in the offset and whose support is a short cyclic run that wraps.  With a
+    rows mask, the blocks holding a masked row are exact and the others 0; at
+    2D 32^2 a support of 3 first-axis offsets gives blocks of several lines."""
     rng = np.random.default_rng(28)
     n, N, npts = grid.dim, grid.points_per_axis, grid.npoints
     W = oscillating_weight(grid)
@@ -517,14 +520,113 @@ def test_pair_reduce_reads_offset_tables(grid):
     v = band.reshape(npts, 2)
     idx = np.stack(np.unravel_index(np.arange(npts), grid.shape), axis=-1)
     offsets = [(x - idx) % N for x in idx]      # (x - y) mod N per axis, every y
-    for support in (N, 5):
+    rows = np.zeros(grid.shape, dtype=bool)
+    rows[(N // 3,) * n] = rows[(N - 1,) * n] = True
+    assert max(box[0].stop - box[0].start for box, *_ in _row_blocks(grid, 3)) > 1
+    for support in (N, 5, 3):
         kern = rng.uniform(0.5, 2.0, grid.shape)
         kern[(np.arange(N) + 3) % N >= support] = 0.0    # first-axis offsets -3..support-4
         for power, op in ((1.0, np.maximum), (0.75, np.add)):
             got = _pair_reduce(w, band, kern, power, op).ravel()
-            want = [op.reduce(np.linalg.norm(v @ root[x].T, axis=1) ** (2 * power)
-                              * kern[tuple(offsets[x].T)]) for x in range(npts)]
+            want = np.array([op.reduce(np.linalg.norm(v @ root[x].T, axis=1) ** (2 * power)
+                                       * kern[tuple(offsets[x].T)]) for x in range(npts)])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            some = _pair_reduce(w, band, kern, power, op, rows).ravel()
+            done = some != 0.0
+            assert done[rows.ravel()].all() and 0 < done.sum() < npts
+            np.testing.assert_array_equal(some[done], got[done])
+
+
+def _random_spd_weight(grid, m=3):
+    """A weight with an independent random SPD matrix at every sample."""
+    B = np.random.default_rng(33).standard_normal(grid.shape + (m, m))
+    vals = B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(m)
+    return MatrixWeight(grid, 0.5 * (vals + np.swapaxes(vals, -1, -2)))
+
+
+# 1D N = 256 at level 4 and 2D 32^2 at level 2; a = 0.5 puts the whole torus in
+# the first window, a = 4 needs a second pass for the spike, and a = inf makes
+# the one-offset table (1 + 2^j d)^(-inf), certified at once.
+@pytest.mark.parametrize("grid, j", [(TorusGrid(1, 1, 7), 4), (TorusGrid(2, 1, 4), 2)])
+@pytest.mark.parametrize("make_weight", [lambda g: power_weight(g, 0.5), oscillating_weight,
+                                         rotated_diag_weight, _random_spd_weight],
+                         ids=["power", "oscillating", "rotated_diag", "spd3"])
+def test_pair_max_matches_full_kernel(grid, j, make_weight, monkeypatch):
+    """_pair_max against the window-free max of _pair_reduce, bit for bit, for the
+    norm's own band, a complex random band and a band with one spike 1e6 times
+    the rest (the rows far from it cannot be certified by the first window)."""
+    import bmtl.spaces as spaces
+    rng = np.random.default_rng(34)
+    n, N = grid.dim, grid.points_per_axis
+    W = make_weight(grid)
+    m = W.channels
+    w = PointwiseWeighting(W, 1.5)
+    f = band_limited_noise(grid, m, 0.0, 2.0 ** (j + 1), rng)
+    own, = [band for _, band in band_outputs(to_spectral(f), PAIR, range(j, j + 1))]
+    noise = rng.standard_normal(grid.shape + (m,)) + 1j * rng.standard_normal(grid.shape + (m,))
+    spike = 1e-6 * noise
+    spike[(N // 2,) * n] = noise[(N // 2,) * n]
+    full = spaces._pair_reduce
+    calls = []
+    monkeypatch.setattr(spaces, "_pair_reduce", lambda *args: calls.append(args) or full(*args))
+    dist = grid.radius()
+    passes = {}
+    for a in (0.5, 4.0, np.inf):
+        kern = (1.0 + 2.0 ** j * dist) ** (-2.0 * a)
+        for name, band in (("own", own), ("noise", noise), ("spike", spike)):
+            assert band.any()
+            calls.clear()
+            got = _pair_max(w, band, kern)
+            passes[a, name] = len(calls)
+            np.testing.assert_array_equal(got, full(w, band, kern, 1.0, np.maximum))
+    assert passes[0.5, "own"] == passes[np.inf, "spike"] == 1
+    assert passes[4.0, "spike"] >= 2
+
+
+def test_pair_max_sweeps_spike_heights():
+    """A band of constant size with one raised sample, its squared height R
+    swept by factors of 2: at some R the raised sample beats a row's window max
+    by at most 2 from just beyond the window edge, so a bound weaker by a
+    factor of 2 would certify that row and miss it."""
+    grid = TorusGrid(1, 1, 7)
+    N = grid.points_per_axis
+    kern = (1.0 + 16.0 * grid.radius()) ** -8.0
+    for W in (power_weight(grid, 0.5), oscillating_weight(grid)):
+        w = PointwiseWeighting(W, 1.5)
+        band = np.zeros(grid.shape + (W.channels,), dtype=complex)
+        band[..., 0] = 1.0
+        for k in range(40):
+            band[N // 2, 0] = 2.0 ** (k / 2)
+            np.testing.assert_array_equal(_pair_max(w, band, kern),
+                                          _pair_reduce(w, band, kern, 1.0, np.maximum))
+
+
+def test_pair_max_nan_rows_stay_uncertified():
+    """A NaN in the table or in the band reaches every row of the full max, and
+    _pair_max gives the same NaN rows: no row is certified past a NaN."""
+    grid = TorusGrid(1, 1, 6)
+    w = PointwiseWeighting(oscillating_weight(grid), 1.5)
+    rng = np.random.default_rng(35)
+    band = rng.standard_normal(grid.shape + (2,)) + 0j
+    kern = (1.0 + 8.0 * grid.radius()) ** -8.0
+    bad_kern, bad_band = kern.copy(), band.copy()
+    bad_kern[7] = np.nan
+    bad_band[5, 1] = np.nan
+    for b, k in ((band, bad_kern), (bad_band, kern)):
+        want = _pair_reduce(w, b, k, 1.0, np.maximum)
+        assert np.isnan(want).all()
+        np.testing.assert_array_equal(_pair_max(w, b, k), want)
+
+
+def test_peetre_and_glambda_refuse_nan():
+    """NaN a or lambda is refused before any band is computed, naming it."""
+    f = band_limited_noise(GRID, 2, 1.0, 8.0, np.random.default_rng(36))
+    w = PointwiseWeighting(oscillating_weight(GRID), SP.p)
+    for a in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="parameter a must be positive"):
+            peetre_norm(f, w, SP, a, PAIR, RANGE)
+    with pytest.raises(ValueError, match="parameter lambda must be a number"):
+        glambda_norm(f, w, SP, np.nan, PAIR, RANGE)
 
 
 def _pair_kernels(grid, j, q):
@@ -675,9 +777,11 @@ def test_truncation_indicator():
     rng = np.random.default_rng(23)
     f = band_limited_noise(GRID, 1, 1.0, 8.0, rng)
     w = PointwiseWeighting(identity_weight(GRID, 1), SP.p)
-    rep = tl_norm(f, w, SP, PAIR, CubeRange(-2, 5), truncation_check=True)
-    assert rep.truncation is not None
-    assert abs(rep.truncation - 1.0) <= 0.01
+    cube_range = CubeRange(-2, 5)
+    value = tl_norm(f, w, SP, PAIR, cube_range).value
+    ratio = truncation_ratio(value, GRID, cube_range, lambda wide: tl_norm(f, w, SP, PAIR, wide))
+    assert ratio is not None
+    assert abs(ratio - 1.0) <= 0.01
 
 
 def test_tl_2d_smoke():
