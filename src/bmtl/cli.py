@@ -115,10 +115,8 @@ def cmd_norm(args) -> int:
     elif args.space == "glambda":
         lam, = float_params({"lambda": 3.0, **params}, ["lambda"])
         rep = glambda_norm(f, pw, sp, lam, bank, rng)
-    elif args.space == "approx":
+    else:   # approx
         rep = approx_norm(f, pw, sp, make_inhom_partition(), rng)
-    else:
-        return 2
     out = {"value": rep.value,
            "per_level": {str(k): v for k, v in rep.per_level.items()}}
     if rep.truncation is not None:
@@ -151,6 +149,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if not args.threshold > 0:
+        raise ValueError(f"--threshold must be positive, got {args.threshold}")
     f = fieldio.read_field(args.field)
     params = _load_params(args.params, SPACE_KEYS)
     rng = _range_from(params, f.grid)
@@ -158,46 +158,34 @@ def cmd_bound(args) -> int:
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(f.grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
     bank = make_inhom_partition() if rng.inhomogeneous else make_admissible_pair()
+    den_sp, extra = sp, {}
     if args.op == "hilbert":
         from .operators import hilbert_riesz_apply
         g = hilbert_riesz_apply(f)
         out = SampledField(f.grid, g.values.real if not f.is_complex else g.values)
-        num = tl_norm(out, pw, sp, bank, rng).value
     elif args.op == "bessel":
-        lifted = bessel_potential(f, -args.gamma)
-        sp2 = dataclasses.replace(sp, s=sp.s + args.gamma)
-        num = tl_norm(lifted, pw, sp, bank, rng).value
-        den = tl_norm(f, pw, sp2, bank, rng).value
-        ratio = num / den if den > 0 else float("inf")
-        print(json.dumps({"ratio": ratio, "num": num, "den": den}, indent=1))
-        # two-sided: 1/threshold <= ratio <= threshold
-        return 0 if ratio <= args.threshold and ratio * args.threshold >= 1.0 else 1
+        out = bessel_potential(f, -args.gamma)
+        den_sp = dataclasses.replace(sp, s=sp.s + args.gamma)
     elif args.op == "psdo":
         from .operators import psdo_apply
         if args.symbol is None:
             raise ValueError("--op psdo needs --symbol")
-        sym = fieldio.read_symbol(args.symbol)
-        g = psdo_apply(sym, f)
-        num = tl_norm(SampledField(f.grid, g.values), pw, sp, bank, rng).value
-    elif args.op == "multiplier":
+        out = psdo_apply(fieldio.read_symbol(args.symbol), f)
+    else:   # multiplier
         from .lpa import RadialProfile, h2_profile_norm
         from .operators import multiplier_apply
-        k = int(args.gamma)   # scale index of the built-in gaussian multiplier
+        k = json_int(args.gamma, "--gamma")   # scale index of the built-in gaussian multiplier
         prof = RadialProfile(lambda r: np.exp(-((r / 2.0 ** k) ** 2)))
         out = multiplier_apply([prof], [f])[0]
-        h2 = h2_profile_norm(f.grid, prof(f.grid.freq_radius() * 2.0 ** k),
-                             1.0 / min(1.0, sp.p, sp.q) + f.grid.dim / 2.0 + 0.1)
-        num = tl_norm(SampledField(f.grid, out.values), pw, sp, bank, rng).value
-        den = tl_norm(f, pw, sp, bank, rng).value
-        ratio = num / (den * h2) if den > 0 else float("inf")
-        print(json.dumps({"ratio": ratio, "num": num, "den": den, "h2": h2}, indent=1))
-        return 0 if ratio <= args.threshold else 1
-    else:
-        return 2
-    den = tl_norm(f, pw, sp, bank, rng).value
-    ratio = num / den if den > 0 else float("inf")
-    print(json.dumps({"ratio": ratio, "num": num, "den": den}, indent=1))
-    return 0 if ratio <= args.threshold else 1
+        extra["h2"] = h2_profile_norm(f.grid, prof(f.grid.freq_radius() * 2.0 ** k),
+                                      1.0 / min(1.0, sp.p, sp.q) + f.grid.dim / 2.0 + 0.1)
+    num = tl_norm(out, pw, sp, bank, rng).value
+    den = tl_norm(f, pw, den_sp, bank, rng).value
+    ratio = num / (den * extra.get("h2", 1.0)) if den > 0 else float("inf")
+    print(json.dumps({"ratio": ratio, "num": num, "den": den, **extra}, indent=1))
+    # bessel is two-sided: 1/threshold <= ratio <= threshold
+    ok = ratio <= args.threshold and (args.op != "bessel" or ratio * args.threshold >= 1.0)
+    return 0 if ok else 1
 
 
 def cmd_equiv(args) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coeffseq import CoeffSequence
 from .dyadic import CubeRange, DyadicCube, cubes_per_axis
-from .fields import SampledField, spectral_derivative, to_spectral
+from .fields import SampledField, multi_indices, spectral_derivative, to_spectral
 from .grid import TorusGrid
 from .lpa import band_outputs, check_bank
 
@@ -240,12 +240,17 @@ class AtomParams:
     wrapped: bool = False
 
 
-def _multi_indices(n: int, order: int) -> list:
-    return [g for g in product(range(order + 1), repeat=n) if sum(g) <= order]
-
-
 def _centered_coords(grid: TorusGrid, center: np.ndarray) -> list:
     return [grid.wrap_delta(c - mu) for c, mu in zip(grid.coords(), center)]
+
+
+def _moment(f: SampledField, rel: list, gamma) -> float:
+    """|int x^gamma f(x) dx| of a scalar field by midpoint quadrature, x in the
+    centered coordinates rel."""
+    mono = np.ones(f.grid.shape)
+    for r, g in zip(rel, gamma):
+        mono = mono * r ** g
+    return float(abs(np.sum(mono * f.scalar()) * f.grid.cell_measure))
 
 
 def molecule_check(family: dict, params: MoleculeParams, eps: float = 1e-8,
@@ -267,43 +272,35 @@ def molecule_check(family: dict, params: MoleculeParams, eps: float = 1e-8,
         rel = _centered_coords(grid, cube.corner)
         dist = np.sqrt(sum(r * r for r in rel))
         ell = cube.side
-        if params.N >= 0:
-            for gamma in _multi_indices(grid.dim, params.N):
-                mono = np.ones(grid.shape)
-                for r, g in zip(rel, gamma):
-                    mono = mono * r ** g
-                mom = abs(np.sum(mono * vals) * grid.cell_measure)
-                report["m1_max"] = max(report["m1_max"], float(mom))
+        for gamma in multi_indices(grid.dim, params.N):
+            report["m1_max"] = max(report["m1_max"], _moment(fld, rel, gamma))
         m2_exp = max(params.M, params.N + 1 + grid.dim + params.epsilon)
         env2 = (1.0 + dist / ell) ** (-m2_exp)
         report["m2_const"] = max(report["m2_const"],
                                  float(np.max(np.abs(vals) * cube.measure ** 0.5 / env2)))
-        if params.K >= 0:
-            envM = (1.0 + dist / ell) ** (-params.M)
-            for gamma in _multi_indices(grid.dim, params.K):
-                if sum(gamma) == 0:
-                    continue
-                dv = spectral_derivative(fld, gamma).scalar()
-                scale = cube.measure ** (0.5 + sum(gamma) / grid.dim)
-                report["m3_const"] = max(report["m3_const"],
-                                         float(np.max(np.abs(dv) * scale / envM)))
-            for gamma in [g for g in _multi_indices(grid.dim, params.K) if sum(g) == params.K]:
-                dv = spectral_derivative(fld, gamma).scalar().ravel()
-                flat_dist = dist.ravel()
-                npts = dv.size
-                xi = rng.integers(npts, size=pair_samples)
-                yi = rng.integers(npts, size=pair_samples)
-                coords = np.stack([c.ravel() for c in grid.coords()], axis=-1)
-                sep = grid.torus_dist(coords[xi], coords[yi])
-                ok = sep > 0
-                xi, yi, sep = xi[ok], yi[ok], sep[ok]
-                # sup over |z| <= |x-y| of the shifted envelope
-                best_dist = np.maximum(flat_dist[xi] - sep, 0.0)
-                env = (1.0 + best_dist / ell) ** (-params.M)
-                scale = cube.measure ** (0.5 + params.K / grid.dim + params.delta / grid.dim)
-                ratio = np.abs(dv[xi] - dv[yi]) * scale / (sep ** params.delta * env)
-                if ratio.size:
-                    report["m4_const"] = max(report["m4_const"], float(np.max(ratio)))
+        envM = (1.0 + dist / ell) ** (-params.M)
+        for gamma in multi_indices(grid.dim, params.K)[1:]:     # the first is gamma = 0
+            dv = spectral_derivative(fld, gamma).scalar()
+            scale = cube.measure ** (0.5 + sum(gamma) / grid.dim)
+            report["m3_const"] = max(report["m3_const"],
+                                     float(np.max(np.abs(dv) * scale / envM)))
+        for gamma in [g for g in multi_indices(grid.dim, params.K) if sum(g) == params.K]:
+            dv = spectral_derivative(fld, gamma).scalar().ravel()
+            flat_dist = dist.ravel()
+            npts = dv.size
+            xi = rng.integers(npts, size=pair_samples)
+            yi = rng.integers(npts, size=pair_samples)
+            coords = np.stack([c.ravel() for c in grid.coords()], axis=-1)
+            sep = grid.torus_dist(coords[xi], coords[yi])
+            ok = sep > 0
+            xi, yi, sep = xi[ok], yi[ok], sep[ok]
+            # sup over |z| <= |x-y| of the shifted envelope
+            best_dist = np.maximum(flat_dist[xi] - sep, 0.0)
+            env = (1.0 + best_dist / ell) ** (-params.M)
+            scale = cube.measure ** (0.5 + params.K / grid.dim + params.delta / grid.dim)
+            ratio = np.abs(dv[xi] - dv[yi]) * scale / (sep ** params.delta * env)
+            if ratio.size:
+                report["m4_const"] = max(report["m4_const"], float(np.max(ratio)))
     report["m1_pass"] = report["m1_max"] <= eps
     return report
 
@@ -326,20 +323,13 @@ def measure_atom_params(atom: SampledField, cube: DyadicCube, L_max: int = 3,
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     L = -1
     for order in range(L_max + 1):
-        moments = []
-        for gamma in _multi_indices(grid.dim, order):
-            if sum(gamma) != order:
-                continue
-            mono = np.ones(grid.shape)
-            for r, g in zip(rel, gamma):
-                mono = mono * r ** g
-            moments.append(abs(np.sum(mono * vals) * grid.cell_measure))
+        moments = [_moment(atom, rel, g) for g in multi_indices(grid.dim, order) if sum(g) == order]
         if max(moments) <= tol * scale:
             L = order
         else:
             break
     consts = {}
-    for gamma in _multi_indices(grid.dim, N_max):
+    for gamma in multi_indices(grid.dim, N_max):
         dv = spectral_derivative(atom, gamma).scalar()
         consts[gamma] = float(np.max(np.abs(dv)) * cube.side ** (sum(gamma) + grid.dim / 2.0))
     return AtomParams(b=b, L=L, N=N_max, derivative_consts=consts, wrapped=wrapped)

@@ -9,6 +9,7 @@ exactly with this transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -105,6 +106,12 @@ def fourier_multiply(f: SampledField, mult: np.ndarray) -> SampledField:
     if not f.is_complex and not np.iscomplexobj(mult):
         values = values.real
     return SampledField(f.grid, values)
+
+
+def multi_indices(dim: int, order: int) -> list:
+    """Every multi-index gamma of length dim with |gamma| <= order, in
+    lexicographic order, so the first is gamma = 0."""
+    return [g for g in product(range(order + 1), repeat=dim) if sum(g) <= order]
 
 
 def spectral_derivative(f: SampledField, orders) -> SampledField:

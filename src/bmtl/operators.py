@@ -10,14 +10,14 @@ sum (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SampledField, fourier_multiply, to_spectral
+from .fields import (SampledField, fourier_multiply, multi_indices, scalar_field,
+                     spectral_derivative, to_spectral)
 from .grid import TorusGrid
 from .lpa import InhomPartition, RadialProfile, holder_zygmund_norm, make_inhom_partition
-from .fields import scalar_field
 
 
 @dataclass
@@ -46,16 +46,16 @@ class SymbolGrid:
 
 @dataclass
 class SymbolClassParams:
+    """Order m, x-regularity delta and Holder-Zygmund smoothness ell of the classes
+    S^m_(1,delta) (rho = 1 throughout), and the seminorm depths N, b."""
+
     m: float
-    rho: float = 1.0
     delta: float = 0.0
     ell: float = 1.0
     N: int = 2
     b: int = 2
 
     def __post_init__(self):
-        if self.rho != 1.0:
-            raise ValueError("only rho = 1 classes are implemented")
         if not (0.0 <= self.delta <= 1.0):
             raise ValueError("delta must lie in [0, 1]")
         if self.N % 2 or self.b % 2 or self.N < 0 or self.b < 0:
@@ -104,48 +104,41 @@ def psdo_apply(sigma: SymbolGrid, f: SampledField) -> SampledField:
 
 
 def hilbert_riesz_apply(f: SampledField, component: int = 1) -> SampledField:
-    """Hilbert transform (n = 1) or Riesz transform component (n = 2).
-
-    Multiplier -i sgn(xi), resp. -i xi_c / |xi|, with the zero mode mapped to 0.
-    """
+    """Riesz transform component c in 1..n: multiplier -i xi_c / |xi|, with the
+    zero mode mapped to 0.  In 1D it is the Hilbert transform, -i sgn(xi)."""
     grid = f.grid
-    if grid.dim == 1:
-        mult = -1j * np.sign(grid.freqs()[0])
-    else:
-        if component not in (1, 2):
-            raise ValueError("Riesz component must be 1 or 2")
-        fx = grid.freqs()[component - 1]
-        r = grid.freq_radius()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mult = np.where(r > 0, -1j * fx / np.where(r > 0, r, 1.0), 0.0)
+    if not 1 <= component <= grid.dim:
+        raise ValueError(f"Riesz component must lie in 1..{grid.dim}, got {component}")
+    fx = grid.freqs()[component - 1]
+    r = grid.freq_radius()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mult = np.where(r > 0, -1j * (fx / np.where(r > 0, r, 1.0)), 0.0)
     return fourier_multiply(f, mult)
 
 
-def cz_kernel_check(kernel: SampledField, L: int, inner_radius_cells: int = 4) -> dict:
+#: cz_kernel_check reads the derivatives at |x| >= this many grid spacings
+_CZ_INNER_RADIUS_CELLS = 4
+
+
+def cz_kernel_check(kernel: SampledField, L: int) -> dict:
     """Measured Calderon-Zygmund kernel constants on the punctured grid.
 
     K1/K2: sup |x|^(n+|gamma|) |d^gamma K| for |gamma| <= L (spectral derivative,
-    evaluated off a small neighborhood of 0); K3: max over dyadic annuli of
-    |int K|.
+    evaluated at |x| >= _CZ_INNER_RADIUS_CELLS grid spacings); K3: max over dyadic
+    annuli of |int K|.
     """
-    from itertools import product as iproduct
-
-    from .fields import spectral_derivative
-
     grid = kernel.grid
     n = grid.dim
     dist = grid.radius()
     vals = kernel.scalar().copy()
     origin = (0,) * n
     vals[origin] = 0.0
-    off = dist >= inner_radius_cells * grid.spacing
+    off = dist >= _CZ_INNER_RADIUS_CELLS * grid.spacing
     report = {"K1": float(np.max(np.abs(vals[dist > 0]) * dist[dist > 0] ** n))}
     clean = SampledField(grid, vals[..., None])
     k2 = 0.0
-    for gamma in iproduct(range(L + 1), repeat=n):
+    for gamma in multi_indices(n, L)[1:]:       # the first is gamma = 0
         total = sum(gamma)
-        if total == 0 or total > L:
-            continue
         dv = spectral_derivative(clean, gamma).scalar()
         k2 = max(k2, float(np.max(np.abs(dv[off]) * dist[off] ** (n + total))))
     report["K2"] = k2
@@ -190,67 +183,42 @@ def check_band_support(f: SampledField, radius: float, tol: float = 1e-10) -> bo
     return True
 
 
-def _xi_shifted(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """fftshift over the xi axes so centered differences see monotone xi."""
-    return np.fft.fftshift(values, axes=tuple(range(grid.dim, 2 * grid.dim)))
+def _xi_derivatives(sigma: SymbolGrid, values: np.ndarray, alpha_max: int):
+    """Yield (alpha, d_xi^alpha values, mask) for every |alpha| <= alpha_max.
 
-
-def _xi_derivative(shifted: np.ndarray, grid: TorusGrid, alpha) -> np.ndarray:
-    """Centered differences along xi axes at lattice spacing 1/L (shifted order)."""
-    step = 1.0 / grid.side
-    out = shifted
-    for ax_rel, order in enumerate(alpha):
-        ax = grid.dim + ax_rel
-        for _ in range(order):
-            out = (np.roll(out, -1, axis=ax) - np.roll(out, 1, axis=ax)) / (2.0 * step)
-    return out
-
-
-def _x_derivative(values: np.ndarray, grid: TorusGrid, beta) -> np.ndarray:
-    axes = tuple(range(grid.dim))
-    out = np.fft.fftn(values, axes=axes)
-    for ax, order in enumerate(beta):
-        if order:
-            shape = [1] * values.ndim
-            shape[ax] = grid.points_per_axis
-            zeta = grid.axis_freqs().reshape(shape)
-            out = out * (2j * np.pi * zeta) ** order
-    return np.fft.ifftn(out, axes=axes)
-
-
-def _xi_interior_mask(grid: TorusGrid, order: int) -> np.ndarray:
-    """Mask (shifted xi order) excluding lattice-edge frequencies where the
-    centered difference wraps."""
+    values is a table of sigma's layout.  The derivatives are centered differences
+    at lattice spacing 1/L, in fftshift order over the xi axes so that they see
+    monotone xi.  mask (grid.shape, the same order) keeps the xi whose differences
+    do not wrap: max(alpha) lattice-edge frequencies go from each end of each axis.
+    """
+    grid = sigma.grid
     N = grid.points_per_axis
-    ax = np.zeros(N, dtype=bool)
-    ax[order: N - order] = True
-    return np.logical_and.reduce(np.meshgrid(*[ax] * grid.dim, indexing="ij"))
+    step = 1.0 / grid.side
+    shifted = np.fft.fftshift(values, axes=sigma.xi_axes)
+    for alpha in multi_indices(grid.dim, alpha_max):
+        dv = shifted
+        for ax, order in zip(sigma.xi_axes, alpha):
+            for _ in range(order):
+                dv = (np.roll(dv, -1, axis=ax) - np.roll(dv, 1, axis=ax)) / (2.0 * step)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[(slice(max(alpha), N - max(alpha)),) * grid.dim] = True
+        yield alpha, dv, mask
 
 
 def hormander_seminorm(sigma: SymbolGrid, params: SymbolClassParams,
                        alpha_max: int, beta_max: int) -> float:
     """max over |alpha| <= alpha_max, |beta| <= beta_max, (x, xi) of
-    |d_xi^alpha d_x^beta sigma| (1+|xi|)^(-m + rho|alpha| - delta|beta|)."""
-    from itertools import product as iproduct
-
+    |d_xi^alpha d_x^beta sigma| (1+|xi|)^(-m + |alpha| - delta|beta|)."""
     grid = sigma.grid
-    rho_xi = np.sqrt(sum(np.fft.fftshift(fq) ** 2 for fq in grid.freqs()))
-    rho_xi = rho_xi.reshape((1,) * grid.dim + grid.shape)
+    one_plus = 1.0 + np.fft.fftshift(grid.freq_radius())     # 1 + |xi|, shifted order
+    # the table as a field with one channel per xi, for the x-derivatives
+    table = SampledField(grid, sigma.values.reshape(grid.shape + (grid.npoints,)))
     best = 0.0
-    for beta in iproduct(range(beta_max + 1), repeat=grid.dim):
-        if sum(beta) > beta_max:
-            continue
-        base = _x_derivative(sigma.values, grid, beta)
-        shifted = _xi_shifted(base, grid)
-        for alpha in iproduct(range(alpha_max + 1), repeat=grid.dim):
-            ta = sum(alpha)
-            if ta > alpha_max:
-                continue
-            dv = _xi_derivative(shifted, grid, alpha)
-            weight = (1.0 + rho_xi) ** (-params.m + params.rho * ta - params.delta * sum(beta))
-            mask = _xi_interior_mask(grid, max(alpha) if ta else 0)
-            sel = np.broadcast_to(mask.reshape((1,) * grid.dim + grid.shape), dv.shape)
-            best = max(best, float(np.max(np.abs(dv)[sel] * np.broadcast_to(weight, dv.shape)[sel])))
+    for beta in multi_indices(grid.dim, beta_max):
+        dx = spectral_derivative(table, beta).values.reshape(sigma.values.shape)
+        for alpha, dv, mask in _xi_derivatives(sigma, dx, alpha_max):
+            weight = one_plus[mask] ** (-params.m + sum(alpha) - params.delta * sum(beta))
+            best = max(best, float(np.max(np.abs(dv)[..., mask] * weight)))
     return best
 
 
@@ -260,30 +228,27 @@ def sigma_nb_seminorm(sigma: SymbolGrid, params: SymbolClassParams) -> float:
     return hormander_seminorm(sigma, params, alpha_max=params.b, beta_max=params.N)
 
 
-def czs_seminorm(sigma: SymbolGrid, params: SymbolClassParams, alpha_max: int = 2,
-                 xi_samples: int = 33) -> float:
+#: czs_seminorm takes the C*-norm sup over about this many xi, evenly strided
+_CZS_XI_SAMPLES = 33
+
+
+def czs_seminorm(sigma: SymbolGrid, params: SymbolClassParams, alpha_max: int = 2) -> float:
     """Holder-Zygmund symbol seminorm: for each |alpha| <= alpha_max,
     sup_xi <xi>^(-m+|alpha|-l*delta) ||d_xi^alpha sigma(., xi)||_C*l
       + sup_xi <xi>^(-m+|alpha|) ||d_xi^alpha sigma(., xi)||_Linf,
-    maximized over alpha.  The C* sup subsamples the xi lattice."""
-    from itertools import product as iproduct
-
+    maximized over alpha.  The C* sup subsamples the xi lattice to about
+    _CZS_XI_SAMPLES points."""
     grid = sigma.grid
     partition = make_inhom_partition()
-    rho_flat = np.sqrt(sum(np.fft.fftshift(fq) ** 2 for fq in grid.freqs())).reshape(-1)
-    bracket = np.sqrt(1.0 + rho_flat ** 2)
+    bracket = np.sqrt(1.0 + np.fft.fftshift(grid.freq_radius()).reshape(-1) ** 2)
     npts = grid.npoints
-    stride = max(1, npts // xi_samples)
+    stride = max(1, npts // _CZS_XI_SAMPLES)
     best = 0.0
-    for alpha in iproduct(range(alpha_max + 1), repeat=grid.dim):
+    for alpha, dv, mask in _xi_derivatives(sigma, sigma.values, alpha_max):
         ta = sum(alpha)
-        if ta > alpha_max:
-            continue
-        shifted = _xi_shifted(sigma.values, grid)
-        dv = _xi_derivative(shifted, grid, alpha)
         flat = dv.reshape(grid.shape + (npts,))
-        mask = _xi_interior_mask(grid, max(alpha) if ta else 0).reshape(-1)
-        linf = np.max(np.abs(flat), axis=tuple(range(grid.dim)))
+        mask = mask.reshape(-1)
+        linf = np.max(np.abs(flat), axis=sigma.x_axes)
         w_inf = bracket ** (-params.m + ta)
         term2 = float(np.max(linf[mask] * w_inf[mask]))
         term1 = 0.0
@@ -338,22 +303,20 @@ def paradecompose(sigma: SymbolGrid, j_cut: int, l_cut: int,
     if partition is None:
         partition = make_inhom_partition()
     grid = sigma.grid
-    x_axes = tuple(range(grid.dim))
-    rho_x = grid.freq_radius()       # zeta lattice for the x spectrum
-    rho_xi = grid.freq_radius()
-    hat1 = np.fft.fftn(sigma.values, axes=x_axes)
+    rho = grid.freq_radius()         # both the xi lattice and the zeta lattice of the x spectrum
+    hat1 = np.fft.fftn(sigma.values, axes=sigma.x_axes)
     pieces = {}
     for j in range(j_cut + 1):
-        xi_mult = partition.level(j)(rho_xi).reshape((1,) * grid.dim + grid.shape)
+        xi_mult = partition.level(j)(rho).reshape((1,) * grid.dim + grid.shape)
         for l in range(l_cut + 1):
             if l == 0:
-                zeta_mult = partition.cumulative(j)(rho_x)
+                zeta_mult = partition.cumulative(j)(rho)
             else:
-                zeta_mult = partition.level(j + l)(rho_x)
+                zeta_mult = partition.level(j + l)(rho)
             if not np.any(zeta_mult):
                 continue
             xpart = np.fft.ifftn(hat1 * zeta_mult.reshape(grid.shape + (1,) * grid.dim),
-                                 axes=x_axes)
+                                 axes=sigma.x_axes)
             pieces[(j, l)] = SymbolGrid(grid, xpart * xi_mult)
     return ParaPieces(grid, pieces, j_cut, l_cut)
 
@@ -365,9 +328,8 @@ def kernel_weighted_mass(piece: SymbolGrid, j: int, a: float) -> float:
     the symmetric fundamental domain.
     """
     grid = piece.grid
-    xi_axes = tuple(range(grid.dim, 2 * grid.dim))
-    M = np.fft.ifftn(piece.values, axes=xi_axes) * (grid.npoints / grid.side ** grid.dim)
+    M = np.fft.ifftn(piece.values, axes=piece.xi_axes) * (grid.npoints / grid.side ** grid.dim)
     weight = (1.0 + 2.0 ** j * grid.radius()) ** a
     mass = np.sum(np.abs(M) * weight.reshape((1,) * grid.dim + grid.shape),
-                  axis=xi_axes) * grid.cell_measure
+                  axis=piece.xi_axes) * grid.cell_measure
     return float(np.max(mass))

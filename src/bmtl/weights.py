@@ -166,11 +166,6 @@ def _strided(npts: int, cap: int) -> np.ndarray:
     return np.arange(0, npts, stride)
 
 
-def _pair_cap(grid: TorusGrid) -> int:
-    # keep the per-cube pair budget near 64^2 regardless of dimension
-    return 64 if grid.dim == 1 else 8
-
-
 def _window_samples(grid: TorusGrid, j: int, factor: float, cap: int) -> np.ndarray:
     """(ncubes, nsamples) flat grid indices of every level-j cube dilated by factor
     (torus-wrapped), each axis window evenly strided to at most cap samples; cubes
@@ -232,7 +227,7 @@ def _muckenhoupt_levels(grid: TorusGrid, root: np.ndarray, iroot: np.ndarray, p:
     """
     cube_range.validate(grid, margin=0)
     root, iroot = (r.reshape((-1,) + r.shape[-2:]) for r in (root, iroot))
-    cap = _pair_cap(grid)
+    cap = round(64 ** (1 / grid.dim))      # 64 samples, so 64^2 pairs, per cube in any dimension
     out = {}
     for j in cube_range.cube_levels():
         i_cap = min(i_max, grid.side_log2 + j)      # 2^(i - j) <= L = 2^side_log2

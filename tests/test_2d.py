@@ -1,8 +1,12 @@
 """Two-dimensional exercises of the dimension-generic code paths."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bmtl
 from bmtl.coeff import (ADProfile, ad_apply, ad_random_operator, ad_weight,
                         molecule_check, MoleculeParams, phi_synthesis, phi_transform)
 from bmtl.coeffseq import CoeffSequence
@@ -200,3 +204,26 @@ def test_paradecompose_2d_reconstruction():
     covered = g.freq_radius() <= 2.0 ** (j_cut - 1)
     err = np.abs(rec - sym.values)[:, :, covered]
     assert np.max(err) < 1e-8 * np.max(np.abs(sym.values))
+
+
+def _names_dim(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "dim"
+            or isinstance(node, ast.Name) and node.id == "dim")
+
+
+def test_no_dimension_forks_outside_grid():
+    # every routine runs one code path for n = 1 and n = 2: a dim == / != test
+    # against a number belongs in TorusGrid's own input check and nowhere else
+    forks = []
+    for path in sorted(Path(bmtl.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                continue
+            sides = [node.left, *node.comparators]
+            if any(map(_names_dim, sides)) and any(isinstance(x, ast.Constant) for x in sides):
+                forks.append(f"{path.name}:{node.lineno}")
+    assert not forks, f"dimension forks outside grid.py: {forks}"

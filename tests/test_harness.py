@@ -385,6 +385,15 @@ def test_cli_transform_and_bound(tmp_path):
                   "--params", params, "--gamma", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["ratio"] <= 50.0
+    # a scale index that is not an integer, and a threshold that is not positive
+    for bad, msg in ((("--op", "multiplier", "--gamma", "inf"), "--gamma must be an integer"),
+                     (("--op", "multiplier", "--gamma", "1e400"), "--gamma must be an integer"),
+                     (("--op", "multiplier", "--gamma", "1.5"), "--gamma must be an integer"),
+                     (("--op", "hilbert", "--threshold", "nan"), "--threshold must be positive")):
+        res = run_cli("bound", *bad, "--field", str(fpath), "--params", params)
+        assert res.returncode == 2, bad
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+        assert msg in res.stderr, res.stderr
     window = json.loads(params)
     for bad, msg in ((dict(window, inhomogeneous="false"), "inhomogeneous must be a boolean"),
                      (dict(window, inhomogeneous=True, homogeneous=True), "unknown 'homogeneous'"),

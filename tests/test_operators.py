@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bmtl.fields import SampledField, from_spectral, scalar_field, to_spectral
+from bmtl.fields import (SampledField, from_spectral, multi_indices, scalar_field,
+                         spectral_derivative, to_spectral)
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise
 from bmtl.lpa import RadialProfile, h2_profile_norm, make_inhom_partition
@@ -46,6 +47,13 @@ def test_riesz_components_2d():
     assert np.max(np.abs(back + f.values)) < 1e-10 * np.max(np.abs(f.values))
     with pytest.raises(ValueError):
         hilbert_riesz_apply(f, 3)
+
+
+def test_riesz_component_outside_range_1d():
+    f = band_limited_noise(GRID, 1, 0.5, 8.0, np.random.default_rng(0))
+    for component in (0, 2):
+        with pytest.raises(ValueError, match=r"1\.\.1"):
+            hilbert_riesz_apply(f, component)
 
 
 def test_cz_kernel_hilbert_golden():
@@ -154,6 +162,50 @@ def test_czs_seminorm_constant_and_scaling():
     assert val == pytest.approx(2.0, rel=1e-6)   # C* block of 1 plus its sup
     doubled = czs_seminorm(SymbolGrid(SMALL, 2.0 * sym.values), params, alpha_max=1)
     assert doubled == pytest.approx(2.0 * val, rel=1e-10)
+
+
+GRID2 = TorusGrid(2, 1, 3)    # 16^2 lattice points
+
+
+def _separable_2d():
+    """a, b and the symbol a(x) b(xi) on GRID2, a and b complex; b is not periodic
+    across the lattice edge, so differences that wrap there would dominate."""
+    x0, x1 = GRID2.coords()
+    a = (1.0 + 0.3 * np.cos(2 * np.pi * x0 / GRID2.side)) * np.exp(2j * np.pi * x1 / GRID2.side)
+    xi0, xi1 = GRID2.freqs()
+    b = (1.0 + xi0 ** 2 + xi1 ** 2) ** 0.25 * np.exp(0.7j * xi0) + 0.5 * xi1
+    return a, b, SymbolGrid(GRID2, a[:, :, None, None] * b[None, None, :, :])
+
+
+def test_hormander_seminorm_2d_separable_factorizes():
+    # for a(x) b(xi) each (alpha, beta) term is max |d^beta a| times the weighted
+    # max of the centered differences of b over the alpha-interior of the lattice
+    a, b, sym = _separable_2d()
+    params = SymbolClassParams(m=0.5, delta=0.25)
+    N = GRID2.points_per_axis
+    shifted = np.fft.fftshift(b)
+    one_plus = 1.0 + np.fft.fftshift(GRID2.freq_radius())
+    want = 0.0
+    for beta in multi_indices(2, 2):
+        da = np.max(np.abs(spectral_derivative(scalar_field(GRID2, a), beta).scalar()))
+        for alpha in multi_indices(2, 2):
+            db = shifted
+            for ax, order in enumerate(alpha):
+                for _ in range(order):
+                    db = (np.roll(db, -1, axis=ax) - np.roll(db, 1, axis=ax)) * (GRID2.side / 2.0)
+            inner = (slice(max(alpha), N - max(alpha)),) * 2
+            weight = one_plus ** (-params.m + sum(alpha) - params.delta * sum(beta))
+            want = max(want, da * np.max(np.abs(db[inner]) * weight[inner]))
+    assert hormander_seminorm(sym, params, 2, 2) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_czs_seminorm_scales_linearly_2d():
+    sym = _separable_2d()[2]
+    params = SymbolClassParams(m=0.5, delta=0.25, ell=0.8)
+    val = czs_seminorm(sym, params, alpha_max=2)
+    assert np.isfinite(val) and val > 0.0
+    tripled = czs_seminorm(SymbolGrid(GRID2, 3.0 * sym.values), params, alpha_max=2)
+    assert tripled == pytest.approx(3.0 * val, rel=1e-10)
 
 
 def test_elementary_symbol_construction():
