@@ -151,6 +151,8 @@ def cmd_transform(args) -> int:
 def cmd_bound(args) -> int:
     if not args.threshold > 0:
         raise ValueError(f"--threshold must be positive, got {args.threshold}")
+    if args.op == "bessel" and not np.isfinite(args.gamma):
+        raise ValueError(f"--gamma must be finite, got {args.gamma}")
     f = fieldio.read_field(args.field)
     params = _load_params(args.params, SPACE_KEYS)
     rng = _range_from(params, f.grid)
@@ -172,10 +174,12 @@ def cmd_bound(args) -> int:
             raise ValueError("--op psdo needs --symbol")
         out = psdo_apply(fieldio.read_symbol(args.symbol), f)
     else:   # multiplier
-        from .lpa import RadialProfile, h2_profile_norm
+        from .lpa import h2_profile_norm
         from .operators import multiplier_apply
         k = json_int(args.gamma, "--gamma")   # scale index of the built-in gaussian multiplier
-        prof = RadialProfile(lambda r: np.exp(-((r / 2.0 ** k) ** 2)))
+
+        def prof(r):
+            return np.exp(-((r / 2.0 ** k) ** 2))
         out = multiplier_apply([prof], [f])[0]
         extra["h2"] = h2_profile_norm(f.grid, prof(f.grid.freq_radius() * 2.0 ** k),
                                       1.0 / min(1.0, sp.p, sp.q) + f.grid.dim / 2.0 + 0.1)
@@ -301,6 +305,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: the input overflowed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,13 @@
 """Littlewood-Paley machinery: annulus profiles, dyadic partitions, band filters,
 Bessel potentials, and the auxiliary Sobolev / Holder-Zygmund norms.
 
-Profiles are radial functions of |xi| built from the C-infinity bump
+Profiles are plain functions of rho = |xi| built from the C-infinity bump
 exp(-1/(t(1-t))): the analysis profile is 1 on [3/5, 5/3] and supported in
 [1/2, 2]; its dual satisfies F(psi) = F(phi) / sum_v |F(phi_v)|^2, which makes
-the dyadic reproducing sum identically 1 away from 0.
+the dyadic reproducing sum identically 1 away from 0.  Level k of either bank
+lives on 2^(k-1) < rho < 2^(k+1), so that square sum has two nonzero terms,
+and one helper (_dyadic_square_sum) gives the denominator of both banks'
+synthesis side.
 
 Cube-paired machinery (norms, phi-transform) associates cube level j with the
 profile dilated to the band (2^(j-3), 2^(j-1)): with the cyclic Fourier
@@ -20,6 +23,7 @@ spectral sum.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +44,6 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-class RadialProfile:
-    """A radial spectral profile rho -> g(rho) given by a callable."""
-
-    def __init__(self, fn, name=""):
-        self._fn = fn
-        self.name = name
-
-    def __call__(self, rho) -> np.ndarray:
-        return self._fn(np.asarray(rho, dtype=float))
-
-
 def _on_support(rho: np.ndarray, fn) -> np.ndarray:
     """fn(rho) where 1/2 < rho < 2 and 0 elsewhere: the annulus profiles vanish
     outside that open interval, so fn is evaluated only inside it."""
@@ -60,11 +53,33 @@ def _on_support(rho: np.ndarray, fn) -> np.ndarray:
     return out
 
 
-def _phi_profile(rho: np.ndarray) -> np.ndarray:
+def _phi_profile(rho) -> np.ndarray:
     def bump(r):
         return _smooth_step((r - 0.5) / (0.6 - 0.5)) * _smooth_step((2.0 - r) / (2.0 - 5.0 / 3.0))
 
-    return _on_support(rho, bump)
+    return _on_support(np.asarray(rho, dtype=float), bump)
+
+
+def _dyadic_square_sum(level_at, rho: np.ndarray, k_min: int = None) -> np.ndarray:
+    """sum_k level_at(k, rho)^2 for a bank whose level k vanishes off
+    2^(k-1) < rho < 2^(k+1); level_at takes an integer array k shaped like rho.
+
+    With k0 = floor(log2 rho), clipped at k_min, only levels k0 and k0 + 1 can be
+    nonzero, so the sum is those two squares; every other term is an exact 0.
+    rho must be positive unless k_min is given.
+    """
+    r = rho if k_min is None else np.maximum(rho, 2.0 ** k_min)
+    k0 = np.floor(np.log2(r)).astype(int)
+    return level_at(k0, rho) ** 2 + level_at(k0 + 1, rho) ** 2
+
+
+def _over_square_sum(num: np.ndarray, rho: np.ndarray, level_at, k_min: int = None) -> np.ndarray:
+    """num / _dyadic_square_sum(level_at, rho, k_min) where num is nonzero, 0
+    elsewhere: a synthesis profile from its bank's analysis levels."""
+    out = np.zeros_like(num)
+    nz = num != 0.0
+    out[nz] = num[nz] / _dyadic_square_sum(level_at, rho[nz], k_min)
+    return out
 
 
 @dataclass
@@ -72,8 +87,8 @@ class AdmissiblePair:
     """Analysis/synthesis profiles with supp in the annulus [1/2, 2] and
     sum_v conj(phi_v) psi_v = 1 for all xi != 0."""
 
-    phi: RadialProfile
-    psi: RadialProfile
+    phi: Callable
+    psi: Callable
 
     def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Level-j analysis multiplier: conj-reflected phi on cube level j's band."""
@@ -94,20 +109,14 @@ class AdmissiblePair:
 
 def make_admissible_pair() -> AdmissiblePair:
     """Standard bump-based admissible pair; psi is phi over its dyadic square sum."""
-    def sq_sum(rho):
-        """sum_v phi(2^-v rho)^2 for rho > 0.  With v0 = floor(log2 rho), only
-        v = v0 and v0 + 1 put 2^-v rho inside phi's support (1/2, 2)."""
-        v0 = np.floor(np.log2(rho)).astype(int)
-        return sum(_phi_profile(rho * 2.0 ** (-v)) ** 2 for v in (v0, v0 + 1))
+    def phi_at(v, rho):
+        return _phi_profile(rho * 2.0 ** (-v))
 
-    def psi_fn(rho):
-        num = _phi_profile(rho)
-        out = np.zeros_like(num)
-        nz = num != 0.0
-        out[nz] = num[nz] / sq_sum(rho[nz])
-        return out
+    def psi(rho):
+        rho = np.asarray(rho, dtype=float)
+        return _over_square_sum(_phi_profile(rho), rho, phi_at)
 
-    return AdmissiblePair(RadialProfile(_phi_profile, "phi"), RadialProfile(psi_fn, "psi"))
+    return AdmissiblePair(_phi_profile, psi)
 
 
 @dataclass
@@ -115,7 +124,7 @@ class InhomPartition:
     """Dyadic partition of unity: phi0 = 1 on |xi|<=1, supported in |xi|<=2;
     phi_j = phi0(2^-j xi) - phi0(2^-j+1 xi) for j >= 1; sums telescope to 1."""
 
-    phi0: RadialProfile
+    phi0: Callable
 
     def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Level-j analysis multiplier: phi_j on cube level j's band (j >= 0)."""
@@ -126,68 +135,39 @@ class InhomPartition:
         so comb replicas cannot leak in."""
         return self.dual(j)(rho * 2.0 ** BAND_LEVEL_OFFSET)
 
-    def level(self, j: int) -> RadialProfile:
+    def level(self, j: int):
+        """phi_j as a function of rho."""
         if j < 0:
             raise ValueError("partition levels start at 0")
-        if j == 0:
-            return self.phi0
+        return lambda rho: self._level_at(j, rho)
+
+    def _level_at(self, k, rho):
+        """phi_k(rho) for levels k >= 0, one integer or an integer array shaped like rho."""
         p0 = self.phi0
+        return p0(rho * 2.0 ** (-k)) - np.where(k > 0, p0(rho * 2.0 ** (-k + 1)), 0.0)
 
-        def fn(rho, _j=j):
-            return p0(rho * 2.0 ** (-_j)) - p0(rho * 2.0 ** (-_j + 1))
-
-        return RadialProfile(fn, f"phi_{j}")
-
-    def tilde(self, j: int) -> RadialProfile:
-        """phi~_j = phi_(j-1) + phi_j + phi_(j+1) (phi~_0 = phi_0 + phi_1)."""
-        lo = max(j - 1, 0)
-        parts = [self.level(k) for k in range(lo, j + 2)]
-
-        def fn(rho):
-            return sum(p(rho) for p in parts)
-
-        return RadialProfile(fn, f"phitilde_{j}")
-
-    def cumulative(self, j: int) -> RadialProfile:
+    def cumulative(self, j: int):
         """sum_{k<=j} phi_k = phi0(2^-j xi), the low-pass through level j."""
-        p0 = self.phi0
+        return lambda rho: self.phi0(rho * 2.0 ** (-j))
 
-        def fn(rho, _j=j):
-            return p0(rho * 2.0 ** (-_j))
-
-        return RadialProfile(fn, f"lowpass_{j}")
-
-    def _square_sum(self, rho: np.ndarray) -> np.ndarray:
-        """sum_k phi_k(rho)^2; at most two levels are active, so it is >= 1/2."""
-        rho = np.asarray(rho, dtype=float)
-        out = self.level(0)(rho) ** 2
-        k_max = int(np.ceil(np.log2(np.max(rho) + 1e-300))) + 2 if np.max(rho) > 1 else 1
-        for k in range(1, max(k_max, 1) + 1):
-            out = out + self.level(k)(rho) ** 2
-        return out
-
-    def dual(self, j: int) -> RadialProfile:
+    def dual(self, j: int):
         """phi_j / sum_k phi_k^2: supported exactly on phi_j's band and summing
         against the partition to 1, the sampling-safe synthesis profile."""
-        def fn(rho, _j=j):
-            num = self.level(_j)(rho)
-            out = np.zeros_like(num)
-            nz = num != 0.0
-            if np.any(nz):
-                out[nz] = num[nz] / self._square_sum(np.asarray(rho, dtype=float)[nz])
-            return out
+        def fn(rho):
+            rho = np.asarray(rho, dtype=float)
+            return _over_square_sum(self.level(j)(rho), rho, self._level_at, k_min=0)
 
-        return RadialProfile(fn, f"dual_{j}")
+        return fn
 
 
 def make_inhom_partition() -> InhomPartition:
     def phi0(rho):
         return _smooth_step(2.0 - np.asarray(rho, dtype=float))
 
-    return InhomPartition(RadialProfile(phi0, "phi_0"))
+    return InhomPartition(phi0)
 
 
-def band_filter(f: SampledField, profile: RadialProfile, j: int) -> SampledField:
+def band_filter(f: SampledField, profile: Callable, j: int) -> SampledField:
     """Spectral multiplication by profile(2^-j |xi|), channelwise."""
     return fourier_multiply(f, profile(f.grid.freq_radius() * 2.0 ** (-j)))
 
@@ -262,12 +242,10 @@ def h2_profile_norm(grid: TorusGrid, profile_vals: np.ndarray, s: float) -> floa
     return float(np.sqrt(np.sum(w * np.abs(profile_vals) ** 2) / grid.side ** grid.dim))
 
 
-def holder_zygmund_norm(g: SampledField, ell: float, partition: InhomPartition = None,
-                        j_cut: int = None) -> float:
+def holder_zygmund_norm(g: SampledField, ell: float, j_cut: int = None) -> float:
     """sup_j 2^(j*ell) * max_x |phi_j(D) g| with the (literal) dyadic partition."""
     vals = g.scalar()
-    if partition is None:
-        partition = make_inhom_partition()
+    partition = make_inhom_partition()
     grid = g.grid
     if j_cut is None:
         # highest level whose ring [2^(j-1), 2^(j+1)] meets the lattice

@@ -10,6 +10,7 @@ sum (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .fields import (SampledField, fourier_multiply, multi_indices, scalar_field,
                      spectral_derivative, to_spectral)
 from .grid import TorusGrid
-from .lpa import InhomPartition, RadialProfile, holder_zygmund_norm, make_inhom_partition
+from .lpa import holder_zygmund_norm, make_inhom_partition
 
 
 @dataclass
@@ -157,7 +158,7 @@ def cz_kernel_check(kernel: SampledField, L: int) -> dict:
 def multiplier_apply(mults: list, fs: list, support_radii: list = None) -> list:
     """Per-entry spectral multiplication m_k(D) f_k.
 
-    Each multiplier is a RadialProfile or a lattice array in FFT order.  When
+    Each multiplier is a function of |xi| or a lattice array in FFT order.  When
     support_radii is given, each f_k is checked (warn-only) against the band
     hypothesis supp F(f_k) inside |xi| <= radius_k.
     """
@@ -168,7 +169,7 @@ def multiplier_apply(mults: list, fs: list, support_radii: list = None) -> list:
             check_band_support(fk, radius)
     out = []
     for mk, fk in zip(mults, fs):
-        mv = mk(fk.grid.freq_radius()) if isinstance(mk, RadialProfile) else np.asarray(mk)
+        mv = mk(fk.grid.freq_radius()) if callable(mk) else np.asarray(mk)
         out.append(fourier_multiply(fk, mv))
     return out
 
@@ -190,9 +191,13 @@ def _xi_derivatives(sigma: SymbolGrid, values: np.ndarray, alpha_max: int):
     at lattice spacing 1/L, in fftshift order over the xi axes so that they see
     monotone xi.  mask (grid.shape, the same order) keeps the xi whose differences
     do not wrap: max(alpha) lattice-edge frequencies go from each end of each axis.
+    That leaves no xi once 2 * alpha_max >= N, which raises ValueError.
     """
     grid = sigma.grid
     N = grid.points_per_axis
+    if 2 * alpha_max >= N:
+        raise ValueError(f"alpha_max {alpha_max} needs 2 * alpha_max < N = {N} lattice "
+                         "points per axis: every xi difference would wrap")
     step = 1.0 / grid.side
     shifted = np.fft.fftshift(values, axes=sigma.xi_axes)
     for alpha in multi_indices(grid.dim, alpha_max):
@@ -239,7 +244,6 @@ def czs_seminorm(sigma: SymbolGrid, params: SymbolClassParams, alpha_max: int = 
     maximized over alpha.  The C* sup subsamples the xi lattice to about
     _CZS_XI_SAMPLES points."""
     grid = sigma.grid
-    partition = make_inhom_partition()
     bracket = np.sqrt(1.0 + np.fft.fftshift(grid.freq_radius()).reshape(-1) ** 2)
     npts = grid.npoints
     stride = max(1, npts // _CZS_XI_SAMPLES)
@@ -257,15 +261,15 @@ def czs_seminorm(sigma: SymbolGrid, params: SymbolClassParams, alpha_max: int = 
         for i in idx:
             section = flat[..., i]
             hz = max(
-                holder_zygmund_norm(scalar_field(grid, section.real), params.ell, partition),
-                holder_zygmund_norm(scalar_field(grid, section.imag), params.ell, partition),
+                holder_zygmund_norm(scalar_field(grid, section.real), params.ell),
+                holder_zygmund_norm(scalar_field(grid, section.imag), params.ell),
             )
             term1 = max(term1, float(hz * w_cs[i]))
         best = max(best, term1 + term2)
     return best
 
 
-def elementary_symbol(sigma_j: list, psi1: RadialProfile, grid: TorusGrid,
+def elementary_symbol(sigma_j: list, psi1: Callable, grid: TorusGrid,
                       start: int = 1) -> SymbolGrid:
     """sigma(x, xi) = sum_{j >= start} sigma_j(x) psi1(2^(-j+1) xi);
     psi1 must be supported on the ring {1 <= |xi| <= 4}."""
@@ -297,11 +301,9 @@ class ParaPieces:
         return sum(p.values for p in self.pieces.values())
 
 
-def paradecompose(sigma: SymbolGrid, j_cut: int, l_cut: int,
-                  partition: InhomPartition = None) -> ParaPieces:
+def paradecompose(sigma: SymbolGrid, j_cut: int, l_cut: int) -> ParaPieces:
     """Split sigma by output band phi_j(xi) and x-spectrum band phi_(j+l)(zeta)."""
-    if partition is None:
-        partition = make_inhom_partition()
+    partition = make_inhom_partition()
     grid = sigma.grid
     rho = grid.freq_radius()         # both the xi lattice and the zeta lattice of the x spectrum
     hat1 = np.fft.fftn(sigma.values, axes=sigma.x_axes)

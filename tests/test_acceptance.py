@@ -21,7 +21,7 @@ from bmtl.fields import SampledField, l2_norm, scalar_field
 from bmtl.grid import TorusGrid
 from bmtl.harness import (band_limited_noise, dilate_field, four_norms,
                           function_gallery)
-from bmtl.lpa import (RadialProfile, bessel_potential, h2_profile_norm,
+from bmtl.lpa import (bessel_potential, h2_profile_norm,
                       make_admissible_pair, make_inhom_partition)
 from bmtl.operators import (SymbolGrid, hilbert_riesz_apply, multiplier_apply,
                             multiplier_symbol, paradecompose, psdo_apply)
@@ -391,7 +391,7 @@ def test_criterion_09_operator_boundedness():
     d, dt, delta = ap_dimensions(W, sp.p, CubeRange(-1, 4), i_max=2)
     a_exp = DESK.dim / min(1.0, sp.p, sp.q) + delta
     for k in ks:
-        prof = RadialProfile(lambda r, _k=k: np.exp(-((r / 2.0 ** _k) ** 2)))
+        prof = lambda r, _k=k: np.exp(-((r / 2.0 ** _k) ** 2))
         mults.append(prof)
         h2s.append(h2_profile_norm(DESK, prof(DESK.freq_radius() * 2.0 ** k),
                                    a_exp + DESK.dim / 2.0 + 0.1))
@@ -439,7 +439,7 @@ def test_criterion_09_operator_boundedness():
         den = tl_norm(f, wm, spm, PART, inh_m).value
         worst_psdo = max(worst_psdo, num / den)
     # elementary symbol: sigma_j(x) = 2^(j m) (1 + 0.3 cos) with ell > s + d/p
-    part_pr = RadialProfile(lambda r: PART.level(1)(r))
+    part_pr = PART.level(1)
     sig = [scalar_field(MID, 2.0 ** (j * m_ord) * (1.0 + 0.3 * np.cos(2 * np.pi * MID.coords()[0] / MID.side)))
            for j in range(1, 7)]
     sym_el = SymbolGrid(MID, sum(s.scalar()[:, None] * part_pr(MID.freq_radius() * 2.0 ** (-j))[None, :]

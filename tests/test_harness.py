@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,32 @@ def test_cli_missing_keys_and_off_lattice_levels(tmp_path):
     res = run_cli("filter", "--field", str(fpath), "--level", "3", "--out", out)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["l2"] > 0
+
+
+def test_cli_overflow_and_nonfinite_gamma(tmp_path):
+    # each overflow ended in an OverflowError traceback with exit 1; a non-finite
+    # Bessel order printed a numpy RuntimeWarning, then an error that named no option
+    g = TorusGrid(1, 2, 5)
+    fpath = tmp_path / "f.bin"
+    fieldio.write_field(fpath, band_limited_noise(g, 1, 0.5, 2.0, np.random.default_rng(6)))
+    window = {"s": 0.5, "p": 1.5, "q": 1.5, "t": 2, "j_min": -2, "j_max": 3}
+    cases = [(("bound", "--op", "multiplier", "--gamma", "1100",
+               "--params", json.dumps(window), "--field", str(fpath)), "input overflowed")]
+    cases += [(("norm", "--space", "F", "--params", json.dumps({**window, **big}),
+                "--field", str(fpath)), "input overflowed")
+              for big in ({"s": 1e308}, {"p": 1e-300})]
+    # the order is refused before the field is read: this path does not exist
+    cases += [(("bound", "--op", "bessel", f"--gamma={gamma}", "--params", json.dumps(window),
+                "--field", str(tmp_path / "missing.bin")), "--gamma must be finite")
+              for gamma in ("inf", "-inf", "nan")]
+    for args, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert message in res.stderr, res.stderr
 
 
 def test_equivalence_experiment_2d(tmp_path):

@@ -52,12 +52,40 @@ def test_partition_sums_to_one(grid):
 
 
 def test_partition_tilde_identity(grid):
+    # phi~_j = phi_(j-1) + phi_j + phi_(j+1) is 1 on phi_j's support
     part = make_inhom_partition()
     rho = grid.freq_radius().ravel()
     for j in range(0, 5):
         pj = part.level(j)(rho)
-        ptil = part.tilde(j)(rho)
+        ptil = sum(part.level(k)(rho) for k in range(max(j - 1, 0), j + 2))
         assert np.max(np.abs(pj * ptil - pj)) <= 1e-12
+
+
+def _all_level_dual(part, j, rho):
+    """phi_j / sum_k phi_k^2 with the square sum taken over every level up to two
+    past the one holding max(rho): the direct form of the partition's dual."""
+    square_sum = part.level(0)(rho) ** 2
+    k_max = int(np.ceil(np.log2(np.max(rho) + 1e-300))) + 2 if np.max(rho) > 1 else 1
+    for k in range(1, max(k_max, 1) + 1):
+        square_sum = square_sum + part.level(k)(rho) ** 2
+    num = part.level(j)(rho)
+    out = np.zeros_like(num)
+    nz = num != 0.0
+    out[nz] = num[nz] / square_sum[nz]
+    return out
+
+
+@pytest.mark.parametrize("lattice", [TorusGrid(1, 2, 10), TorusGrid(2, 1, 5)],
+                         ids=["1d4096", "2d64"])
+def test_partition_dual_matches_all_level_sum(lattice):
+    # the dual's denominator sums only the two levels that can be nonzero at each
+    # rho; the other levels add exact zeros, so the bits match the direct form
+    part = make_inhom_partition()
+    rho = lattice.freq_radius()
+    for j in range(0, lattice.res_log2 + 3):
+        assert np.array_equal(part.dual(j)(rho), _all_level_dual(part, j, rho)), j
+        banded = rho * 2.0 ** BAND_LEVEL_OFFSET
+        assert np.array_equal(part.synthesis(rho, j), _all_level_dual(part, j, banded)), j
 
 
 def test_band_filter_kills_offband_harmonic(pair, grid):

@@ -5,7 +5,7 @@ from bmtl.fields import (SampledField, from_spectral, multi_indices, scalar_fiel
                          spectral_derivative, to_spectral)
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise
-from bmtl.lpa import RadialProfile, h2_profile_norm, make_inhom_partition
+from bmtl.lpa import h2_profile_norm, make_inhom_partition
 from bmtl.operators import (SymbolClassParams, SymbolGrid, cz_kernel_check,
                             czs_seminorm, elementary_symbol, hilbert_riesz_apply,
                             hormander_seminorm, kernel_weighted_mass,
@@ -87,11 +87,11 @@ def test_cz_kernel_zero():
 def test_multiplier_identity_and_projection():
     rng = np.random.default_rng(2)
     fs = [band_limited_noise(GRID, 2, 0.5, 4.0, rng) for _ in range(3)]
-    ones = [RadialProfile(lambda r: np.ones_like(r))] * 3
+    ones = [lambda r: np.ones_like(r)] * 3
     outs = multiplier_apply(ones, fs)
     for a, b in zip(outs, fs):
         assert np.max(np.abs(a.values - b.values)) < 1e-12
-    proj = RadialProfile(lambda r: (r <= 2.0).astype(float))
+    proj = lambda r: (r <= 2.0).astype(float)
     out = multiplier_apply([proj], [fs[0]])[0]
     F = to_spectral(out)
     assert np.max(np.abs(F.coeffs[GRID.freq_radius() > 2.0])) < 1e-12
@@ -109,7 +109,7 @@ def test_multiplier_theorem_ratio():
     mults, h2s = [], []
     a_exp = 1.0 / min(1.0, 1.5, 1.5) + 0.0
     for k in ks:
-        prof = RadialProfile(lambda r, _k=k: np.exp(-((r / 2.0 ** _k) ** 2)))
+        prof = lambda r, _k=k: np.exp(-((r / 2.0 ** _k) ** 2))
         mults.append(prof)
         h2s.append(h2_profile_norm(GRID, prof(GRID.freq_radius() * 2.0 ** k),
                                    a_exp + GRID.dim / 2.0 + 0.1))
@@ -210,21 +210,21 @@ def test_czs_seminorm_scales_linearly_2d():
 
 def test_elementary_symbol_construction():
     part = make_inhom_partition()
-    psi1 = RadialProfile(lambda r: part.level(1)(r))   # supported on [1, 4]
+    psi1 = part.level(1)   # supported on [1, 4]
     zero = elementary_symbol([scalar_field(SMALL, np.zeros(SMALL.shape))], psi1, SMALL)
     assert np.all(zero.values == 0)
     one = elementary_symbol([scalar_field(SMALL, np.ones(SMALL.shape))], psi1, SMALL)
     rho = SMALL.freq_radius()
     expect = psi1(rho * 2.0 ** 0)
     assert np.max(np.abs(one.values[0] - expect)) < 1e-12
-    bad = RadialProfile(lambda r: np.ones_like(r))
+    bad = lambda r: np.ones_like(r)
     with pytest.raises(ValueError):
         elementary_symbol([scalar_field(SMALL, np.ones(SMALL.shape))], bad, SMALL)
 
 
 def test_elementary_symbol_growth():
     part = make_inhom_partition()
-    psi1 = RadialProfile(lambda r: part.level(1)(r))
+    psi1 = part.level(1)
     m = 0.7
     sig = [scalar_field(SMALL, np.full(SMALL.shape, 2.0 ** (j * m)))
            for j in range(1, 5)]
@@ -327,10 +327,25 @@ def test_sigma_nb_seminorm_reading():
         hormander_seminorm(sym, params, alpha_max=2, beta_max=2))
 
 
+def test_seminorms_refuse_alpha_max_past_lattice():
+    # 2 * alpha_max >= N leaves no xi whose differences do not wrap; this ended in
+    # numpy's "zero-size array to reduction operation maximum"
+    from bmtl.operators import sigma_nb_seminorm
+    tiny = TorusGrid(1, 1, 1)    # N = 4
+    sym = multiplier_symbol(tiny, np.ones(tiny.shape))
+    params = SymbolClassParams(m=0.0, N=2, b=2)
+    for call in (lambda: hormander_seminorm(sym, params, alpha_max=2, beta_max=0),
+                 lambda: czs_seminorm(sym, params, alpha_max=2),
+                 lambda: sigma_nb_seminorm(sym, params)):
+        with pytest.raises(ValueError, match=r"alpha_max 2 .* N = 4"):
+            call()
+    assert hormander_seminorm(sym, params, alpha_max=1, beta_max=0) == pytest.approx(1.0)
+
+
 def test_multiplier_support_warning():
     rng = np.random.default_rng(8)
     f = band_limited_noise(GRID, 1, 0.5, 8.0, rng)
-    ones = [RadialProfile(lambda r: np.ones_like(r))]
+    ones = [lambda r: np.ones_like(r)]
     with pytest.warns(UserWarning):
         multiplier_apply(ones, [f], support_radii=[1.0])
 
@@ -339,7 +354,7 @@ def test_czs_elementary_single_level_matches_product():
     # sigma(x, xi) = sigma1(x) psi1(xi): the seminorm factors into the two norms
     from bmtl.lpa import holder_zygmund_norm
     part = make_inhom_partition()
-    psi1 = RadialProfile(lambda r: part.level(1)(r))
+    psi1 = part.level(1)
     x = SMALL.coords()[0]
     sig1 = 1.0 + 0.5 * np.cos(2 * np.pi * 2.0 * x / SMALL.side)
     sym = SymbolGrid(SMALL, sig1[:, None] * psi1(SMALL.freq_radius())[None, :])

@@ -11,7 +11,10 @@ fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
   - `paradecompose` with `kernel_weighted_mass` of every piece, and
     `cz_kernel_check` at L = 1 and 2;
   - `molecule_check`, `measure_atom_params`, `hilbert_riesz_apply` (every Riesz
-    component in 2D) and `diagnose`.
+    component in 2D) and `diagnose`;
+  - `analysis(rho, j)` and `synthesis(rho, j)` of the admissible pair and of the
+    dyadic partition on the frequency lattice, at every level j whose analysis
+    multiplier is nonzero somewhere on it.
 Each output is one scalar or one array, keyed by routine, grid and case.
 
 `compare` counts the outputs that are bit-identical. An output that differs is
@@ -68,6 +71,7 @@ def dump(src: str) -> dict:
     from bmtl.fields import scalar_field
     from bmtl.grid import TorusGrid
     from bmtl.harness import band_limited_noise
+    from bmtl.lpa import make_admissible_pair, make_inhom_partition
     from bmtl.weights import diagnose, oscillating_weight
 
     out = {}
@@ -111,6 +115,18 @@ def dump(src: str) -> dict:
         for p in (0.8, 1.5):
             for k, v in sorted(diagnose(W, p, CubeRange(-1, 1)).as_dict().items()):
                 out[f"diagnose:{gname}:p{p}:{k}"] = v
+        rho = grid.freq_radius()
+        # the lattice radii lie in [2^-side_log2, sqrt(dim) 2^(res_log2 - 1)] and cube
+        # level j's band is (2^(j-3), 2^(j-1)), so these windows hold every level
+        # that meets the lattice
+        banks = (("pair", make_admissible_pair(), -grid.side_log2),
+                 ("partition", make_inhom_partition(), 0))
+        for bname, bank, j_lo in banks:
+            for j in range(j_lo, grid.res_log2 + 4):
+                mult = bank.analysis(rho, j)
+                if np.any(mult):
+                    out[f"analysis:{gname}:{bname}:{j}"] = mult
+                    out[f"synthesis:{gname}:{bname}:{j}"] = bank.synthesis(rho, j)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
