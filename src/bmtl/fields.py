@@ -50,15 +50,23 @@ class SampledField:
 
 @dataclass
 class SpectralField:
-    """Fourier coefficients on the frequency lattice, stored in FFT order."""
+    """Fourier coefficients on the frequency lattice, stored in FFT order.
+
+    half marks the spectrum of a real field kept on the half lattice (rfftn: the
+    last grid axis holds frequencies 0 .. N/2 only, the rest follow by
+    Hermitian symmetry)."""
 
     grid: TorusGrid
     coeffs: np.ndarray
+    half: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
-        if c.shape[:-1] != self.grid.shape or c.ndim != self.grid.dim + 1:
-            raise ValueError(f"coeffs shape {c.shape} does not match grid {self.grid.shape} + (channels,)")
+        shape = self.grid.shape
+        if self.half:
+            shape = shape[:-1] + (self.grid.points_per_axis // 2 + 1,)
+        if c.shape[:-1] != shape or c.ndim != self.grid.dim + 1:
+            raise ValueError(f"coeffs shape {c.shape} does not match {shape} + (channels,)")
         self.coeffs = c
 
     @property
@@ -77,10 +85,24 @@ def to_spectral(f: SampledField) -> SpectralField:
     return SpectralField(f.grid, coeffs)
 
 
+def half_spectrum(f: SampledField) -> SpectralField:
+    """to_spectral of a real field on the half lattice (rfftn): the coefficients
+    at the frequencies 0 .. N/2 of the last grid axis, about half the work."""
+    if f.is_complex:
+        raise ValueError("a half spectrum needs a real field")
+    axes = tuple(range(f.grid.dim))
+    coeffs = np.fft.rfftn(f.values, axes=axes) * f.grid.cell_measure
+    return SpectralField(f.grid, coeffs, half=True)
+
+
 def from_spectral(F: SpectralField) -> SampledField:
+    """The field of a spectrum: real (irfftn) for a half spectrum."""
     axes = tuple(range(F.grid.dim))
-    values = np.fft.ifftn(F.coeffs, axes=axes) * (1.0 / F.grid.cell_measure)
-    return SampledField(F.grid, values)
+    if F.half:
+        values = np.fft.irfftn(F.coeffs, s=F.grid.shape, axes=axes)
+    else:
+        values = np.fft.ifftn(F.coeffs, axes=axes)
+    return SampledField(F.grid, values * (1.0 / F.grid.cell_measure))
 
 
 def quad_integral(g: SampledField, region=None) -> float:
@@ -97,13 +119,24 @@ def quad_integral(g: SampledField, region=None) -> float:
     return float(total)
 
 
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """a(-xi) for a lattice table a (grid axes leading, FFT order): entry k of
+    each grid axis goes to (-k) mod N."""
+    n = a.ndim
+    return np.roll(a[(slice(None, None, -1),) * n], 1, axis=tuple(range(n)))
+
+
 def fourier_multiply(f: SampledField, mult: np.ndarray) -> SampledField:
     """The field whose spectrum is f's spectrum times the lattice multiplier mult
-    (grid.shape, FFT order) in every channel; real when f and mult are real."""
+    (grid.shape, FFT order) in every channel.
+
+    Real when f and mult are real and mult is even, mult(-xi) = mult(xi) on the
+    lattice (checked exactly); complex otherwise: a real odd multiplier such as
+    sign(xi_1) turns a real field into a mostly imaginary one."""
     axes = tuple(range(f.grid.dim))
     spec = np.fft.fftn(f.values, axes=axes) * f.grid.cell_measure
     values = np.fft.ifftn(spec * mult[..., None], axes=axes) * (1.0 / f.grid.cell_measure)
-    if not f.is_complex and not np.iscomplexobj(mult):
+    if not f.is_complex and not np.iscomplexobj(mult) and np.array_equal(mult, _reflect(mult)):
         values = values.real
     return SampledField(f.grid, values)
 

@@ -214,7 +214,9 @@ def four_norms(f: SampledField, W, sp: SpaceParams, bank, cube_range,
 
     One band pass: each level's band output feeds both function-side level
     sums and gives that level's coefficients (the helpers of tl_norm and
-    phi_transform; tl_norms holds the bank to the range).
+    phi_transform; tl_norms holds the bank to the range).  A real f's bands are
+    real, so its coefficients have exact zero imaginary parts where
+    phi_transform's carry rounding noise; the norms agree to rounding.
     bank: AdmissiblePair for a homogeneous range, InhomPartition otherwise.
     """
     if family is None:

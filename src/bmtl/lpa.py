@@ -19,6 +19,13 @@ homogeneous levels, InhomPartition for levels j >= 0 with a low-pass slot at
 0).  band_outputs applies the analysis side level by level for every norm and
 the phi-transform; phi synthesis applies the synthesis side to its one
 spectral sum.
+
+Band outputs of a real field are real: the function-side norms
+(spaces._band_pass) hand band_outputs the half spectrum (rfftn), and each band
+comes back by irfftn, about half the FFT work of the full lattice, with no
+imaginary rounding noise.  coeff.phi_transform keeps the full complex spectrum
+for every field: the imaginary rounding noise of its coefficients is part of
+the JSONL coefficient files it feeds, whose bytes perfbench/reference.json pins.
 """
 
 from __future__ import annotations
@@ -185,13 +192,25 @@ def band_outputs(F: SpectralField, bank, levels):
     """Yield (j, band_j) for j in levels, one level at a time: the spectrum F times
     bank's level-j analysis multiplier, back on the grid with shape
     grid.shape + (channels,).  Analysis only: phi synthesis sums its levels in
-    the spectrum (coeff.phi_synthesis)."""
-    axes = tuple(range(F.grid.dim))
-    rho = F.grid.freq_radius()
-    scale = 1.0 / F.grid.cell_measure
+    the spectrum (coeff.phi_synthesis).
+
+    A half spectrum (fields.half_spectrum of a real field) gives real bands: the
+    multiplier is evaluated on the half lattice, the radius table cut like the
+    spectrum, and each band comes back by irfftn.  That is exact because both
+    banks' analysis multipliers are real functions of |xi|, so the product is
+    the half of a Hermitian spectrum.  A full spectrum gives complex bands by
+    ifftn; coeff.phi_transform takes that path for every field (module docstring).
+    """
+    grid = F.grid
+    axes = tuple(range(grid.dim))
+    rho = grid.freq_radius()[tuple(slice(k) for k in F.coeffs.shape[:-1])]
+    scale = 1.0 / grid.cell_measure
     for j in levels:
-        mult = bank.analysis(rho, j)
-        yield j, np.fft.ifftn(F.coeffs * mult[..., None], axes=axes) * scale
+        spec = F.coeffs * bank.analysis(rho, j)[..., None]
+        if F.half:
+            yield j, np.fft.irfftn(spec, s=grid.shape, axes=axes) * scale
+        else:
+            yield j, np.fft.ifftn(spec, axes=axes) * scale
 
 
 def covered_band(range_levels) -> tuple:

@@ -16,9 +16,11 @@ approximation) is one _band_pass: the range's inhomogeneous flag decides the
 space and the bank must match it; each level's band feeds every weighting's
 level sum in lockstep through the norm's level-j magnitude (and, in
 harness.four_norms, the phi-transform coefficients), and is then dropped, so
-no list of complex bands is kept.  Weighted magnitudes |M(x) v(x)| are taken
-component-wise by _matvec_norm.  Balls for the maximal operator are
-sup-metric windows with grid-multiple radii, wrapped on the torus.
+no list of bands is kept.  A real field takes the half spectrum, so its bands
+are real arrays, with no imaginary rounding noise (lpa.band_outputs).
+Weighted magnitudes |M(x) v(x)| are taken component-wise by _matvec_norm.
+Balls for the maximal operator are sup-metric windows with grid-multiple radii,
+wrapped on the torus.
 
 The Peetre norm reduces |W^(1/p)(x) band(y)| over the pairs (x, y) of sample
 points with one kernel, _pair_reduce, in 1D and 2D alike.  Its penalty, like the
@@ -77,7 +79,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .coeffseq import CoeffSequence
 from .dyadic import (CubeRange, cube_means, cube_sums, level_block_view, parent_sums,
                      spread_to_grid)
-from .fields import SampledField, to_spectral
+from .fields import SampledField, half_spectrum, to_spectral
 from .grid import TorusGrid
 from .lpa import InhomPartition, band_outputs, check_bank
 from .weights import MatrixWeight, ReducingFamily
@@ -166,8 +168,13 @@ def _matvec_norm(M: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = M[..., a, 0] * v[..., 0]
         for b in range(1, m):
             u = u + M[..., a, b] * v[..., b]
-        sq = sq + (u.real ** 2 + u.imag ** 2 if np.iscomplexobj(u) else u * u)
+        sq = sq + _abs2(u)
     return np.sqrt(sq)
+
+
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 entrywise: re^2 + im^2 for a complex array, v * v for a real one."""
+    return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
 
 
 class PointwiseWeighting:
@@ -410,6 +417,7 @@ def _band_pass(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange
     Each level's band feeds weighting w's level sum with magnitude(w, j, band),
     the weighted level-j magnitude, and then goes to on_band(j, band) when given
     (harness.four_norms takes the phi coefficients there); no band outlives its level.
+    A real f takes the half spectrum, so its bands are real arrays (lpa.band_outputs).
     """
     for w in ws:
         _check_weighting(w, f.channels)
@@ -418,7 +426,8 @@ def _band_pass(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange
         raise ValueError(f"homogeneous = {sp.homogeneous} params disagree with the range")
     cube_range.validate(f.grid)
     sums = [_LevelSum(f.grid, sp.p, sp.t, sp.r, sp.q, cube_range) for _ in ws]
-    for j, band in band_outputs(to_spectral(f), bank, cube_range.band_levels()):
+    F = to_spectral(f) if f.is_complex else half_spectrum(f)
+    for j, band in band_outputs(F, bank, cube_range.band_levels()):
         for w, acc in zip(ws, sums):
             acc.add(j, magnitude(w, j, band))
         if on_band is not None:
@@ -617,7 +626,7 @@ def _pair_max(w: PointwiseWeighting, band: np.ndarray, kern: np.ndarray) -> np.n
     that hold an uncertified row.
     """
     P = w.W.power(2.0 / w.p)
-    top = np.max(np.sum(band.real ** 2 + band.imag ** 2, axis=-1))
+    top = np.max(np.sum(_abs2(band), axis=-1))
     bound = np.trace(P, axis1=-2, axis2=-1) * top * (1.0 + 1e-12)
     best = np.zeros(kern.shape)
     todo = np.ones(kern.shape, dtype=bool)
@@ -729,7 +738,7 @@ def _series_sum(table: _Series, band: np.ndarray, kern: np.ndarray) -> np.ndarra
     Term n, R^s (Zbar/R)^n, and its phase factor e^(in phi) are each the previous
     one times one factor; each term takes its own convolution."""
     v = band.reshape(-1, band.shape[-1])
-    G = v.real ** 2 + v.imag ** 2
+    G = _abs2(v)
     R = G.sum(axis=1)
     if len(table.coef) > 1:
         zbar = (G[:, 0] - G[:, 1]) - 2j * (v[:, 0] * np.conj(v[:, 1])).real
@@ -747,7 +756,11 @@ def _series_sum(table: _Series, band: np.ndarray, kern: np.ndarray) -> np.ndarra
 
 
 def _real_band(band: np.ndarray) -> bool:
-    """Real to 1e-13 of its own largest entry: max|Im v| <= 1e-13 max|Re v|."""
+    """A real array, or a complex one real to 1e-13 of its own largest entry:
+    max|Im v| <= 1e-13 max|Re v|.  Bands of real fields are real arrays
+    (_band_pass), so the test on the entries is for complex fields only."""
+    if not np.iscomplexobj(band):
+        return True
     return np.max(np.abs(band.imag)) <= 1e-13 * np.max(np.abs(band.real))
 
 
@@ -758,6 +771,9 @@ def _pair_sums(w: PointwiseWeighting, q: float):
     The angular series' table is built here, once per norm call; each level then
     takes the series where it is exact (m = 1; m = 2 with q = 2 or a real band)
     and _pair_reduce otherwise (and for m >= 3 or a weight beyond the order limit).
+    A real field's bands are real arrays, noise-floor levels included, so every
+    level of a real field takes the series when the table exists; only a
+    complex field's bands can fail _real_band.
     """
     s = q / 2.0
     table = _series_table(w, s) if w.channels <= 2 else None
@@ -846,7 +862,7 @@ def approx_norm(f: SampledField, w: PointwiseWeighting, sp: SpaceParams,
         warnings.warn(f"s = {sp.s} below the approximation threshold {thresh}",
                       stacklevel=2)
     term1 = []   # ||W^(1/p) u_0||_bm, filled at the first level
-    u = np.zeros_like(f.values, dtype=complex)   # the low-pass u_k through level k
+    u = 0.0      # the low-pass u_k through level k, in the dtype of the bands
 
     def tail(w, k, band):
         nonlocal u

@@ -3,8 +3,8 @@ import pytest
 
 from bmtl.dyadic import DyadicCube
 from bmtl.fields import (SampledField, SpectralField, fourier_multiply, from_spectral,
-                         l2_norm, quad_integral, scalar_field, spectral_derivative,
-                         spectral_l2_norm, to_spectral)
+                         half_spectrum, l2_norm, quad_integral, scalar_field,
+                         spectral_derivative, spectral_l2_norm, to_spectral)
 from bmtl.grid import TorusGrid
 
 
@@ -142,3 +142,37 @@ def test_fourier_multiply_matches_spectral_round_trip(grid, complex_f, complex_m
         direct = direct.real
     assert out.values.dtype == direct.dtype
     assert out.values.tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)])
+def test_fourier_multiply_keeps_odd_multipliers_complex(grid):
+    """sign(xi_1) is real but odd, so a real field's output is complex (its
+    imaginary part carries most of it); an even multiplier keeps a real output."""
+    rng = np.random.default_rng(5)
+    f = SampledField(grid, rng.standard_normal(grid.shape + (2,)))
+    mult = np.sign(grid.freqs()[0])
+    out = fourier_multiply(f, mult).values
+    direct = from_spectral(SpectralField(grid, to_spectral(f).coeffs * mult[..., None])).values
+    assert np.iscomplexobj(out)
+    assert out.tobytes() == direct.tobytes()
+    assert np.max(np.abs(out.imag)) > 0.5 * np.max(np.abs(out))
+    even = fourier_multiply(f, np.abs(mult)).values
+    assert not np.iscomplexobj(even)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)])
+def test_half_spectrum_round_trip(grid):
+    rng = np.random.default_rng(6)
+    f = SampledField(grid, rng.standard_normal(grid.shape + (2,)))
+    F = half_spectrum(f)
+    N = grid.points_per_axis
+    assert F.half and F.coeffs.shape == grid.shape[:-1] + (N // 2 + 1, 2)
+    full = to_spectral(f).coeffs[..., :N // 2 + 1, :]
+    assert np.max(np.abs(F.coeffs - full)) <= 1e-13 * np.max(np.abs(full))
+    back = from_spectral(F).values
+    assert not np.iscomplexobj(back)
+    assert np.max(np.abs(back - f.values)) <= 1e-14 * np.max(np.abs(f.values))
+    with pytest.raises(ValueError):
+        half_spectrum(SampledField(grid, f.values + 0j))
+    with pytest.raises(ValueError):
+        SpectralField(grid, to_spectral(f).coeffs, half=True)

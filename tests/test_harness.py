@@ -654,9 +654,12 @@ def test_four_norms_one_band_pass(grid, ranges, monkeypatch):
                     "F_AQ": tl_norm(f, cw, sp, bank, cube_range).value,
                     "f_W": seq_norm(coeffs, pw, sp, cube_range).value,
                     "f_AQ": seq_norm(coeffs, cw, sp, cube_range).value}
+        # inverse transforms of either kind: a real f's bands come back by irfftn
         inverse = []
-        ifftn = np.fft.ifftn
-        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: inverse.append(1) or ifftn(*a, **k))
+        for name in ("ifftn", "irfftn"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, fn=fn, **k: inverse.append(1) or fn(*a, **k))
         norms = four_norms(f, W, sp, bank, cube_range, family)
         monkeypatch.undo()
         assert len(inverse) == len(cube_range.band_levels())

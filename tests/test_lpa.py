@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bmtl.fields import SampledField, l2_norm, scalar_field, to_spectral
+from bmtl.fields import SampledField, half_spectrum, l2_norm, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
-from bmtl.lpa import (BAND_LEVEL_OFFSET, band_filter, bessel_potential,
+from bmtl.lpa import (BAND_LEVEL_OFFSET, band_filter, band_outputs, bessel_potential,
                       check_admissible, covered_band, h2_profile_norm,
                       h2_sobolev_norm, holder_zygmund_norm,
                       make_admissible_pair, make_inhom_partition)
@@ -244,3 +244,34 @@ def test_profiles_on_support_match_whole_grid_forms(pair, grid):
         assert np.array_equal(pair.phi(r), phi(r)), v
         assert np.array_equal(pair.psi(r), psi(r)), v
 
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)])
+def test_half_spectrum_bands_match_full(grid):
+    """A real field's bands from the half spectrum are real arrays within 1e-15
+    of the largest entry of the full path's real part, level by level; a
+    complex field's bands, and a real field's from the full spectrum (the
+    phi-transform path), are the full path's bit for bit."""
+    rng = np.random.default_rng(7)
+    f = SampledField(grid, rng.standard_normal(grid.shape + (2,)))
+    fc = SampledField(grid, f.values + 1j * rng.standard_normal(grid.shape + (2,)))
+    axes = tuple(range(grid.dim))
+    rho = grid.freq_radius()
+
+    def full_path(field, bank, j):
+        spec = to_spectral(field).coeffs * bank.analysis(rho, j)[..., None]
+        return np.fft.ifftn(spec, axes=axes) * (1.0 / grid.cell_measure)
+
+    # every level whose band meets the lattice (radii 2^-side_log2 .. sqrt(dim) N / 2L)
+    banks = ((make_admissible_pair(), range(-grid.side_log2, grid.res_log2 + 4)),
+             (make_inhom_partition(), range(0, grid.res_log2 + 4)))
+    nonzero = 0
+    for bank, levels in banks:
+        for j, band in band_outputs(half_spectrum(f), bank, levels):
+            ref = full_path(f, bank, j).real
+            assert band.shape == f.values.shape and not np.iscomplexobj(band), j
+            assert np.max(np.abs(band - ref)) <= 1e-15 * np.max(np.abs(ref)), j
+            nonzero += bool(np.any(ref))
+        for field in (fc, f):
+            for j, band in band_outputs(to_spectral(field), bank, levels):
+                assert np.array_equal(band, full_path(field, bank, j)), j
+    assert nonzero >= 12

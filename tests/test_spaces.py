@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmtl import spaces
 from bmtl.coeff import phi_transform
 from bmtl.coeffseq import CoeffSequence
 from bmtl.dyadic import (CubeRange, DyadicCube, cube_sums, cubes_at_level, cubes_per_axis,
                          level_block_view)
-from bmtl.fields import SampledField, scalar_field, to_spectral
+from bmtl.fields import SampledField, half_spectrum, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise, dilate_field, four_norms
 from bmtl.lpa import band_outputs, make_admissible_pair, make_inhom_partition
@@ -700,6 +701,32 @@ def test_angular_series_truncation_is_visible():
     moved = np.max(np.abs(_series_sum(short, band, kern) - exact) / exact)
     assert 1e-6 < moved <= short.error < 1e3 * moved
     assert full.error <= 1e-17
+
+
+@pytest.mark.parametrize("seed", [20251017, 7])
+def test_area_norms_take_series_on_real_fields(seed, monkeypatch):
+    """On a real field every nonzero level of the Lusin and g-lambda-star norms
+    takes the angular series, the noise-floor levels too: the characterize_1d
+    desk inputs (N = 2048, levels [-2, 7], the oscillating weight) make no
+    _pair_reduce call with a nonzero band.  With complex bands their noise-floor
+    levels failed _real_band and made 4 such calls per seed."""
+    grid = TorusGrid(1, 2, 9)
+    f = band_limited_noise(grid, 2, 1.0, 32.0, np.random.default_rng(seed))
+    w = PointwiseWeighting(oscillating_weight(grid), 1.5)
+    sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf)
+    direct, series = [], []
+    reduce_, sum_ = spaces._pair_reduce, spaces._series_sum
+    monkeypatch.setattr(spaces, "_pair_reduce", lambda w, band, *a, **k:
+                        direct.append(band.any()) or reduce_(w, band, *a, **k))
+    monkeypatch.setattr(spaces, "_series_sum", lambda table, band, kern:
+                        series.append(1) or sum_(table, band, kern))
+    lusin_norm(f, w, sp, PAIR, CubeRange(-2, 7))
+    glambda_norm(f, w, sp, 3.0, PAIR, CubeRange(-2, 7))
+    monkeypatch.undo()
+    nonzero = sum(bool(band.any()) for _, band in
+                  band_outputs(half_spectrum(f), PAIR, CubeRange(-2, 7).band_levels()))
+    assert sum(direct) == 0
+    assert len(series) == 2 * nonzero >= 16
 
 
 def test_pair_sums_dispatch():

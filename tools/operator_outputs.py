@@ -15,6 +15,14 @@ fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
   - `analysis(rho, j)` and `synthesis(rho, j)` of the admissible pair and of the
     dyadic partition on the frequency lattice, at every level j whose analysis
     multiplier is nonzero somewhere on it.
+On 1D N = 256 and 2D 32^2, for one real and one complex 2-channel
+`band_limited_noise` field with the oscillating weight, it also records the
+value and the `per_level` array of `tl_norm` (pointwise and cubewise),
+`peetre_norm`, `lusin_norm`, `glambda_norm` (q = 1.5 and 2), the inhomogeneous
+`tl_norm` and `approx_norm`, the four values of `harness.four_norms`, and
+`phi_transform`'s level arrays for both banks.  Their keys start with
+`norm:real:`, `norm:complex:`, `phi:real:` and `phi:complex:`, so that
+`--allow norm:real:=REL` covers the real-field norms and nothing else.
 Each output is one scalar or one array, keyed by routine, grid and case.
 
 `compare` counts the outputs that are bit-identical. An output that differs is
@@ -61,6 +69,59 @@ def _cz_kernel(grid):
     nz = r > 0
     vals[nz] = rel[0][nz] / (np.pi * r[nz] ** (grid.dim + 1))
     return vals
+
+
+def _norms(out: dict):
+    """The function-side norms and the phi-transform level arrays (module docstring)."""
+    import warnings
+
+    from bmtl.coeff import phi_transform
+    from bmtl.dyadic import CubeRange
+    from bmtl.fields import SampledField
+    from bmtl.grid import TorusGrid
+    from bmtl.harness import band_limited_noise, four_norms
+    from bmtl.lpa import make_admissible_pair, make_inhom_partition
+    from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, approx_norm,
+                             glambda_norm, lusin_norm, peetre_norm, tl_norm)
+    from bmtl.weights import oscillating_weight, reducing_operators
+
+    pair, part = make_admissible_pair(), make_inhom_partition()
+    sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf)
+    sp_q2 = SpaceParams(0.5, 1.5, 2.0, 2.0, np.inf)
+    sp_inh = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf, homogeneous=False)
+    sp_app = SpaceParams(3.0, 1.5, 1.5, 2.0, np.inf, homogeneous=False)
+    cases = (("1d256", TorusGrid(1, 2, 6), 2, 4, 4.0), ("2d32", TorusGrid(2, 1, 4), 1, 2, 2.0))
+    for gname, grid, depth, j_max, hi in cases:
+        hom = CubeRange(-depth, j_max)
+        inh = CubeRange(-depth, j_max, inhomogeneous=True)
+        rng = np.random.default_rng(20251017)
+        real = band_limited_noise(grid, 2, 0.5, hi, rng)
+        imag = band_limited_noise(grid, 2, 0.5, hi, rng)
+        cplx = SampledField(grid, real.values + 1j * imag.values)
+        W = oscillating_weight(grid)
+        pw = PointwiseWeighting(W, sp.p)
+        cw = CubewiseWeighting(reducing_operators(W, sp.p, hom))
+        for kind, f in (("real", real), ("complex", cplx)):
+            tag = f"{kind}:{gname}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                reps = {"tl_W": tl_norm(f, pw, sp, pair, hom),
+                        "tl_AQ": tl_norm(f, cw, sp, pair, hom),
+                        "peetre": peetre_norm(f, pw, sp, 4.0, pair, hom),
+                        "lusin": lusin_norm(f, pw, sp, pair, hom),
+                        "glambda_q1.5": glambda_norm(f, pw, sp, 3.0, pair, hom),
+                        "glambda_q2": glambda_norm(f, pw, sp_q2, 3.0, pair, hom),
+                        "tl_inh": tl_norm(f, pw, sp_inh, part, inh),
+                        "approx": approx_norm(f, pw, sp_app, part, inh)}
+            for name, rep in reps.items():
+                out[f"norm:{tag}:{name}:value"] = rep.value
+                out[f"norm:{tag}:{name}:per_level"] = np.array(sorted(rep.per_level.items()))
+            for name, v in sorted(four_norms(f, W, sp, pair, hom).items()):
+                out[f"norm:{tag}:four_norms:{name}"] = v
+            for bname, bank, cube_range in (("pair", pair, hom), ("partition", part, inh)):
+                seq = phi_transform(f, bank, cube_range)
+                for j in seq.levels():
+                    out[f"phi:{tag}:{bname}:{j}"] = seq.level_array(j)
 
 
 def dump(src: str) -> dict:
@@ -127,6 +188,7 @@ def dump(src: str) -> dict:
                 if np.any(mult):
                     out[f"analysis:{gname}:{bname}:{j}"] = mult
                     out[f"synthesis:{gname}:{bname}:{j}"] = bank.synthesis(rho, j)
+    _norms(out)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
