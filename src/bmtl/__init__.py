@@ -17,8 +17,9 @@ from .spaces import (CubewiseWeighting, NormReport, PointwiseWeighting, SpacePar
 from .coeff import (ADProfile, AtomParams, MoleculeParams, ad_apply, ad_weight,
                     atom_rearrange, molecule_check, phi_synthesis, phi_transform)
 from .wavelets import wavelet_analyze, wavelet_synthesize
-from .operators import (ParaPieces, SymbolClassParams, SymbolGrid, cz_kernel_check,
-                        czs_seminorm, elementary_symbol, hilbert_riesz_apply,
-                        hormander_seminorm, multiplier_apply, paradecompose, psdo_apply)
+from .operators import (ParaPieces, SeparatedSymbol, SymbolClassParams, SymbolGrid,
+                        cz_kernel_check, czs_seminorm, elementary_symbol,
+                        hilbert_riesz_apply, hormander_seminorm, multiplier_apply,
+                        paradecompose, psdo_apply)
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 Calderon-Zygmund kernel measurements, Fourier multiplier lists, symbol
 seminorms, the (j, l) paradecomposition, and direct quantization.
 
-Symbols sigma(x, xi) are tabulated with x on the sampling grid and xi on the
-frequency lattice in FFT order; quantization is the exact O(Nx * Nxi) lattice
-sum (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi).
+Symbols sigma(x, xi) have x on the sampling grid and xi on the frequency
+lattice in FFT order.  A dense SymbolGrid holds the whole N^n x N^n table and
+is quantized by the exact O(Nx * Nxi) lattice sum
+(1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi).  A SeparatedSymbol holds R
+terms a_r(x) b_r(xi) and is quantized as R Fourier multipliers,
+sum_r a_r F^-1[b_r F f], without forming the table.
 """
 
 from __future__ import annotations
@@ -21,8 +24,22 @@ from .grid import TorusGrid
 from .lpa import holder_zygmund_norm, make_inhom_partition
 
 
+class _SymbolAxes:
+    """The axes of a symbol table, grid.shape + grid.shape: x axes, then xi axes."""
+
+    grid: TorusGrid
+
+    @property
+    def x_axes(self) -> tuple:
+        return tuple(range(self.grid.dim))
+
+    @property
+    def xi_axes(self) -> tuple:
+        return tuple(range(self.grid.dim, 2 * self.grid.dim))
+
+
 @dataclass
-class SymbolGrid:
+class SymbolGrid(_SymbolAxes):
     """sigma(x, xi): values has shape grid.shape + grid.shape (x axes then xi axes)."""
 
     grid: TorusGrid
@@ -36,13 +53,43 @@ class SymbolGrid:
             raise ValueError("symbol values must be finite")
         self.values = v
 
-    @property
-    def x_axes(self) -> tuple:
-        return tuple(range(self.grid.dim))
+
+@dataclass
+class SeparatedSymbol(_SymbolAxes):
+    """sigma(x, xi) = sum_r xparts[r](x) xiparts[r](xi), R >= 1 terms.
+
+    Both parts have shape (R,) + grid.shape: x on the sampling grid, xi on the
+    lattice in FFT order.  psdo_apply takes one Fourier multiplier per term.
+    values materializes the dense table for the seminorms, paradecompose and
+    symbol files; it costs N^(2n) entries and is rebuilt on every read.
+    """
+
+    grid: TorusGrid
+    xparts: np.ndarray
+    xiparts: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.xparts, dtype=complex)
+        b = np.asarray(self.xiparts, dtype=complex)
+        if a.shape != b.shape or a.shape[1:] != self.grid.shape:
+            raise ValueError(f"symbol parts {a.shape} and {b.shape} must both be "
+                             f"(R,) + grid.shape = (R,) + {self.grid.shape}")
+        if a.shape[0] == 0:
+            raise ValueError("a separated symbol needs at least one term")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("symbol parts must be finite")
+        self.xparts, self.xiparts = a, b
 
     @property
-    def xi_axes(self) -> tuple:
-        return tuple(range(self.grid.dim, 2 * self.grid.dim))
+    def values(self) -> np.ndarray:
+        """The dense table, N^(2n) entries: the terms' outer products summed in
+        term order."""
+        lead = self.grid.shape + (1,) * self.grid.dim
+        trail = (1,) * self.grid.dim + self.grid.shape
+        total = np.zeros(self.grid.shape * 2, dtype=complex)
+        for a, b in zip(self.xparts, self.xiparts):
+            total += a.reshape(lead) * b.reshape(trail)
+        return total
 
 
 @dataclass
@@ -70,26 +117,37 @@ def tabulate_symbol(grid: TorusGrid, fn) -> SymbolGrid:
     return SymbolGrid(grid, np.asarray(fn(xs, xis), dtype=complex))
 
 
-def multiplier_symbol(grid: TorusGrid, mult: np.ndarray) -> SymbolGrid:
-    vals = np.broadcast_to(mult, grid.shape * 2).copy()
-    return SymbolGrid(grid, vals)
+def multiplier_symbol(grid: TorusGrid, mult: np.ndarray) -> SeparatedSymbol:
+    """sigma(x, xi) = mult(xi): one term whose x-part is 1."""
+    return SeparatedSymbol(grid, np.ones((1,) + grid.shape),
+                           np.broadcast_to(mult, grid.shape)[None])
 
 
 #: rows of the phase table formed at once by psdo_apply
 _PSDO_ROWS = 256
 
 
-def psdo_apply(sigma: SymbolGrid, f: SampledField) -> SampledField:
-    """Direct quantization: out(x) = (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi).
+def psdo_apply(sigma: SymbolGrid | SeparatedSymbol, f: SampledField) -> SampledField:
+    """Quantization: out(x) = (1/L^n) sum_xi sigma(x, xi) F(xi) e^(2 pi i x.xi), complex.
 
-    With x = h k and xi = l / L on the lattice, x.xi = (k.l) / N, so each phase
-    is an N-th root of unity read from one table at index (k.l) mod N; l may be
-    taken as the FFT-order index itself, which equals the frequency mod N.
+    A dense SymbolGrid takes the lattice sum.  With x = h k and xi = l / L on
+    the lattice, x.xi = (k.l) / N, so each phase is an N-th root of unity read
+    from one table at index (k.l) mod N; l may be taken as the FFT-order index
+    itself, which equals the frequency mod N.
+
+    A SeparatedSymbol takes R Fourier multipliers, sum_r a_r F^-1[b_r F f]: one
+    forward transform of f and one inverse transform per term.
     """
     grid = sigma.grid
     if f.grid != grid:
         raise ValueError("symbol and field grids differ")
     F = to_spectral(f)
+    if isinstance(sigma, SeparatedSymbol):
+        axes = tuple(range(grid.dim))
+        out = np.zeros(F.coeffs.shape, dtype=complex)
+        for a, b in zip(sigma.xparts, sigma.xiparts):
+            out += a[..., None] * np.fft.ifftn(F.coeffs * b[..., None], axes=axes)
+        return SampledField(grid, out * (1.0 / grid.cell_measure))
     n, npts = grid.points_per_axis, grid.npoints
     sig = sigma.values.reshape(npts, npts)
     Fc = F.coeffs.reshape(npts, f.channels)
@@ -184,14 +242,15 @@ def check_band_support(f: SampledField, radius: float, tol: float = 1e-10) -> bo
     return True
 
 
-def _xi_derivatives(sigma: SymbolGrid, values: np.ndarray, alpha_max: int):
+def _xi_derivatives(sigma: SymbolGrid | SeparatedSymbol, values: np.ndarray, alpha_max: int):
     """Yield (alpha, d_xi^alpha values, mask) for every |alpha| <= alpha_max.
 
     values is a table of sigma's layout.  The derivatives are centered differences
     at lattice spacing 1/L, in fftshift order over the xi axes so that they see
     monotone xi.  mask (grid.shape, the same order) keeps the xi whose differences
-    do not wrap: max(alpha) lattice-edge frequencies go from each end of each axis.
-    That leaves no xi once 2 * alpha_max >= N, which raises ValueError.
+    do not wrap: alpha_i lattice-edge frequencies go from each end of axis i.
+    An alpha with 2 * alpha_i >= N would leave no xi, so 2 * alpha_max >= N
+    raises ValueError.
     """
     grid = sigma.grid
     N = grid.points_per_axis
@@ -206,11 +265,11 @@ def _xi_derivatives(sigma: SymbolGrid, values: np.ndarray, alpha_max: int):
             for _ in range(order):
                 dv = (np.roll(dv, -1, axis=ax) - np.roll(dv, 1, axis=ax)) / (2.0 * step)
         mask = np.zeros(grid.shape, dtype=bool)
-        mask[(slice(max(alpha), N - max(alpha)),) * grid.dim] = True
+        mask[tuple(slice(order, N - order) for order in alpha)] = True
         yield alpha, dv, mask
 
 
-def hormander_seminorm(sigma: SymbolGrid, params: SymbolClassParams,
+def hormander_seminorm(sigma: SymbolGrid | SeparatedSymbol, params: SymbolClassParams,
                        alpha_max: int, beta_max: int) -> float:
     """max over |alpha| <= alpha_max, |beta| <= beta_max, (x, xi) of
     |d_xi^alpha d_x^beta sigma| (1+|xi|)^(-m + |alpha| - delta|beta|)."""
@@ -220,14 +279,14 @@ def hormander_seminorm(sigma: SymbolGrid, params: SymbolClassParams,
     table = SampledField(grid, sigma.values.reshape(grid.shape + (grid.npoints,)))
     best = 0.0
     for beta in multi_indices(grid.dim, beta_max):
-        dx = spectral_derivative(table, beta).values.reshape(sigma.values.shape)
+        dx = spectral_derivative(table, beta).values.reshape(grid.shape * 2)
         for alpha, dv, mask in _xi_derivatives(sigma, dx, alpha_max):
             weight = one_plus[mask] ** (-params.m + sum(alpha) - params.delta * sum(beta))
             best = max(best, float(np.max(np.abs(dv)[..., mask] * weight)))
     return best
 
 
-def sigma_nb_seminorm(sigma: SymbolGrid, params: SymbolClassParams) -> float:
+def sigma_nb_seminorm(sigma: SymbolGrid | SeparatedSymbol, params: SymbolClassParams) -> float:
     """The ||sigma||_{N,b} quantity driving the paradecomposition kernel bounds,
     read as x-derivatives to params.N and xi-derivatives to params.b."""
     return hormander_seminorm(sigma, params, alpha_max=params.b, beta_max=params.N)
@@ -237,7 +296,8 @@ def sigma_nb_seminorm(sigma: SymbolGrid, params: SymbolClassParams) -> float:
 _CZS_XI_SAMPLES = 33
 
 
-def czs_seminorm(sigma: SymbolGrid, params: SymbolClassParams, alpha_max: int = 2) -> float:
+def czs_seminorm(sigma: SymbolGrid | SeparatedSymbol, params: SymbolClassParams,
+                 alpha_max: int = 2) -> float:
     """Holder-Zygmund symbol seminorm: for each |alpha| <= alpha_max,
     sup_xi <xi>^(-m+|alpha|-l*delta) ||d_xi^alpha sigma(., xi)||_C*l
       + sup_xi <xi>^(-m+|alpha|) ||d_xi^alpha sigma(., xi)||_Linf,
@@ -270,21 +330,18 @@ def czs_seminorm(sigma: SymbolGrid, params: SymbolClassParams, alpha_max: int = 
 
 
 def elementary_symbol(sigma_j: list, psi1: Callable, grid: TorusGrid,
-                      start: int = 1) -> SymbolGrid:
-    """sigma(x, xi) = sum_{j >= start} sigma_j(x) psi1(2^(-j+1) xi);
-    psi1 must be supported on the ring {1 <= |xi| <= 4}."""
+                      start: int = 1) -> SeparatedSymbol:
+    """sigma(x, xi) = sum_{j >= start} sigma_j(x) psi1(2^(-j+1) xi), one term per
+    level; psi1 must be supported on the ring {1 <= |xi| <= 4}."""
     rho = grid.freq_radius()
     probe = np.linspace(0, 8, 1601)
     pv = psi1(probe)
     if np.any(np.abs(pv[(probe < 1.0 - 1e-9) | (probe > 4.0 + 1e-9)]) > 1e-12):
         raise ValueError("psi1 must vanish outside {1 <= |xi| <= 4}")
-    total = np.zeros(grid.shape * 2, dtype=complex)
-    for off, fld in enumerate(sigma_j):
-        j = start + off
-        ring = psi1(rho * 2.0 ** (-j + 1))
-        xpart = fld.scalar().reshape(grid.shape + (1,) * grid.dim)
-        total += xpart * ring.reshape((1,) * grid.dim + grid.shape)
-    return SymbolGrid(grid, total)
+    terms = (-1,) + grid.shape
+    xparts = [fld.scalar() for fld in sigma_j]
+    rings = [psi1(rho * 2.0 ** (-j + 1)) for j in range(start, start + len(sigma_j))]
+    return SeparatedSymbol(grid, np.reshape(xparts, terms), np.reshape(rings, terms))
 
 
 @dataclass
@@ -301,7 +358,7 @@ class ParaPieces:
         return sum(p.values for p in self.pieces.values())
 
 
-def paradecompose(sigma: SymbolGrid, j_cut: int, l_cut: int) -> ParaPieces:
+def paradecompose(sigma: SymbolGrid | SeparatedSymbol, j_cut: int, l_cut: int) -> ParaPieces:
     """Split sigma by output band phi_j(xi) and x-spectrum band phi_(j+l)(zeta)."""
     partition = make_inhom_partition()
     grid = sigma.grid

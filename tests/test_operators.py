@@ -6,11 +6,11 @@ from bmtl.fields import (SampledField, from_spectral, multi_indices, scalar_fiel
 from bmtl.grid import TorusGrid
 from bmtl.harness import band_limited_noise
 from bmtl.lpa import h2_profile_norm, make_inhom_partition
-from bmtl.operators import (SymbolClassParams, SymbolGrid, cz_kernel_check,
-                            czs_seminorm, elementary_symbol, hilbert_riesz_apply,
-                            hormander_seminorm, kernel_weighted_mass,
-                            multiplier_apply, multiplier_symbol, paradecompose,
-                            psdo_apply, tabulate_symbol)
+from bmtl.operators import (SeparatedSymbol, SymbolClassParams, SymbolGrid,
+                            cz_kernel_check, czs_seminorm, elementary_symbol,
+                            hilbert_riesz_apply, hormander_seminorm,
+                            kernel_weighted_mass, multiplier_apply, multiplier_symbol,
+                            paradecompose, psdo_apply, tabulate_symbol)
 
 GRID = TorusGrid(1, 2, 8)
 
@@ -193,7 +193,7 @@ def test_hormander_seminorm_2d_separable_factorizes():
             for ax, order in enumerate(alpha):
                 for _ in range(order):
                     db = (np.roll(db, -1, axis=ax) - np.roll(db, 1, axis=ax)) * (GRID2.side / 2.0)
-            inner = (slice(max(alpha), N - max(alpha)),) * 2
+            inner = tuple(slice(order, N - order) for order in alpha)
             weight = one_plus ** (-params.m + sum(alpha) - params.delta * sum(beta))
             want = max(want, da * np.max(np.abs(db[inner]) * weight[inner]))
     assert hormander_seminorm(sym, params, 2, 2) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -275,16 +275,19 @@ def test_paradecompose_modulated_piece_location():
 def test_psdo_identity_multiplier_and_product():
     rng = np.random.default_rng(5)
     f = band_limited_noise(SMALL, 2, 0.3, 4.0, rng)
-    ident = multiplier_symbol(SMALL, np.ones(SMALL.shape))
-    out = psdo_apply(ident, f)
-    assert np.max(np.abs(out.values - f.values)) < 1e-10
+    ones = np.ones(SMALL.shape)
     mult = (1.0 + SMALL.freq_radius() ** 2) ** (-0.5)
-    sym = multiplier_symbol(SMALL, mult)
-    via_psdo = psdo_apply(sym, f)
     F = to_spectral(f)
     from bmtl.fields import SpectralField
     direct = from_spectral(SpectralField(SMALL, F.coeffs * mult[..., None]))
-    assert np.max(np.abs(via_psdo.values - direct.values)) < 1e-10
+    # multiplier_symbol is separated; the dense tables of the same multipliers
+    # keep the lattice sum under the same checks
+    dense = lambda m: SymbolGrid(SMALL, np.broadcast_to(m, SMALL.shape * 2).copy())
+    for build in (multiplier_symbol, lambda g, m: dense(m)):
+        out = psdo_apply(build(SMALL, ones), f)
+        assert np.max(np.abs(out.values - f.values)) < 1e-10
+        via_psdo = psdo_apply(build(SMALL, mult), f)
+        assert np.max(np.abs(via_psdo.values - direct.values)) < 1e-10
     a = 1.0 + 0.4 * np.cos(2 * np.pi * SMALL.coords()[0] / SMALL.side)
     sym_x = SymbolGrid(SMALL, np.broadcast_to(a[:, None], SMALL.shape * 2).copy())
     out_x = psdo_apply(sym_x, f)
@@ -317,6 +320,17 @@ def test_kernel_decay_of_paradecomposition():
     logs = np.log2([masses[l] + 1e-300 for l in ls])
     slope = np.polyfit(ls[1:], logs[1:], 1)[0]   # skip the cumulative l = 0 slot
     assert slope < 0.0
+
+
+def test_hormander_seminorm_per_axis_mask():
+    # sigma = xi_1: d/dxi_1 drops the edge of the first xi axis only, so the sup of
+    # 1 + |xi| runs over xi_1 in [-1.5, 1.5] and xi_2 in [-2, 1.5]: 1 + 2.5
+    grid = TorusGrid(2, 1, 2)    # 8^2 lattice, spacing 1/2
+    sym = tabulate_symbol(grid, lambda xs, xis: xis[0] * np.ones_like(xs[0]))
+    params = SymbolClassParams(m=0.0)
+    assert hormander_seminorm(sym, params, 1, 0) == pytest.approx(3.5, rel=1e-12)
+    sep = SeparatedSymbol(grid, np.ones((1,) + grid.shape), grid.freqs()[0][None])
+    assert hormander_seminorm(sep, params, 1, 0) == pytest.approx(3.5, rel=1e-12)
 
 
 def test_sigma_nb_seminorm_reading():
@@ -384,3 +398,101 @@ def test_psdo_matches_direct_exponential_sum(grid):
     direct = direct.reshape(grid.shape + (2,)) / grid.side ** grid.dim
     out = psdo_apply(sym, f).values
     assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _parts(grid, R, complex_parts, rng):
+    """R smooth x-parts and R xi-parts of order about 0.5 on grid, real or complex."""
+    x0, x1 = grid.coords()[0], grid.coords()[-1]
+    rho = grid.freq_radius()
+    xs, xis = [], []
+    for r in range(R):
+        a = 1.0 + 0.3 * rng.standard_normal() * np.cos(2 * np.pi * (r + 1) * x0 / grid.side)
+        b = (1.0 + rho ** 2) ** (0.25 - 0.1 * r) * (1.0 + 0.2 * rng.standard_normal())
+        if complex_parts:
+            a = a * np.exp(2j * np.pi * r * x1 / grid.side)
+            b = b + 0.3j * grid.freqs()[0] / (1.0 + rho)
+        xs.append(a)
+        xis.append(b)
+    return np.array(xs), np.array(xis)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2, 6), TorusGrid(2, 1, 4)],
+                         ids=["1d256", "2d32"])
+@pytest.mark.parametrize("R,complex_parts,complex_field",
+                         [(1, False, False), (1, True, True), (6, False, True), (6, True, False)])
+def test_separated_psdo_matches_dense(grid, R, complex_parts, complex_field):
+    rng = np.random.default_rng(17 + R)
+    sym = SeparatedSymbol(grid, *_parts(grid, R, complex_parts, rng))
+    f = band_limited_noise(grid, 2, 0.5, 4.0, rng)
+    if complex_field:
+        f = SampledField(grid, f.values + 1j * band_limited_noise(grid, 2, 0.5, 4.0, rng).values)
+    dense = psdo_apply(SymbolGrid(grid, sym.values), f).values
+    out = psdo_apply(sym, f).values
+    assert np.iscomplexobj(out)
+    assert np.max(np.abs(out - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_separated_constructors_keep_the_dense_tables():
+    # the dense tables by their definitions: the multiplier broadcast over x,
+    # and the per-level sum of sigma_j(x) psi1(2^(-j+1) xi)
+    grid = TorusGrid(1, 2, 4)
+    rho = grid.freq_radius()
+    mult = (1.0 + rho ** 2) ** 0.25 * np.sign(grid.freqs()[0] + 0.1)
+    want = np.broadcast_to(mult, grid.shape * 2).astype(complex)
+    assert np.array_equal(multiplier_symbol(grid, mult).values, want)
+    psi1 = make_inhom_partition().level(1)
+    x = grid.coords()[0]
+    wave = lambda j: np.cos(2 * np.pi * j * x / grid.side)
+    sig = [scalar_field(grid, 2.0 ** (0.5 * j) * (1.0 + 0.3 * wave(j))) for j in range(1, 5)]
+    want = np.zeros(grid.shape * 2, dtype=complex)
+    for j, s in enumerate(sig, start=1):
+        want += s.scalar()[:, None] * psi1(rho * 2.0 ** (-j + 1))[None, :]
+    sym = elementary_symbol(sig, psi1, grid)
+    assert sym.xparts.shape == (4,) + grid.shape
+    assert np.array_equal(sym.values, want)
+
+
+def test_separated_symbol_file_round_trip(tmp_path):
+    from bmtl.fieldio import read_symbol, write_symbol
+    grid = TorusGrid(2, 0, 3)
+    sym = SeparatedSymbol(grid, *_parts(grid, 3, True, np.random.default_rng(21)))
+    path = tmp_path / "sym.bin"
+    write_symbol(path, sym)
+    back = read_symbol(path)
+    assert isinstance(back, SymbolGrid)
+    assert np.array_equal(back.values, sym.values)
+
+
+def test_separated_psdo_memory_at_desk_scale():
+    # the dense table at N = 4096 alone is 4096^2 * 16 bytes = 268 MB
+    import tracemalloc
+    grid = TorusGrid(1, 2, 10)
+    sym = SeparatedSymbol(grid, *_parts(grid, 2, True, np.random.default_rng(22)))
+    f = band_limited_noise(grid, 2, 0.5, 8.0, np.random.default_rng(23))
+    tracemalloc.start()
+    try:
+        psdo_apply(sym, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"psdo_apply peaked at {peak / 2 ** 20:.1f} MB"
+
+
+def test_separated_symbol_refuses_malformed_parts():
+    grid = TorusGrid(1, 2, 4)
+    ones = np.ones((2,) + grid.shape)
+    for xparts, xiparts in ((ones, ones[:1]),                          # R differs
+                            (ones[:, :-1], ones[:, :-1]),              # not grid.shape
+                            (ones[0], ones[0]),                        # no term axis
+                            (ones[:0], ones[:0])):                     # R = 0
+        with pytest.raises(ValueError):
+            SeparatedSymbol(grid, xparts, xiparts)
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        spoiled = ones.astype(complex)
+        spoiled[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SeparatedSymbol(grid, spoiled, ones)
+        with pytest.raises(ValueError, match="finite"):
+            SeparatedSymbol(grid, ones, spoiled)
+    with pytest.raises(ValueError, match="at least one term"):
+        elementary_symbol([], make_inhom_partition().level(1), grid)

@@ -7,7 +7,11 @@ two records bit for bit.
 `dump` imports `bmtl` from SRC_DIR (the `src` directory of a checkout) and runs a
 fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
   - `hormander_seminorm` for alpha, beta <= 2 and `czs_seminorm` for alpha <= 2,
-    on a smooth, a random complex and a constant symbol, at three (m, delta, ell);
+    on a smooth, a random complex and a constant symbol, a complex Fourier
+    multiplier (`multiplier_symbol`) and a two-level `elementary_symbol`, at three
+    (m, delta, ell);
+  - `psdo_apply` of each of these symbols to one real 2-channel field, under keys
+    that start with `psdo:`;
   - `paradecompose` with `kernel_weighted_mass` of every piece, and
     `cz_kernel_check` at L = 1 and 2;
   - `molecule_check`, `measure_atom_params`, `hilbert_riesz_apply` (every Riesz
@@ -49,6 +53,9 @@ def _grids(TorusGrid):
 
 
 def _symbols(ops, grid, rng):
+    from bmtl.fields import scalar_field
+    from bmtl.lpa import make_inhom_partition
+
     def smooth(xs, xis):
         r2 = sum(xi * xi for xi in xis)
         a = 1.0 + 0.4 * np.cos(2 * np.pi * xs[0] / grid.side)
@@ -56,9 +63,15 @@ def _symbols(ops, grid, rng):
         return a * (1.0 + r2) ** 0.25 + 0.3j * b * np.exp(-r2 / 8.0)
 
     noise = rng.standard_normal(grid.shape * 2) + 1j * rng.standard_normal(grid.shape * 2)
+    rho = grid.freq_radius()
+    wave = np.cos(2 * np.pi * grid.coords()[0] / grid.side)
+    levels = [scalar_field(grid, 2.0 ** (0.5 * j) * (1.0 + 0.3j * wave)) for j in (1, 2)]
     return {"smooth": ops.tabulate_symbol(grid, smooth),
             "random": ops.SymbolGrid(grid, noise),
-            "constant": ops.multiplier_symbol(grid, np.full(grid.shape, 1.5))}
+            "constant": ops.multiplier_symbol(grid, np.full(grid.shape, 1.5)),
+            "multiplier": ops.multiplier_symbol(
+                grid, (1.0 + rho ** 2) ** 0.25 * np.exp(0.5j * grid.freqs()[0])),
+            "elementary": ops.elementary_symbol(levels, make_inhom_partition().level(1), grid)}
 
 
 def _cz_kernel(grid):
@@ -139,7 +152,9 @@ def dump(src: str) -> dict:
     for gname, grid in _grids(TorusGrid).items():
         rng = np.random.default_rng(20251017)
         syms = _symbols(ops, grid, rng)
+        fpsdo = band_limited_noise(grid, 2, 0.5, 4.0, np.random.default_rng(7))
         for sname, sym in syms.items():
+            out[f"psdo:{gname}:{sname}"] = ops.psdo_apply(sym, fpsdo).values
             for c, (m, delta, ell) in enumerate(CLASSES):
                 params = ops.SymbolClassParams(m=m, delta=delta, ell=ell)
                 for a in range(3):
