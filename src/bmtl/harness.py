@@ -21,7 +21,7 @@ from .fields import SampledField, fourier_multiply, l2_norm
 from .grid import TorusGrid
 from .lpa import covered_band, make_admissible_pair, make_inhom_partition
 from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
-                     seq_norm, tl_norm, tl_norms, truncation_ratio)
+                     seq_norm, tl_norms, truncation_ratio)
 from .weights import diagnose, reducing_operators, weight_gallery
 
 
@@ -127,6 +127,11 @@ _CONFIG_TYPES = {
 
 @dataclass
 class Report:
+    """An experiment's rows and summary.  wall_times holds seconds, never
+    emitted: for an equivalence sweep one entry per function pass, keyed
+    "<function>/s=..,p=..,q=.." (one band pass serves every weight, so there is
+    no time per (weight, function) case); for diagnostics one per "<weight>/p=..";
+    and "total" for the whole run."""
     config: dict
     rows: list
     summary: dict
@@ -208,34 +213,55 @@ def dilate_field(f: SampledField) -> SampledField:
     return SampledField(f.grid, f.values[np.ix_(*[idx] * f.grid.dim)])
 
 
-def four_norms(f: SampledField, W, sp: SpaceParams, bank, cube_range,
-               family=None) -> dict:
-    """F(W), F(A_Q), and the two sequence norms of the phi-transform coefficients.
+def four_norms_batch(f: SampledField, Ws, sp: SpaceParams, bank, cube_range,
+                     families=None) -> list:
+    """four_norms of f for each weight in Ws, in order, from one band pass.
 
-    One band pass: each level's band output feeds both function-side level
-    sums and gives that level's coefficients (the helpers of tl_norm and
-    phi_transform; tl_norms holds the bank to the range).  A real f's bands are
-    real, so its coefficients have exact zero imaginary parts where
-    phi_transform's carry rounding noise; the norms agree to rounding.
-    bank: AdmissiblePair for a homogeneous range, InhomPartition otherwise.
+    One tl_norms pass over the weightings [pw_1, cw_1, ..., pw_k, cw_k] (W_i^(1/p)
+    pointwise, A_Q of families[i] cubewise) feeds every weighting's level sums
+    from each level's band and takes that level's phi-transform coefficients
+    once (coeff.phi_level, the helper of phi_transform); a band output depends
+    on f only, not on the weight.  seq_norm then reads those coefficients once
+    per weighting, one weighting at a time, and each report is dropped once its
+    value is read (its per_level is never computed).  families: the reducing
+    families of Ws, reducing_operators at sp.p when None.
     """
-    if family is None:
-        family = reducing_operators(W, sp.p, cube_range)
-    pw = PointwiseWeighting(W, sp.p)
-    cw = CubewiseWeighting(family)
+    if families is None:
+        families = [reducing_operators(W, sp.p, cube_range) for W in Ws]
+    ws = [w for W, family in zip(Ws, families)
+          for w in (PointwiseWeighting(W, sp.p), CubewiseWeighting(family))]
     arrays = {}
 
     def keep_coefficients(j, band):
         arrays[j] = phi_level(f.grid, j, band)
 
-    F_W, F_AQ = tl_norms(f, (pw, cw), sp, bank, cube_range, on_band=keep_coefficients)
+    F = [rep.value for rep in tl_norms(f, ws, sp, bank, cube_range,
+                                       on_band=keep_coefficients)]
     coeffs = CoeffSequence(f.grid, arrays, f.channels)
-    return {
-        "F_W": F_W.value,
-        "F_AQ": F_AQ.value,
-        "f_W": seq_norm(coeffs, pw, sp, cube_range).value,
-        "f_AQ": seq_norm(coeffs, cw, sp, cube_range).value,
-    }
+    return [{"F_W": F[i], "F_AQ": F[i + 1],
+             "f_W": seq_norm(coeffs, ws[i], sp, cube_range).value,
+             "f_AQ": seq_norm(coeffs, ws[i + 1], sp, cube_range).value}
+            for i in range(0, len(ws), 2)]
+
+
+def four_norms(f: SampledField, W, sp: SpaceParams, bank, cube_range,
+               family=None) -> dict:
+    """F(W), F(A_Q), and the two sequence norms of the phi-transform coefficients:
+    four_norms_batch for the one weight W (run_experiment calls the batch, so one
+    band pass feeds every weight of the sweep).
+
+    One band pass: each level's band output feeds both function-side level
+    sums and gives that level's coefficients (the helpers of tl_norm and
+    phi_transform; tl_norms holds the bank to the range).  Only the reports'
+    values are read, so no per-level norm is computed (per_level is computed on
+    its first read).  A real f's bands are
+    real, so its coefficients have exact zero imaginary parts where
+    phi_transform's carry rounding noise; the norms agree to rounding.
+    bank: AdmissiblePair for a homogeneous range, InhomPartition otherwise.
+    """
+    norms, = four_norms_batch(f, [W], sp, bank, cube_range,
+                              None if family is None else [family])
+    return norms
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -250,21 +276,26 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     times = {}
     if cfg.kind == "equivalence":
         pair = make_inhom_partition() if cfg.inhomogeneous else make_admissible_pair()
-        gallery = function_gallery(grid, cube_range, cfg.channels, cfg.functions, cfg.seed)
+        Ws = [weights[wname] for wname in cfg.weights]
+        # no weight, no case: the functions are not even built
+        gallery = (function_gallery(grid, cube_range, cfg.channels, cfg.functions, cfg.seed)
+                   if Ws else [])
+        wide = cube_range.widened(grid)
         for sp in spaces:
-            for wname in cfg.weights:
-                W = weights[wname]
-                family = reducing_operators(W, sp.p, cube_range)
-                pw = PointwiseWeighting(W, sp.p)
-                for fname, f in gallery:
-                    t1 = time.perf_counter()
-                    norms = four_norms(f, W, sp, pair, cube_range, family)
+            families = [reducing_operators(W, sp.p, cube_range) for W in Ws]
+            by_weight = [[] for _ in Ws]     # rows in (weight, function) order
+            for fname, f in gallery:
+                t1 = time.perf_counter()
+                # one widened pass per function serves every weight's truncation check
+                wide_reps = (tl_norms(f, [PointwiseWeighting(W, sp.p) for W in Ws], sp, pair,
+                                      wide) if wide != cube_range else None)
+                batch = four_norms_batch(f, Ws, sp, pair, cube_range, families)
+                for k, (wname, norms) in enumerate(zip(cfg.weights, batch)):
                     vals = [v for v in norms.values() if v > 0]
                     spread = max(vals) / min(vals) if vals else 1.0
-                    trunc = truncation_ratio(
-                        norms["F_W"], grid, cube_range,
-                        lambda wide: tl_norm(f, pw, sp, pair, wide)) or 1.0
-                    rows.append({
+                    trunc = truncation_ratio(norms["F_W"], grid, cube_range,
+                                             lambda _, k=k: wide_reps[k]) or 1.0
+                    by_weight[k].append({
                         "case": f"{wname}/{fname}/s={sp.s},p={sp.p},q={sp.q}",
                         **norms,
                         "spread": spread,
@@ -275,7 +306,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                         "hypothesis_unverifiable": sp.q > sp.p,
                         "pass": spread <= cfg.threshold,
                     })
-                    times[rows[-1]["case"]] = time.perf_counter() - t1
+                times[f"{fname}/s={sp.s},p={sp.p},q={sp.q}"] = time.perf_counter() - t1
+            rows.extend(row for weight_rows in by_weight for row in weight_rows)
     elif cfg.kind == "diagnostics":
         for sp in spaces:
             for wname in cfg.weights:

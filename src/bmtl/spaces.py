@@ -5,19 +5,23 @@ Outer norms aggregate |Q|^(1/t - 1/p) ||. chi_Q||_Lp over every cube of the leve
 window in l^r (sup at r = infinity).  Every level-summed norm feeds one
 weighted magnitude per level into a single accumulator, _LevelSum, which
 keeps the pointwise l^q sum over levels and only the finest-level cube sums of
-each level's magnitude^p; at the end every coarser cube level comes from
-2^n-to-1 sums of those, batched over the band levels, so the per-level
-Bourgain-Morrey norms take one aggregation (_bm_norms, of which bm_array_norm,
-used for the value, is the batch of one).
+each level's magnitude^p.  The value is the BM norm of the l^q sum
+(bm_array_norm), and the sum is freed once it is known.  The per-level
+Bourgain-Morrey norms are computed only when per_level is first read: every
+coarser cube level then comes from 2^n-to-1 sums of the finest ones, batched
+over the band levels, in one aggregation (_bm_norms, of which bm_array_norm is
+the batch of one).
 
 Band outputs come from lpa.band_outputs, so the cube <-> band pairing is the
 bank's.  Every function-side norm (tl, Peetre, Lusin, g-lambda-star,
 approximation) is one _band_pass: the range's inhomogeneous flag decides the
 space and the bank must match it; each level's band feeds every weighting's
 level sum in lockstep through the norm's level-j magnitude (and, in
-harness.four_norms, the phi-transform coefficients), and is then dropped, so
-no list of bands is kept.  A real field takes the half spectrum, so its bands
-are real arrays, with no imaginary rounding noise (lpa.band_outputs).
+harness.four_norms_batch, the phi-transform coefficients), and is then
+dropped, so no list of bands is kept.  So one pass serves every weight of a
+sweep: `bmtl equiv` runs one band pass per function for all its weights.  A
+real field takes the half spectrum, so its bands are real arrays, with no
+imaginary rounding noise (lpa.band_outputs).
 Weighted magnitudes |M(x) v(x)| are taken component-wise by _matvec_norm.
 Balls for the maximal operator are sup-metric windows with grid-multiple radii,
 wrapped on the torus.
@@ -70,6 +74,7 @@ _SERIES_MAX_ORDER terms (rho near 1) keeps _pair_reduce at every level.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -145,7 +150,7 @@ def check_nontrivial(p: float, t: float, r: float):
 @dataclass
 class NormReport:
     value: float
-    per_level: dict = field(default_factory=dict)
+    per_level: Mapping = field(default_factory=dict)
     truncation: float = None
 
     def __post_init__(self):
@@ -260,6 +265,37 @@ def bm_array_norm(grid: TorusGrid, vals: np.ndarray, p: float, t: float, r: floa
     return float(_bm_norms(grid, fine, p, t, r, levels)[0])
 
 
+class _LevelNorms(Mapping):
+    """per_level of a _LevelSum report: level j -> the BM norm of level j's own
+    magnitude, from fine (level -> finest cube sums of mag_j^p).  All levels take
+    one batch of _bm_norms, run on the first read, after which fine is freed; a
+    report whose per_level is never read never runs it."""
+
+    def __init__(self, grid: TorusGrid, fine: dict, p: float, t: float, r: float, levels):
+        self._batch = (grid, fine, p, t, r, levels)
+        self._norms = None
+
+    def _read(self) -> dict:
+        if self._norms is None:
+            grid, fine, p, t, r, levels = self._batch
+            norms = _bm_norms(grid, np.stack(list(fine.values()), axis=-1), p, t, r, levels)
+            self._norms = dict(zip(fine, map(float, norms)))
+            self._batch = None
+        return self._norms
+
+    def __getitem__(self, j):
+        return self._read()[j]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+
 class _LevelSum:
     """The skeleton of every level-summed norm, fed one level at a time.
 
@@ -267,8 +303,8 @@ class _LevelSum:
     l^q sum over levels and keeps only the level-max(cube levels) cube sums of
     mag^p, so several level sums can be fed in lockstep from one band pass
     without keeping any band.  report() gives the BM norm of the l^q sum as the
-    value and each level's own BM norm as per_level, the latter from one batch
-    of _bm_norms over all levels.
+    value, and frees the sum; per_level, each level's own BM norm, is a
+    _LevelNorms, computed in one batch of _bm_norms on its first read.
     """
 
     def __init__(self, grid: TorusGrid, p: float, t: float, r: float, q: float,
@@ -287,12 +323,13 @@ class _LevelSum:
         self.fine[j] = cube_sums(self.grid, powed, max(self.levels))
 
     def report(self) -> NormReport:
-        total = self.acc if np.isinf(self.q) else self.acc ** (1.0 / self.q)
+        total, self.acc = self.acc, None
+        if not np.isinf(self.q):
+            np.power(total, 1.0 / self.q, out=total)    # in place: the sum is not read again
         rep = NormReport(bm_array_norm(self.grid, total, self.p, self.t, self.r, self.levels))
         if self.fine:
-            norms = _bm_norms(self.grid, np.stack(list(self.fine.values()), axis=-1),
-                              self.p, self.t, self.r, self.levels)
-            rep.per_level = dict(zip(self.fine, map(float, norms)))
+            rep.per_level = _LevelNorms(self.grid, self.fine, self.p, self.t, self.r,
+                                        self.levels)
         return rep
 
 
@@ -416,7 +453,8 @@ def _band_pass(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange
     The range decides the space; the bank and sp.homogeneous must agree with it.
     Each level's band feeds weighting w's level sum with magnitude(w, j, band),
     the weighted level-j magnitude, and then goes to on_band(j, band) when given
-    (harness.four_norms takes the phi coefficients there); no band outlives its level.
+    (harness.four_norms_batch takes the phi coefficients there); no band outlives
+    its level.
     A real f takes the half spectrum, so its bands are real arrays (lpa.band_outputs).
     """
     for w in ws:

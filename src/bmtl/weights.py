@@ -556,7 +556,12 @@ def power_weight(grid: TorusGrid, alpha: float) -> MatrixWeight:
 
 
 def rotated_diag_weight(grid: TorusGrid, alpha: float = 0.5, angle: float = np.pi / 5) -> MatrixWeight:
-    """Fixed rotation of diag(|x|^alpha, 1): two channels, same A_p behavior as the diagonal."""
+    """Fixed rotation of diag(|x|^alpha, 1): two channels, same A_p behavior as the diagonal.
+
+    At the default alpha = 0.5 and p = 1.5 (the gallery's rotated_power), the 1D
+    weight lies on the A_1.5 boundary: W^(-p'/p) behaves like |x|^(-2 alpha), which
+    is integrable in 1D only for alpha < 1/2, so its characteristic grows like
+    log N.  The 2D weight lies inside A_1.5."""
     w = np.maximum(grid.radius(), grid.spacing) ** alpha
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])

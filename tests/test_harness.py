@@ -21,8 +21,9 @@ from bmtl.harness import (ExperimentConfig, band_limited_noise, emit_report, fou
                           function_gallery, load_report, run_experiment)
 from bmtl.lpa import make_admissible_pair, make_inhom_partition
 from bmtl.operators import SymbolGrid
-from bmtl.spaces import CubewiseWeighting, PointwiseWeighting, SpaceParams, seq_norm, tl_norm
-from bmtl.weights import oscillating_weight, reducing_operators
+from bmtl.spaces import (CubewiseWeighting, PointwiseWeighting, SpaceParams, seq_norm, tl_norm,
+                         truncation_ratio)
+from bmtl.weights import oscillating_weight, reducing_operators, weight_gallery
 
 
 def small_config(tmp_path, **overrides):
@@ -667,3 +668,47 @@ def test_four_norms_one_band_pass(grid, ranges, monkeypatch):
         for key, val in separate.items():
             assert val > 0
             assert norms[key] == pytest.approx(val, rel=1e-12, abs=0), key
+
+
+@pytest.mark.parametrize("inhomogeneous, inverse_ffts", [(False, 32), (True, 24)])
+def test_run_experiment_one_pass_per_function(tmp_path, monkeypatch, inhomogeneous,
+                                              inverse_ffts):
+    """The sweep's rows are the per-case four_norms and truncation rows bit for bit,
+    in (weight, function) order, from one band pass per function for all weights
+    and one widened pass per function for every truncation check."""
+    cfg = small_config(tmp_path, weights=["identity", "rotated_power", "oscillating"],
+                       functions={"band_random": 2}, inhomogeneous=inhomogeneous)
+    grid, cube_range = cfg.grid(), cfg.cube_range()
+    assert cube_range.widened(grid) != cube_range     # the truncation check runs
+    inverse = []
+    for name in ("ifftn", "irfftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, fn=fn, **k: inverse.append(1) or fn(*a, **k))
+    rep = run_experiment(cfg)
+    monkeypatch.undo()
+    # 2 for the gallery, then 7 band levels plus 8 widened per function (6 and 5
+    # inhomogeneous); one pass per case would take 92 (68)
+    assert len(inverse) == inverse_ffts
+
+    sp, = cfg.spaces()
+    bank = make_inhom_partition() if inhomogeneous else make_admissible_pair()
+    gallery = function_gallery(grid, cube_range, cfg.channels, cfg.functions, cfg.seed)
+    weights = weight_gallery(grid, cfg.channels)
+    expected = []
+    for wname in cfg.weights:
+        W = weights[wname]
+        for fname, f in gallery:
+            norms = four_norms(f, W, sp, bank, cube_range)
+            trunc = truncation_ratio(norms["F_W"], grid, cube_range, lambda wide: tl_norm(
+                f, PointwiseWeighting(W, sp.p), sp, bank, wide))
+            vals = [v for v in norms.values() if v > 0]
+            spread = max(vals) / min(vals)
+            expected.append({"case": f"{wname}/{fname}/s={sp.s},p={sp.p},q={sp.q}", **norms,
+                             "spread": spread, "truncation": trunc,
+                             "truncation_flag": abs(trunc - 1.0) > 0.01,
+                             "hypothesis_unverifiable": False,
+                             "pass": spread <= cfg.threshold})
+    assert rep.rows == expected
+    assert sorted(rep.wall_times) == sorted(
+        [f"{fname}/s={sp.s},p={sp.p},q={sp.q}" for fname, _ in gallery] + ["total"])

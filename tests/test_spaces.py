@@ -971,3 +971,31 @@ def test_batched_bm_matches_levelwise_oracle(grid, cube_range, r):
     for some in (range(-grid.side_log2, grid.res_log2 + 1), [-grid.side_log2, 0, 2]):
         assert bm_array_norm(grid, total, p, t, r, some) == pytest.approx(
             bm_levelwise(grid, total, p, t, r, some), rel=1e-12, abs=0)
+
+
+def test_per_level_computed_on_first_read(monkeypatch):
+    """A report's value takes batches of one only; the per-level batch runs once,
+    when per_level is first read, and gives the eager batch's values exactly."""
+    grid, cube_range = TorusGrid(1, 2, 6), CubeRange(-2, 4)
+    p, t, r, q = 1.5, 2.0, np.inf, 1.5
+    rng = np.random.default_rng(44)
+    mags = [(j, rng.random(grid.shape) * 2.0 ** j) for j in cube_range.band_levels()]
+    levels = cube_range.cube_levels()
+    fine = {j: cube_sums(grid, mag ** p, max(levels)) for j, mag in mags}
+    eager = dict(zip(fine, map(float, spaces._bm_norms(
+        grid, np.stack(list(fine.values()), axis=-1), p, t, r, levels))))
+    batches = []
+    bm_norms = spaces._bm_norms
+    monkeypatch.setattr(spaces, "_bm_norms",
+                        lambda grid, fine, *a: batches.append(fine.shape[-1])
+                        or bm_norms(grid, fine, *a))
+    rep = _level_sum(grid, mags, p, t, r, q, cube_range)
+    assert batches == [1]                       # the value only
+    assert rep.per_level == eager and dict(rep.per_level) == eager
+    assert list(rep.per_level) == list(cube_range.band_levels())
+    assert batches == [1, len(mags)]            # one batch, on the first read only
+    f = band_limited_noise(grid, 2, 0.5, 8.0, rng)
+    batches.clear()
+    tl_norm(f, PointwiseWeighting(oscillating_weight(grid), p),
+            SpaceParams(0.5, p, q, t, r), PAIR, cube_range)
+    assert batches == [1]

@@ -13,14 +13,16 @@ workload and seed:
   - untraced runs: `run_s`, `setup_s` and `peak_rss_mb` per run, their median and
     quartiles, the failed cases, and for each of the three the pairs the change
     won (a lower value wins; ties count for neither side);
-  - traced runs: the `.calls` and `.self_s` of the pair-kernel norms, of the
-    Bourgain-Morrey aggregation (`bm_array_norm`, `cube_sums`), of the weight
-    diagnostics (`ap_characteristic`, `ap_dimensions`, `doubling_exponent`,
-    `reducing_operators`, `sandwich_constants`, `diagnose`, `MatrixWeight.power`)
-    and of the transforms (`ad_random_operator`, `ad_apply`, `phi_transform`,
-    `phi_synthesis`, `wavelet_analyze`, `wavelet_synthesize`, `psdo_apply`) and coefficient
-    files (`write_coeffs`, `read_coeffs`), the FFT counters and self time, and
-    whether every `.calls` count and work counter is equal;
+  - traced runs: the `.calls` and `.self_s` of the pair-kernel norms, of
+    `tl_norm` and `seq_norm`, of the Bourgain-Morrey aggregation
+    (`bm_array_norm`, `cube_sums`), of the equivalence sweep (`run_experiment`,
+    `four_norms`), of the weight diagnostics (`ap_characteristic`,
+    `ap_dimensions`, `doubling_exponent`, `reducing_operators`,
+    `sandwich_constants`, `diagnose`, `MatrixWeight.power`) and of the
+    transforms (`ad_random_operator`, `ad_apply`, `phi_transform`,
+    `phi_synthesis`, `wavelet_analyze`, `wavelet_synthesize`, `psdo_apply`) and
+    coefficient files (`write_coeffs`, `read_coeffs`), the FFT counters and self
+    time, and whether every `.calls` count and work counter is equal;
   - each side's environment stamp without the per-run fields.
 """
 
@@ -35,7 +37,8 @@ import sys
 
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
 TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm",
-                                         "spaces.glambda_norm", "spaces.bm_array_norm",
+                                         "spaces.glambda_norm", "spaces.tl_norm",
+                                         "spaces.seq_norm", "spaces.bm_array_norm",
                                          "dyadic.cube_sums", "weights.ap_characteristic",
                                          "weights.ap_dimensions", "weights.doubling_exponent",
                                          "weights.reducing_operators",
@@ -46,7 +49,8 @@ TRACED = [f"{name}.{kind}" for name in ("spaces.peetre_norm", "spaces.lusin_norm
                                          "wavelets.wavelet_analyze",
                                          "wavelets.wavelet_synthesize",
                                          "fieldio.write_coeffs", "fieldio.read_coeffs",
-                                         "operators.psdo_apply")
+                                         "operators.psdo_apply", "harness.run_experiment",
+                                         "harness.four_norms")
           for kind in ("calls", "self_s")] + ["fft.calls", "fft.points", "fft.inverse_calls",
                                               "fft.self_s"]
 RUN_FIELDS = ("workload", "scale", "seed", "grids")
