@@ -166,12 +166,17 @@ def _strided(npts: int, cap: int) -> np.ndarray:
     return np.arange(0, npts, stride)
 
 
-def _window_samples(grid: TorusGrid, j: int, factor: float, cap: int) -> np.ndarray:
-    """(ncubes, nsamples) flat grid indices of every level-j cube dilated by factor
-    (torus-wrapped), each axis window evenly strided to at most cap samples; cubes
-    and samples both in C order of their per-axis indices."""
+def _window_axes(grid: TorusGrid, j: int, factor: float, cap: int) -> np.ndarray:
+    """(count, nsamples) grid indices along one axis of every level-j cube dilated
+    by factor (torus-wrapped, sorted), evenly strided to at most cap samples."""
     win = dilated_windows(grid, j, factor)
-    ax = win[:, _strided(win.shape[1], cap)]
+    return win[:, _strided(win.shape[1], cap)]
+
+
+def _flat_samples(grid: TorusGrid, ax: np.ndarray) -> np.ndarray:
+    """(count^n, ns^n) flat grid indices of the product windows whose per-axis
+    indices are the rows of ax (count, ns), the same on every axis; cubes and
+    samples both in C order of their per-axis indices."""
     count, ns = ax.shape
     N = grid.points_per_axis
     flat = np.zeros((1, 1), dtype=ax.dtype)
@@ -181,6 +186,50 @@ def _window_samples(grid: TorusGrid, j: int, factor: float, cap: int) -> np.ndar
     return flat
 
 
+def _window_samples(grid: TorusGrid, j: int, factor: float, cap: int) -> np.ndarray:
+    """(ncubes, nsamples) flat grid indices of every level-j cube dilated by factor
+    (torus-wrapped), each axis window evenly strided to at most cap samples; cubes
+    and samples both in C order of their per-axis indices."""
+    return _flat_samples(grid, _window_axes(grid, j, factor, cap))
+
+
+def _level_columns(grid: TorusGrid, j: int, i_cap: int, cap: int) -> tuple:
+    """(ys, cols): the y-samples of the windows 2^i Q, i = 0..i_cap, of every
+    level-j cube Q as one column table, ys (ncubes, ncols) of flat grid indices,
+    and cols[i] the columns of window i.
+
+    A column is keyed by its per-axis offset from the cube's corner, mod N.  A
+    window whose (sorted) key rows agree for every cube of the level is a
+    translate of one key set, and shares its columns with every other such
+    window; a window whose rows are not translates (its stride does not divide
+    the wrap of some cube) keeps its own columns, one per sample.  The shared
+    columns come first, sorted by key, so column 0 is the cube's corner, a
+    sample of every shared window (cube 0's sorted rows start at its corner,
+    grid index 0); each own window follows as one contiguous block.
+    """
+    N = grid.points_per_axis
+    corner = np.arange(cubes_per_axis(grid, j)) << (grid.res_log2 - j)
+    keys, own = {}, {}
+    for i in range(i_cap + 1):
+        ax = _window_axes(grid, j, 2.0 ** i, cap)
+        key = np.sort((ax - corner[:, None]) % N, axis=1)
+        if np.all(key == key[0]):
+            keys[i] = _flat_samples(grid, key[:1])[0]
+        else:
+            own[i] = _flat_samples(grid, ax)
+    shared, inverse = np.unique(np.concatenate(list(keys.values())), return_inverse=True)
+    ys = np.zeros((1, shared.size), dtype=corner.dtype)
+    for a in range(grid.dim):
+        digit = shared // N ** (grid.dim - 1 - a) % N
+        ys = (ys[:, None, :] * N + (corner[:, None] + digit) % N).reshape(-1, shared.size)
+    cols = dict(zip(keys, np.split(inverse, np.cumsum([k.size for k in keys.values()])[:-1])))
+    ncols = shared.size
+    for i, win in own.items():
+        cols[i] = np.arange(ncols, ncols + win.shape[1])
+        ncols += win.shape[1]
+    return np.concatenate([ys, *own.values()], axis=1), [cols[i] for i in range(i_cap + 1)]
+
+
 #: _closed_form_norm of the product XY reads its a + d, b - c, a - d and b + c.
 #: Each is bilinear: the flattened X (X00, X01, X10, X11) against these signed
 #: entries of the flattened Y (Y00, Y01, Y10, Y11)
@@ -188,62 +237,127 @@ _FORM_ENTRIES = np.array([[0, 2, 1, 3], [1, 3, 0, 2], [0, 2, 1, 3], [1, 3, 0, 2]
 _FORM_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                         [1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
 
+#: the squared form of _product_norms is used where A + B lies in this range, so
+#: that A, B and AB neither overflow nor lose bits to underflow
+_SQUARE_RANGE = (2.0 ** -480, 2.0 ** 480)
 
-def _product_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """||X[c, a] Y[c, b]|| for X (nc, na, m, m) and Y (nc, nb, m, m): (nc, na, nb).
 
-    For m = 2 the four bilinear forms of the closed form are one batched GEMM of
-    the flattened X against signed permutations of the flattened Y, so the
-    products are never formed; other m take operator_norms of the products.
+def _product_norms(X: np.ndarray, Y: np.ndarray, e: float = 1.0) -> np.ndarray:
+    """||X[c, a] Y[c, b]||^e for X (nc, na, m, m) and Y (nc, nb, m, m): (nc, na, nb).
+
+    For m = 2 the four bilinear forms s, t, u, v of the closed form are one
+    batched GEMM of the flattened X against signed permutations of the flattened
+    Y, so the products are never formed.  With A = s^2 + t^2 and B = u^2 + v^2
+    the squared norm is sigma^2 = (A + B)/4 + sqrt(AB)/2, a sum of non-negative
+    terms, so nothing cancels; one power call raises it to e/2.  Entries whose
+    A + B leaves _SQUARE_RANGE = [2^-480, 2^480] (products with entries beyond
+    about 2^+-240) are recomputed by _closed_form_norm, so nothing overflows or
+    underflows where hypot does not.  Other m take operator_norms of the
+    products.
     """
     nc, na, m = X.shape[0], X.shape[1], X.shape[-1]
     if m != 2:
-        return operator_norms(X[:, :, None] @ Y[:, None])
+        return operator_norms(X[:, :, None] @ Y[:, None]) ** e
     nb = Y.shape[1]
     Ys = Y.reshape(nc, nb, 4)[..., _FORM_ENTRIES] * _FORM_SIGNS     # (nc, nb, form, k)
     G = X.reshape(nc, na, 4) @ Ys.transpose(0, 3, 2, 1).reshape(nc, 4, 4 * nb)
-    G = G.reshape(nc, na, 4, nb)
-    return _closed_form_norm(G[:, :, 0], G[:, :, 1], G[:, :, 2], G[:, :, 3])
+    s, t, u, v = (G.reshape(nc, na, 4, nb)[:, :, k] for k in range(4))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        A = s * s
+        A += t * t
+        B = u * u
+        B += v * v
+        sq = np.multiply(A, B)
+        np.sqrt(sq, out=sq)
+        sq *= 0.5
+        A += B
+        lo, hi = _SQUARE_RANGE
+        bad = (A > hi) | (A < lo) if np.max(A) > hi or np.min(A) < lo else None
+        A *= 0.25
+        sq += A
+        np.power(sq, 0.5 * e, out=sq)
+    if bad is not None:
+        sq[bad] = _closed_form_norm(s[bad], t[bad], u[bad], v[bad]) ** e
+    return sq
 
 
 #: (x, y) sample pairs per block of cubes in _muckenhoupt_levels
-_MUCK_BLOCK_PAIRS = 1 << 16
+_MUCK_BLOCK_PAIRS = 1 << 15
 
 
-def _muckenhoupt_levels(grid: TorusGrid, root: np.ndarray, iroot: np.ndarray, p: float,
-                        cube_range: CubeRange, i_max: int) -> dict:
-    """{j: D} with D[i, c] the Muckenhoupt quantity of the c-th level-j cube Q
-    (C order) whose y-domain is dilated to 2^i Q, torus-wrapped, for
-    i = 0..i_cap(j), the largest i <= i_max with 2^i side(Q) <= L.
+def _kernel_passes(W: MatrixWeight, p: float) -> list:
+    """(root, iroot, p) of W's Muckenhoupt kernel and, for p > 1, of the dual
+    weight's: W~^(1/p') = W^(-1/p) and W~^(-1/p') = W^(1/p), so the dual pass is
+    W's cached roots swapped at p'.  W^(-1/p) clips W's eigenvalues at EIG_FLOOR,
+    W^(1/p) clips none."""
+    passes = [(W.power(1.0 / p), W.power(-1.0 / p), p)]
+    if p > 1.0:
+        passes.append((W.power(-1.0 / p), W.power(1.0 / p), conj_exponent(p)))
+    return passes
+
+
+def _muckenhoupt_levels(grid: TorusGrid, passes: list, cube_range: CubeRange,
+                        i_max: int) -> list:
+    """One {j: D} table per pass (root, iroot, p) of passes, with D[i, c] the
+    Muckenhoupt quantity of the c-th level-j cube Q (C order) whose y-domain is
+    dilated to 2^i Q, torus-wrapped, for i = 0..i_cap(j), the largest i <= i_max
+    with 2^i side(Q) <= L.
 
     root and iroot hold V^(1/p) and V^(-1/p) per grid point (grid.shape + (m, m)) for
-    a weight V: W, or the dual weight of ap_dimensions, whose roots are W's swapped.
-    p > 1: D_i = avg_x ( avg_y ||root(x) iroot(y)||^p' )^(p/p');
-    p <= 1: D_i = max_y avg_x ||root(x) iroot(y)||^p.
+    a weight V: W, or the dual weight of ap_dimensions (see _kernel_passes).
+    With e = p' for p > 1 and e = p for p <= 1:
+    p > 1: D_i = avg_x ( avg_y ||root(x) iroot(y)||^e )^(p/e);
+    p <= 1: D_i = max_y avg_x ||root(x) iroot(y)||^e.
     x runs over Q and y over 2^i Q, each axis evenly strided to at most 64
-    samples (8 in 2D), and each average is the mean over its samples, so the
-    identity weight has D_i = D_0.  The cubes of a level go in blocks of at most
-    _MUCK_BLOCK_PAIRS pairs.
+    samples (8 in 2D).  The y-samples of all windows of a level form one column
+    table per cube (_level_columns), built once for every pass, so each block of
+    at most _MUCK_BLOCK_PAIRS pairs takes one product table of
+    _product_norms(.., e) and every D_i reads its own window's columns from it.
+    Each y-average (p > 1) is centred: the row's sample in the window's first
+    column is subtracted from the window's columns, the means are one GEMM of
+    the table against the windows' averaging weights, and the sample is added
+    back.  It is one of the n non-negative terms averaged, so at most n times
+    their mean, which bounds the cancellation; and every constant weight has
+    D_i = D_0 bit for bit (for p <= 1 each D_i is a max over the same column
+    means).
     """
     cube_range.validate(grid, margin=0)
-    root, iroot = (r.reshape((-1,) + r.shape[-2:]) for r in (root, iroot))
     cap = round(64 ** (1 / grid.dim))      # 64 samples, so 64^2 pairs, per cube in any dimension
-    out = {}
+    levels = []
     for j in cube_range.cube_levels():
         i_cap = min(i_max, grid.side_log2 + j)      # 2^(i - j) <= L = 2^side_log2
-        xs = _window_samples(grid, j, 1.0, cap)
-        D = np.empty((i_cap + 1, xs.shape[0]))
-        for i in range(i_cap + 1):
-            ys = _window_samples(grid, j, 2.0 ** i, cap)
+        ys, cols = _level_columns(grid, j, i_cap, cap)
+        avg = np.zeros((ys.shape[1], len(cols)))
+        for i, c in enumerate(cols):
+            avg[c, i] = 1.0 / c.size
+        levels.append((j, _window_samples(grid, j, 1.0, cap), ys, cols, avg))
+    out = []
+    for root, iroot, p in passes:
+        root, iroot = (r.reshape((-1,) + r.shape[-2:]) for r in (root, iroot))
+        e = conj_exponent(p) if p > 1.0 else p
+        tables = {}
+        for j, xs, ys, cols, avg in levels:
+            # each window's first column starts its block of the table: column 0,
+            # the cube's corner, for the shared windows, else its own first column
+            firsts = [c[0] for c in cols]
+            bounds = sorted(set(firsts)) + [ys.shape[1]]
+            D = np.empty((len(cols), xs.shape[0]))
             step = max(1, _MUCK_BLOCK_PAIRS // (xs.shape[1] * ys.shape[1]))
             for lo in range(0, xs.shape[0], step):
-                nrm = _product_norms(root[xs[lo:lo + step]], iroot[ys[lo:lo + step]])
+                cubes = slice(lo, lo + step)
+                P = _product_norms(root[xs[cubes]], iroot[ys[cubes]], e)   # (cubes, x, columns)
                 if p > 1.0:
-                    pp = conj_exponent(p)
-                    D[i, lo:lo + step] = np.mean(np.mean(nrm ** pp, axis=2) ** (p / pp), axis=1)
+                    ref = P[:, :, firsts]
+                    for a, b in zip(bounds, bounds[1:]):
+                        P[:, :, a:b] -= P[:, :, a, None]
+                    ybar = (P.reshape(-1, P.shape[2]) @ avg).reshape(ref.shape) + ref
+                    D[:, cubes] = np.mean(ybar ** (p / e), axis=1).T
                 else:
-                    D[i, lo:lo + step] = np.max(np.mean(nrm ** p, axis=1), axis=1)
-        out[j] = D
+                    xbar = np.mean(P, axis=1)
+                    for i, c in enumerate(cols):
+                        D[i, cubes] = np.max(xbar[:, c], axis=1)
+            tables[j] = D
+        out.append(tables)
     return out
 
 
@@ -254,10 +368,15 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
     p <= 1: sup_Q max_y avg_x ||W^(1/p)(x) W^(-1/p)(y)||^p.
     The averages run over an evenly strided subsample of at most 64 points per axis
     of each cube (8 in 2D), so the value is a sampled estimate, not the exact sup.
+    It is the D_0 row of _muckenhoupt_levels: the norms take the squared closed
+    form of _product_norms (the hypot form outside its range) and each y-average
+    is centred on one of its samples, so every constant weight gives the same
+    value on every cube.
     """
     _check_p(p)
     W.reject_if_degenerate()
-    levels = _muckenhoupt_levels(W.grid, W.power(1.0 / p), W.power(-1.0 / p), p, cube_range, 0)
+    [levels] = _muckenhoupt_levels(W.grid, [(W.power(1.0 / p), W.power(-1.0 / p), p)],
+                                   cube_range, 0)
     return max(float(np.max(D[0])) for D in levels.values())
 
 
@@ -405,25 +524,25 @@ def doubling_exponent(W: MatrixWeight, p: float, samples: int = 200, seed: int =
     _check_p(p)
     grid = W.grid
     n = grid.dim
-    axes = tuple(range(n))
     rng = np.random.default_rng(seed)
     mags = _direction_magnitudes(W, p, _unit_directions(W.channels, n_dirs))
     levels = list(range(1 - grid.side_log2, grid.res_log2 - 1))
-    sums = {}
-
-    def level_sums(level):
-        if level not in sums:
-            sums[level] = cube_sums(grid, mags, level)
-        return sums[level]
-
-    best = 0.0
+    drawn = {}
     for _ in range(samples):
         j = levels[rng.integers(len(levels))]
         count = cubes_per_axis(grid, j)
-        idx = tuple(int(rng.integers(count)) for _ in range(n))
-        block = np.ix_(*[(2 * i - 1 + np.arange(4)) % (2 * count) for i in idx])
-        outer = level_sums(j + 1)[block].sum(axis=axes)
-        best = max(best, float(np.max(outer / level_sums(j)[idx])))
+        drawn.setdefault(j, []).append([int(rng.integers(count)) for _ in range(n)])
+    sums = {level: cube_sums(grid, mags, level)
+            for level in sorted(set(drawn) | {j + 1 for j in drawn})}
+    best = 0.0
+    for j, idx in drawn.items():
+        idx = np.array(idx)                                              # (k, n)
+        ring = (2 * idx[:, :, None] - 1 + np.arange(4)) % (2 * cubes_per_axis(grid, j))
+        # axis a's four level-(j+1) indices go on gather axis 1 + a: (k,) + (4,)*n
+        gather = tuple(ring[:, a].reshape((len(idx),) + (1,) * a + (4,) + (1,) * (n - 1 - a))
+                       for a in range(n))
+        outer = sums[j + 1][gather].sum(axis=tuple(range(1, n + 1)))      # (k, n_dirs)
+        best = max(best, float(np.max(outer / sums[j][tuple(idx.T)])))
     return float(np.log2(best))
 
 
@@ -438,12 +557,11 @@ def _growth_exponent(levels: dict, dim: int) -> float:
     return float(min(max(d_best, 0.0), dim - 1e-9))
 
 
-def _dimensions(W: MatrixWeight, p: float, primal: dict, cube_range: CubeRange,
-                i_max: int) -> tuple:
-    """ap_dimensions from W's _muckenhoupt_levels table at i_max."""
-    dual = {} if p <= 1.0 else _muckenhoupt_levels(
-        W.grid, W.power(-1.0 / p), W.power(1.0 / p), conj_exponent(p), cube_range, i_max)
-    d, d_t = (_growth_exponent(levels, W.grid.dim) for levels in (primal, dual))
+def _dimensions(tables: list, p: float, dim: int) -> tuple:
+    """(d, d~, Delta) from the _muckenhoupt_levels tables of _kernel_passes: d from
+    the primal table, d~ from the dual one (0 when p <= 1 has none)."""
+    d = _growth_exponent(tables[0], dim)
+    d_t = _growth_exponent(tables[1], dim) if len(tables) > 1 else 0.0
     return (d, d_t, d / p + dtilde_over_pprime(d_t, p))
 
 
@@ -459,10 +577,15 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
     W^(-1/p) clips W's eigenvalues at EIG_FLOOR, W^(1/p) clips none.  The averages
     run over at most 64 evenly strided points per axis of Q and of 2^i Q (8 in 2D),
     and only dyadic dilations are tried, so the exponents are sampled estimates.
+    One _muckenhoupt_levels call builds each level's window samples and column
+    table once for both passes; each D_i reads its window's columns of one shared
+    product table, the norms take the squared closed form of _product_norms (the
+    hypot form outside its range), and each y-average is centred on one of its
+    samples, so every constant weight has D_i = D_0 bit for bit and exponents 0.
     """
     _check_p(p)
-    primal = _muckenhoupt_levels(W.grid, W.power(1.0 / p), W.power(-1.0 / p), p, cube_range, i_max)
-    return _dimensions(W, p, primal, cube_range, i_max)
+    return _dimensions(_muckenhoupt_levels(W.grid, _kernel_passes(W, p), cube_range, i_max),
+                       p, W.grid.dim)
 
 
 def strong_doubling_constant(family: ReducingFamily, p: float, d: float, d_tilde: float,
@@ -522,13 +645,14 @@ def aqw_sup(W: MatrixWeight, p: float, family: ReducingFamily) -> float:
 
 def diagnose(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int = 4) -> WeightDiagnostics:
     """Assemble the full diagnostics bundle for one weight at one exponent: one
-    _muckenhoupt_levels table at i_max gives ap_char (the largest D_0) and d."""
+    _muckenhoupt_levels call at i_max builds its sample tables once for the primal
+    and dual passes and gives ap_char (the largest primal D_0), d and d~."""
     _check_p(p)
     W.reject_if_degenerate()
-    primal = _muckenhoupt_levels(W.grid, W.power(1.0 / p), W.power(-1.0 / p), p, cube_range, i_max)
-    ap = max(float(np.max(D[0])) for D in primal.values())
+    tables = _muckenhoupt_levels(W.grid, _kernel_passes(W, p), cube_range, i_max)
+    ap = max(float(np.max(D[0])) for D in tables[0].values())
     beta = doubling_exponent(W, p)
-    d, d_t, delta = _dimensions(W, p, primal, cube_range, i_max)
+    d, d_t, delta = _dimensions(tables, p, W.grid.dim)
     family = reducing_operators(W, p, cube_range)
     c1, c2 = sandwich_constants(W, p, family)
     delta_w = 0.5 if np.isfinite(waq_integrability(W, p, family, p + 0.5)) else 0.0

@@ -239,6 +239,9 @@ _ALL_MP = [(m, p) for m in (1, 2, 3) for p in (0.8, 1.5, 4.0)]
 @pytest.mark.parametrize("grid, cube_range, i_max, cases", [
     (TorusGrid(1, 2, 6), CubeRange(-2, 2), 2, _ALL_MP),                      # N = 256
     (TorusGrid(2, 1, 4), CubeRange(-1, 1), 2, [(1, 4.0), (2, 0.8), (3, 1.5)]),  # 32^2
+    # 32^2 with L = 4: the level-2 windows at i >= 3 are not translates of one
+    # key set, so they keep their own columns of the table
+    (TorusGrid(2, 2, 3), CubeRange(0, 2), 4, [(2, 0.8), (2, 1.5)]),
 ])
 def test_weight_kernels_match_per_cube_reference(grid, cube_range, i_max, cases):
     for m, p in cases:
@@ -259,6 +262,33 @@ def test_weight_kernels_match_per_cube_reference(grid, cube_range, i_max, cases)
         fam = reducing_operators(W, p, cube_range)
         np.testing.assert_allclose(sandwich_constants(W, p, fam), _ref_sandwich(W, p, fam),
                                    rtol=1e-12, atol=0.0, err_msg=str(label))
+
+
+def test_unmerged_windows_keep_their_own_columns():
+    # the 32^2, L = 4 case above: at level 2 the shared columns hold each grid
+    # point once, and the windows at i = 3, 4 repeat some of them in own columns
+    grid = TorusGrid(2, 2, 3)
+    ys, cols = weights._level_columns(grid, 2, 4, 8)
+    assert all(len(np.unique(row)) < ys.shape[1] for row in ys)
+    shared = cols[0].max() + 1
+    assert [c.min() >= shared for c in cols] == [False, False, False, True, True]
+    for i, c in enumerate(cols):
+        want = weights._window_samples(grid, 2, 2.0 ** i, 8)
+        np.testing.assert_array_equal(np.sort(ys[:, c], axis=1), np.sort(want, axis=1))
+    # every D_i of the level against its per-cube reference value
+    W = _smooth_weight(grid, 2, seed=2)
+    for p in (0.8, 1.5):
+        root, iroot = _ref_roots(W, p)
+        [levels] = weights._muckenhoupt_levels(
+            grid, [(W.power(1.0 / p), W.power(-1.0 / p), p)], CubeRange(2, 2), 4)
+        for c, cube in enumerate(cubes_at_level(grid, 2)):
+            X = root[_ref_flat(grid, [2 * i + np.arange(2) for i in cube.index])]
+            for i in range(5):
+                ax = [a[_ref_strided(a.size, 8)]
+                      for a in _ref_dilated_axis_indices(grid, cube, 2.0 ** i)]
+                np.testing.assert_allclose(levels[2][i, c],
+                                           _ref_muckenhoupt(X, iroot[_ref_flat(grid, ax)], p),
+                                           rtol=1e-12, atol=0.0, err_msg=str((p, c, i)))
 
 
 def test_product_norms_match_svd_of_products():
@@ -420,6 +450,62 @@ def test_dimensions_of_ill_conditioned_constant_weight():
     R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
     W = constant_weight(GRID, R @ np.diag([1e-6, 1.0]) @ R.T)
     assert ap_dimensions(W, 1.5, CubeRange(-1, 2)) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("grid, cube_range", [(GRID, RANGE), (TorusGrid(2, 2, 3), CubeRange(0, 2))])
+def test_constant_weights_give_exact_zeros(grid, cube_range):
+    # the centred y-averages make D_i == D_0 bit for bit for every constant weight,
+    # also where the 2D level-2 windows at i >= 3 keep their own columns
+    t = 0.3
+    R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    gallery = {"identity": identity_weight(grid, 2),
+               "constant": constant_weight(grid, np.array([[2.0, 0.5], [0.5, 1.0]])),
+               "ill-conditioned": constant_weight(grid, R @ np.diag([1e-6, 1.0]) @ R.T)}
+    for name, W in gallery.items():
+        for p in (0.8, 1.5, 4.0):
+            assert ap_dimensions(W, p, cube_range, i_max=4) == (0.0, 0.0, 0.0), (name, p)
+            passes = weights._kernel_passes(W, p)
+            for levels in weights._muckenhoupt_levels(grid, passes, cube_range, 4):
+                for j, D in levels.items():
+                    assert np.all(D == D[0]), (name, p, j)
+
+
+def _wide_range_weight(grid):
+    """s(x) R(x) diag(1, 2) R(x)^T, exactly symmetric, with s from 1e-10 to about
+    1e70 on a log scale and R a slow rotation: an eigenvalue contrast near 1e80,
+    so the products W^2(x) W^-2(y) at p = 0.5 reach 1e+-160."""
+    x = grid.coords()[0] / grid.side
+    s = 10.0 ** (80.0 * x * (1.0 - x) * 4.0 - 10.0)
+    c, n = np.cos(0.7 * np.sin(2.0 * np.pi * x)), np.sin(0.7 * np.sin(2.0 * np.pi * x))
+    vals = np.zeros(grid.shape + (2, 2))
+    vals[..., 0, 0] = s * (c * c + 2.0 * n * n)
+    vals[..., 1, 1] = s * (n * n + 2.0 * c * c)
+    vals[..., 0, 1] = vals[..., 1, 0] = -s * c * n
+    return MatrixWeight(grid, vals)
+
+
+def test_squared_form_range():
+    # products beyond the squared form's range take the hypot form, so the kernel
+    # stays finite and matches the per-cube references
+    W = _wide_range_weight(GRID)
+    assert W.min_eig >= weights.EIG_FLOOR and np.max(W._eigvals) > 1e69
+    norms = weights._product_norms(W.power(2.0)[None, ::4], W.power(-2.0)[None, ::4])
+    assert np.max(norms) > 1e150 and np.min(norms) < 1e-150
+    cube_range = CubeRange(-2, 2)
+    ap = ap_characteristic(W, 0.5, cube_range)
+    d, d_t, delta = ap_dimensions(W, 0.5, cube_range, i_max=2)
+    assert np.all(np.isfinite((ap, d, d_t, delta)))
+    np.testing.assert_allclose(ap, _ref_ap_characteristic(W, 0.5, cube_range), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose((d, d_t), _ref_ap_dimensions(W, 0.5, cube_range, 2),
+                               rtol=1e-12, atol=0.0)
+    # scaling W scales its roots, not the products: c = 1e200 on W, and c = 1e-200
+    # on 1e200 W (1e-200 W itself would fall below EIG_FLOOR)
+    base = _smooth_weight(GRID, 2, seed=2)
+    big = MatrixWeight(GRID, 1e200 * base.values)
+    for p in (0.8, 1.5):
+        for V, c in ((base, 1e200), (big, 1e-200)):
+            np.testing.assert_allclose(ap_characteristic(MatrixWeight(GRID, c * V.values), p, RANGE),
+                                       ap_characteristic(V, p, RANGE), rtol=1e-12, atol=0.0)
 
 
 def test_dimensions_power_golden():
