@@ -19,7 +19,7 @@ from .dyadic import MARGIN, CubeRange
 from .fields import SampledField, l2_norm
 from .harness import (ExperimentConfig, Report, check_names, emit_report, json_bool,
                       json_int, load_report, run_experiment)
-from .lpa import band_filter, bessel_potential, make_admissible_pair, make_inhom_partition
+from .lpa import band_filter, bank_for, bessel_potential, make_admissible_pair
 from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
                      approx_norm, bm_norm, float_params, glambda_norm, lusin_norm,
                      peetre_norm, seq_norm, tl_norm, truncation_ratio)
@@ -90,10 +90,10 @@ def cmd_norm(args) -> int:
         val = bm_norm(f, *float_params(params, "ptr"), rng)
         print(json.dumps({"value": val}, indent=1))
         return 0
-    sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
+    sp = SpaceParams.from_dict(params, rng)
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
-    bank = make_inhom_partition() if rng.inhomogeneous else make_admissible_pair()
+    bank = bank_for(rng)
     if args.space in ("F", "f") and args.cubewise:
         # the truncation check reads A_Q one level past each end of the range
         w = CubewiseWeighting(reducing_operators(
@@ -116,7 +116,7 @@ def cmd_norm(args) -> int:
         lam, = float_params({"lambda": 3.0, **params}, ["lambda"])
         rep = glambda_norm(f, pw, sp, lam, bank, rng)
     else:   # approx
-        rep = approx_norm(f, pw, sp, make_inhom_partition(), rng)
+        rep = approx_norm(f, pw, sp, bank, rng)
     out = {"value": rep.value,
            "per_level": {str(k): v for k, v in rep.per_level.items()}}
     if rep.truncation is not None:
@@ -127,14 +127,13 @@ def cmd_norm(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.mode == "phi":
-        pair = make_admissible_pair()
         if args.direction == "analyze":
             f = fieldio.read_field(args.field)
             rng = _default_range(f.grid, args.j_min, args.j_max)
-            fieldio.write_coeffs(args.out, phi_transform(f, pair, rng))
+            fieldio.write_coeffs(args.out, phi_transform(f, bank_for(rng), rng))
         else:
             coeffs = fieldio.read_coeffs(args.field)
-            fieldio.write_field(args.out, phi_synthesis(coeffs, pair))
+            fieldio.write_field(args.out, phi_synthesis(coeffs, make_admissible_pair()))
         return 0
     from .wavelets import wavelet_analyze
     if args.direction == "analyze":
@@ -156,10 +155,10 @@ def cmd_bound(args) -> int:
     f = fieldio.read_field(args.field)
     params = _load_params(args.params, SPACE_KEYS)
     rng = _range_from(params, f.grid)
-    sp = SpaceParams.from_dict(params, not rng.inhomogeneous)
+    sp = SpaceParams.from_dict(params, rng)
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(f.grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
-    bank = make_inhom_partition() if rng.inhomogeneous else make_admissible_pair()
+    bank = bank_for(rng)
     den_sp, extra = sp, {}
     if args.op == "hilbert":
         from .operators import hilbert_riesz_apply

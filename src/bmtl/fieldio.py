@@ -222,21 +222,11 @@ def _split_at_lines(text: str, count: int) -> bool:
     return bool(np.all(np.cumsum(_NESTING[codes])[codes == ord("\n")] == 1))
 
 
-def _require(ok: bool, items, good, what: str):
-    """ValueError naming the first item that is not good, unless ok (which says
-    that every item is)."""
+def _require(ok: bool, items: list, what: str):
+    """ValueError naming items[0] unless ok.  A message is read only from a list
+    of one record (_block_arrays), so items[0] is the item that failed."""
     if not ok:
-        bad = next(x for x in items if not good(x))
-        raise ValueError(f"{what}, got {json.dumps(bad)}")
-
-
-def _is_index(m, n: int) -> bool:
-    return type(m) is list and len(m) == n and all(type(i) is int for i in m)
-
-
-def _is_value(v, channels: int) -> bool:
-    return type(v) is list and len(v) == channels and all(
-        type(p) is list and len(p) == 2 and {type(x) for x in p} <= {int, float} for p in v)
+        raise ValueError(f"{what}, got {json.dumps(items[0])}")
 
 
 def _finite_floats(numbers: list):
@@ -251,9 +241,10 @@ def _finite_floats(numbers: list):
 def _record_arrays(records: list, grid: TorusGrid, channels: int) -> tuple:
     """(level (k,), index (k, n), value (k, channels)) arrays of parsed coefficient
     records, checked as whole lists.  Every check holds record by record, so a
-    list passes exactly when each of its records passes alone."""
+    list passes exactly when each of its records passes alone; a failed check
+    names the first item of its list, in a one-record list that record's."""
     n, lo, hi = grid.dim, -grid.side_log2, grid.res_log2
-    _require(set(map(type, records)) <= {dict}, records, lambda r: type(r) is dict,
+    _require(set(map(type, records)) <= {dict}, records,
              "a coefficient record must be a JSON object")
     try:
         cubes = [r["cube"] for r in records]
@@ -262,39 +253,32 @@ def _record_arrays(records: list, grid: TorusGrid, channels: int) -> tuple:
         raise ValueError(f"record has no {exc} key") from None
 
     _require(set(map(type, cubes)) <= {list} and set(map(len, cubes)) <= {2}, cubes,
-             lambda c: type(c) is list and len(c) == 2, "cube must be [level, [index...]]")
+             "cube must be [level, [index...]]")
     levels = [c[0] for c in cubes]
-    _require(set(map(type, levels)) <= {int}, levels, lambda v: type(v) is int,
-             "cube level must be a JSON integer")
-    _require(min(levels) >= lo and max(levels) <= hi, levels, lambda v: lo <= v <= hi,
+    _require(set(map(type, levels)) <= {int}, levels, "cube level must be a JSON integer")
+    _require(min(levels) >= lo and max(levels) <= hi, levels,
              f"cube level must lie in [{lo}, {hi}]")
     index = [c[1] for c in cubes]
     what = f"cube index must be a list of {n} JSON integers"
-    _require(set(map(type, index)) <= {list} and set(map(len, index)) <= {n}, index,
-             lambda m: _is_index(m, n), what)
+    _require(set(map(type, index)) <= {list} and set(map(len, index)) <= {n}, index, what)
     flat = list(chain.from_iterable(index))
-    _require(set(map(type, flat)) <= {int}, index, lambda m: _is_index(m, n), what)
+    _require(set(map(type, flat)) <= {int}, index, what)
     level = np.array(levels, dtype=np.int64)
     inside = min(flat) >= 0 and max(flat) < 1 << (hi - lo)     # within the finest level
     if inside:
         idx = np.array(flat, dtype=np.int64).reshape(len(index), n)
         inside = bool(np.all(idx < np.left_shift(1, level - lo)[:, None]))
-    _require(inside, cubes, lambda c: all(0 <= i < 1 << (c[0] - lo) for i in c[1]),
-             "cube index must lie in [0, 2^(level + side_log2))")
+    _require(inside, cubes, "cube index must lie in [0, 2^(level + side_log2))")
 
     what = f"value must be {channels} [re, im] pairs of JSON numbers"
     _require(set(map(type, values)) <= {list} and set(map(len, values)) <= {channels}, values,
-             lambda v: _is_value(v, channels), what)
+             what)
     pairs = list(chain.from_iterable(values))
-    _require(set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}, values,
-             lambda v: _is_value(v, channels), what)
+    _require(set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}, values, what)
     numbers = list(chain.from_iterable(pairs))
-    _require(set(map(type, numbers)) <= {int, float}, values,
-             lambda v: _is_value(v, channels), what)
+    _require(set(map(type, numbers)) <= {int, float}, values, what)
     value = _finite_floats(numbers)
-    _require(value is not None, values,
-             lambda v: _finite_floats(list(chain.from_iterable(v))) is not None,
-             "value must be finite")
+    _require(value is not None, values, "value must be finite")
     return level, idx, value.view(complex).reshape(len(values), channels)
 
 

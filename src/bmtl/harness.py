@@ -19,7 +19,7 @@ from .coeffseq import CoeffSequence
 from .dyadic import CubeRange
 from .fields import SampledField, fourier_multiply, l2_norm
 from .grid import TorusGrid
-from .lpa import covered_band, make_admissible_pair, make_inhom_partition
+from .lpa import bank_for, covered_band
 from .spaces import (SPACE_KEYS, CubewiseWeighting, PointwiseWeighting, SpaceParams,
                      seq_norm, tl_norms, truncation_ratio)
 from .weights import diagnose, reducing_operators, weight_gallery
@@ -55,7 +55,7 @@ class ExperimentConfig:
     def spaces(self) -> list:
         for sp in self.space_params:
             check_names("space_params", sp, SPACE_KEYS)
-        return [SpaceParams.from_dict(sp, not self.inhomogeneous) for sp in self.space_params]
+        return [SpaceParams.from_dict(sp, self.cube_range()) for sp in self.space_params]
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -275,7 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     rows = []
     times = {}
     if cfg.kind == "equivalence":
-        pair = make_inhom_partition() if cfg.inhomogeneous else make_admissible_pair()
+        pair = bank_for(cube_range)
         Ws = [weights[wname] for wname in cfg.weights]
         # no weight, no case: the functions are not even built
         gallery = (function_gallery(grid, cube_range, cfg.channels, cfg.functions, cfg.seed)

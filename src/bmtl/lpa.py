@@ -179,10 +179,15 @@ def band_filter(f: SampledField, profile: Callable, j: int) -> SampledField:
     return fourier_multiply(f, profile(f.grid.freq_radius() * 2.0 ** (-j)))
 
 
+def bank_for(cube_range):
+    """The range decides the space, and so the bank: an InhomPartition for an
+    inhomogeneous range (levels D_+), an AdmissiblePair for a homogeneous one."""
+    return make_inhom_partition() if cube_range.inhomogeneous else make_admissible_pair()
+
+
 def check_bank(bank, cube_range):
-    """The range decides the space: an inhomogeneous range (levels D_+) needs an
-    InhomPartition, a homogeneous one an AdmissiblePair."""
-    want = InhomPartition if cube_range.inhomogeneous else AdmissiblePair
+    """ValueError unless bank is of the class bank_for gives the range."""
+    want = type(bank_for(cube_range))
     if not isinstance(bank, want):
         kind = "inhomogeneous" if cube_range.inhomogeneous else "homogeneous"
         raise ValueError(f"{kind} ranges need an {want.__name__}, got {type(bank).__name__}")

@@ -111,10 +111,10 @@ class SpaceParams:
         check_nontrivial(self.p, self.t, self.r)
 
     @staticmethod
-    def from_dict(params: dict, homogeneous: bool) -> "SpaceParams":
+    def from_dict(params: dict, cube_range: CubeRange) -> "SpaceParams":
         """From JSON-style params: s, p, q, t, r as float_params reads them, and
-        homogeneous as given (the range's switch).  Other keys are ignored."""
-        return SpaceParams(*float_params(params, SPACE_KEYS), homogeneous)
+        homogeneous from cube_range (the one switch).  Other keys are ignored."""
+        return SpaceParams(*float_params(params, SPACE_KEYS), not cube_range.inhomogeneous)
 
 
 def float_params(params: dict, keys: str | list) -> list:

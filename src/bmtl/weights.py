@@ -6,34 +6,67 @@ essential sups are maxima over grid samples, and cube families come from the
 dyadic lattice.  Large cubes are subsampled (stratified, evenly strided) so the
 pair budget per cube stays bounded.  A reducing family stores one
 (count,)*n + (m, m) array of matrices A_Q per level, indexed by cube position.
+Every 2 x 2 spectral norm, of a batch (operator_norms) or of the Muckenhoupt
+pair products (_product_norms), is one routine, _form_norms: the squared form,
+with the hypot form as its fallback outside _SQUARE_RANGE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dyadic import (CubeRange, DyadicCube, cube_means, cube_sums, cubes_per_axis,
-                     dilated_windows, level_block_view)
+from .dyadic import (CubeRange, cube_means, cube_sums, cubes_per_axis, dilated_windows,
+                     level_block_view)
 from .grid import TorusGrid
 
 #: eigenvalues below this are considered degenerate when inverting W
 EIG_FLOOR = 1e-10
 
 
-def _closed_form_norm(s: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Spectral norm of [[a, b], [c, d]] from s = a + d, t = b - c, u = a - d and
-    v = b + c: (hypot(s, t) + hypot(u, v)) / 2, a sum of two non-negative terms,
-    so it neither cancels nor overflows."""
-    return 0.5 * (np.hypot(s, t) + np.hypot(u, v))
+#: the squared form of _form_norms is used where A + B lies in this range, so
+#: that A, B and AB neither overflow nor lose bits to underflow
+_SQUARE_RANGE = (2.0 ** -480, 2.0 ** 480)
+
+
+def _form_norms(s: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray,
+                e: float = 1.0) -> np.ndarray:
+    """||M||^e of the 2 x 2 matrices M = [[a, b], [c, d]] given s = a + d,
+    t = b - c, u = a - d and v = b + c: the one 2 x 2 spectral norm routine.
+
+    With A = s^2 + t^2 and B = u^2 + v^2 the squared norm is
+    sigma^2 = (A + B)/4 + sqrt(AB)/2, a sum of non-negative terms, so nothing
+    cancels; one power call raises it to e/2.  Entries whose A + B leaves
+    _SQUARE_RANGE = [2^-480, 2^480] (matrices with entries beyond about 2^+-240)
+    fall back to the hypot form (hypot(s, t) + hypot(u, v))/2, so nothing
+    overflows or underflows where hypot does not.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        A = s * s
+        A += t * t
+        B = u * u
+        B += v * v
+        sq = np.multiply(A, B)
+        np.sqrt(sq, out=sq)
+        sq *= 0.5
+        A += B
+        lo, hi = _SQUARE_RANGE
+        bad = ((A > hi) | (A < lo)
+               if np.max(A, initial=lo) > hi or np.min(A, initial=hi) < lo else None)
+        A *= 0.25
+        sq += A
+        np.power(sq, 0.5 * e, out=sq)
+    if bad is not None:
+        sq[bad] = (0.5 * (np.hypot(s[bad], t[bad]) + np.hypot(u[bad], v[bad]))) ** e
+    return sq
 
 
 def operator_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norms of a batch of matrices (largest singular value).
 
-    2 x 2 matrices use the closed form _closed_form_norm; larger matrices go
-    through the SVD.
+    2 x 2 matrices take _form_norms (the squared form, hypot outside its range);
+    larger matrices go through the SVD.
     """
     m = mats.shape[-1]
     if m == 1:
@@ -41,7 +74,7 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
     if m == 2:
         a, b = mats[..., 0, 0], mats[..., 0, 1]
         c, d = mats[..., 1, 0], mats[..., 1, 1]
-        return _closed_form_norm(a + d, b - c, a - d, b + c)
+        return _form_norms(a + d, b - c, a - d, b + c)
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
@@ -109,9 +142,6 @@ class ReducingFamily:
     arrays: dict
     method: str = "second-moment"
 
-    def __getitem__(self, cube: DyadicCube) -> np.ndarray:
-        return self.arrays[cube.level][cube.index]
-
     def level_array(self, j: int) -> np.ndarray:
         if j not in self.arrays:
             raise ValueError(f"reducing family has no level {j}: its window is "
@@ -130,16 +160,10 @@ class WeightDiagnostics:
     sandwich: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "ap_char": self.ap_char,
-            "beta": self.beta,
-            "d": self.d,
-            "d_tilde": self.d_tilde,
-            "delta_cap": self.delta_cap,
-            "delta_w": self.delta_w,
-            "sandwich_c1": self.sandwich[0],
-            "sandwich_c2": self.sandwich[1],
-        }
+        """The fields in order, sandwich as sandwich_c1 and sandwich_c2."""
+        out = asdict(self)
+        out["sandwich_c1"], out["sandwich_c2"] = out.pop("sandwich")
+        return out
 
 
 def conj_exponent(p: float) -> float:
@@ -230,30 +254,21 @@ def _level_columns(grid: TorusGrid, j: int, i_cap: int, cap: int) -> tuple:
     return np.concatenate([ys, *own.values()], axis=1), [cols[i] for i in range(i_cap + 1)]
 
 
-#: _closed_form_norm of the product XY reads its a + d, b - c, a - d and b + c.
-#: Each is bilinear: the flattened X (X00, X01, X10, X11) against these signed
+#: _form_norms of the product XY reads its a + d, b - c, a - d and b + c.  Each
+#: is bilinear: the flattened X (X00, X01, X10, X11) against these signed
 #: entries of the flattened Y (Y00, Y01, Y10, Y11)
 _FORM_ENTRIES = np.array([[0, 2, 1, 3], [1, 3, 0, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
 _FORM_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                         [1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
 
-#: the squared form of _product_norms is used where A + B lies in this range, so
-#: that A, B and AB neither overflow nor lose bits to underflow
-_SQUARE_RANGE = (2.0 ** -480, 2.0 ** 480)
-
 
 def _product_norms(X: np.ndarray, Y: np.ndarray, e: float = 1.0) -> np.ndarray:
     """||X[c, a] Y[c, b]||^e for X (nc, na, m, m) and Y (nc, nb, m, m): (nc, na, nb).
 
-    For m = 2 the four bilinear forms s, t, u, v of the closed form are one
-    batched GEMM of the flattened X against signed permutations of the flattened
-    Y, so the products are never formed.  With A = s^2 + t^2 and B = u^2 + v^2
-    the squared norm is sigma^2 = (A + B)/4 + sqrt(AB)/2, a sum of non-negative
-    terms, so nothing cancels; one power call raises it to e/2.  Entries whose
-    A + B leaves _SQUARE_RANGE = [2^-480, 2^480] (products with entries beyond
-    about 2^+-240) are recomputed by _closed_form_norm, so nothing overflows or
-    underflows where hypot does not.  Other m take operator_norms of the
-    products.
+    For m = 2 the four bilinear forms s, t, u, v of _form_norms are one batched
+    GEMM of the flattened X against signed permutations of the flattened Y, so
+    the products are never formed; _form_norms takes them from there.  Other m
+    take operator_norms of the products.
     """
     nc, na, m = X.shape[0], X.shape[1], X.shape[-1]
     if m != 2:
@@ -261,24 +276,7 @@ def _product_norms(X: np.ndarray, Y: np.ndarray, e: float = 1.0) -> np.ndarray:
     nb = Y.shape[1]
     Ys = Y.reshape(nc, nb, 4)[..., _FORM_ENTRIES] * _FORM_SIGNS     # (nc, nb, form, k)
     G = X.reshape(nc, na, 4) @ Ys.transpose(0, 3, 2, 1).reshape(nc, 4, 4 * nb)
-    s, t, u, v = (G.reshape(nc, na, 4, nb)[:, :, k] for k in range(4))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        A = s * s
-        A += t * t
-        B = u * u
-        B += v * v
-        sq = np.multiply(A, B)
-        np.sqrt(sq, out=sq)
-        sq *= 0.5
-        A += B
-        lo, hi = _SQUARE_RANGE
-        bad = (A > hi) | (A < lo) if np.max(A) > hi or np.min(A) < lo else None
-        A *= 0.25
-        sq += A
-        np.power(sq, 0.5 * e, out=sq)
-    if bad is not None:
-        sq[bad] = _closed_form_norm(s[bad], t[bad], u[bad], v[bad]) ** e
-    return sq
+    return _form_norms(*(G.reshape(nc, na, 4, nb)[:, :, k] for k in range(4)), e)
 
 
 #: (x, y) sample pairs per block of cubes in _muckenhoupt_levels
@@ -368,15 +366,14 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
     p <= 1: sup_Q max_y avg_x ||W^(1/p)(x) W^(-1/p)(y)||^p.
     The averages run over an evenly strided subsample of at most 64 points per axis
     of each cube (8 in 2D), so the value is a sampled estimate, not the exact sup.
-    It is the D_0 row of _muckenhoupt_levels: the norms take the squared closed
-    form of _product_norms (the hypot form outside its range) and each y-average
-    is centred on one of its samples, so every constant weight gives the same
-    value on every cube.
+    It is the D_0 row of _muckenhoupt_levels on the primal pass of _kernel_passes:
+    the norms take _form_norms (the squared form, hypot outside its range) and
+    each y-average is centred on one of its samples, so every constant weight
+    gives the same value on every cube.
     """
     _check_p(p)
     W.reject_if_degenerate()
-    [levels] = _muckenhoupt_levels(W.grid, [(W.power(1.0 / p), W.power(-1.0 / p), p)],
-                                   cube_range, 0)
+    [levels] = _muckenhoupt_levels(W.grid, _kernel_passes(W, p)[:1], cube_range, 0)
     return max(float(np.max(D[0])) for D in levels.values())
 
 
@@ -477,7 +474,6 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
     cube_range.validate(grid, margin=0)
     m = W.channels
     arrays = {}
-    dirs = _unit_directions(m, n_dirs)
     dir_mags = None
     for j in cube_range.cube_levels():
         mats, low = _second_moment_matrices(W, p, j)
@@ -485,6 +481,7 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
             raise ValueError(f"non-SPD reducing matrix at level {j}")
         if method == "ellipsoid-fit":
             if dir_mags is None:
+                dirs = _unit_directions(m, n_dirs)
                 dir_mags = _direction_magnitudes(W, p, dirs)
             mats = _fit_log_ellipsoids(_rho_per_cube(grid, dir_mags, p, j), dirs, mats)
         arrays[j] = mats.reshape((cubes_per_axis(grid, j),) * grid.dim + (m, m))
@@ -579,11 +576,14 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
     and only dyadic dilations are tried, so the exponents are sampled estimates.
     One _muckenhoupt_levels call builds each level's window samples and column
     table once for both passes; each D_i reads its window's columns of one shared
-    product table, the norms take the squared closed form of _product_norms (the
-    hypot form outside its range), and each y-average is centred on one of its
-    samples, so every constant weight has D_i = D_0 bit for bit and exponents 0.
+    product table, the norms take _form_norms (the squared form, hypot outside
+    its range), and each y-average is centred on one of its samples, so every
+    constant weight has D_i = D_0 bit for bit and exponents 0.  A numerically
+    singular weight is refused, as by ap_characteristic and diagnose: its
+    clipped W^(-1/p) would give meaningless exponents.
     """
     _check_p(p)
+    W.reject_if_degenerate()
     return _dimensions(_muckenhoupt_levels(W.grid, _kernel_passes(W, p), cube_range, i_max),
                        p, W.grid.dim)
 

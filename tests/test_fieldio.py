@@ -177,3 +177,42 @@ def test_empty_and_zero_records(tmp_path):
     path.write_text(head + "\n" + json.dumps({"cube": [0, [1, 0]], "value": [[0, 0]]}) + "\n")
     back = fieldio.read_coeffs(path)
     assert back.levels() == [0] and not np.any(back.arrays[0])
+
+
+#: one malformed record per check of the reader, with its exact message
+RECORD_CHECKS = [
+    ("[1, 2]", "a coefficient record must be a JSON object, got [1, 2]"),
+    ('{"cube": [1, [0]]}', "record has no 'value' key"),
+    ('{"cube": [1], "value": [[1.0, 0.0], [0.0, 1.0]]}',
+     "cube must be [level, [index...]], got [1]"),
+    ('{"cube": [1.0, [0]], "value": [[1.0, 0.0], [0.0, 1.0]]}',
+     "cube level must be a JSON integer, got 1.0"),
+    ('{"cube": [6, [0]], "value": [[1.0, 0.0], [0.0, 1.0]]}',
+     "cube level must lie in [-2, 5], got 6"),
+    ('{"cube": [1, [0, 1]], "value": [[1.0, 0.0], [0.0, 1.0]]}',
+     "cube index must be a list of 1 JSON integers, got [0, 1]"),
+    ('{"cube": [1, [true]], "value": [[1.0, 0.0], [0.0, 1.0]]}',
+     "cube index must be a list of 1 JSON integers, got [true]"),
+    ('{"cube": [1, [8]], "value": [[1.0, 0.0], [0.0, 1.0]]}',
+     "cube index must lie in [0, 2^(level + side_log2)), got [1, [8]]"),
+    ('{"cube": [1, [0]], "value": [[1.0, 0.0]]}',
+     "value must be 2 [re, im] pairs of JSON numbers, got [[1.0, 0.0]]"),
+    ('{"cube": [1, [0]], "value": [[1.0, 0.0], [1.0]]}',
+     "value must be 2 [re, im] pairs of JSON numbers, got [[1.0, 0.0], [1.0]]"),
+    ('{"cube": [1, [0]], "value": [[1.0, 0.0], ["1", 0.0]]}',
+     'value must be 2 [re, im] pairs of JSON numbers, got [[1.0, 0.0], ["1", 0.0]]'),
+    ('{"cube": [1, [0]], "value": [[1.0, 0.0], [NaN, 0.0]]}',
+     "value must be finite, got [[1.0, 0.0], [NaN, 0.0]]"),
+]
+
+
+@pytest.mark.parametrize("line, message", RECORD_CHECKS,
+                         ids=["object", "key", "cube-shape", "level-type", "level-range",
+                              "index-shape", "index-type", "index-range", "value-shape",
+                              "pair-shape", "number-type", "finite"])
+def test_each_record_check_names_its_line(tmp_path, line, message):
+    head = json.dumps({"header": {"dim": 1, "side_log2": 2, "res_log2": 5, "channels": 2}})
+    good = [json.dumps({"cube": [3, [i]], "value": [[1.0, 0.0], [0.0, 1.0]]}) for i in range(3)]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join([head, good[0], line, *good[1:]]) + "\n")
+    assert read_error(path) == f"line 3: {message}"

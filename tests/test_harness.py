@@ -279,7 +279,9 @@ def test_cli_norm_and_filter(tmp_path):
                              "inhomogeneous must be a boolean"),
                             ("F", json.dumps({**window, "inhomogenous": True}),
                              "unknown 'inhomogenous'"),
-                            ("bm", json.dumps({**bm_params, "q": 1.5}), "unknown 'q'")):
+                            ("bm", json.dumps({**bm_params, "q": 1.5}), "unknown 'q'"),
+                            ("approx", json.dumps(window),
+                             "approximation norm is defined on inhomogeneous spaces")):
         res = run_cli("norm", "--space", space, "--params", bad, "--field", str(fpath))
         assert res.returncode == 2, (space, bad)
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from bmtl.dyadic import CubeRange
 from bmtl.fields import SampledField, half_spectrum, l2_norm, scalar_field, to_spectral
 from bmtl.grid import TorusGrid
-from bmtl.lpa import (BAND_LEVEL_OFFSET, band_filter, band_outputs, bessel_potential,
-                      check_admissible, covered_band, h2_profile_norm,
+from bmtl.lpa import (BAND_LEVEL_OFFSET, AdmissiblePair, InhomPartition, band_filter,
+                      band_outputs, bank_for, bessel_potential, check_admissible,
+                      check_bank, covered_band, h2_profile_norm,
                       h2_sobolev_norm, holder_zygmund_norm,
                       make_admissible_pair, make_inhom_partition)
 
@@ -275,3 +277,18 @@ def test_half_spectrum_bands_match_full(grid):
             for j, band in band_outputs(to_spectral(field), bank, levels):
                 assert np.array_equal(band, full_path(field, bank, j)), j
     assert nonzero >= 12
+
+
+def test_bank_for_is_what_check_bank_wants():
+    # the one range -> bank map: each kind of range gets its bank and refuses the other's
+    hom, inh = CubeRange(-2, 4), CubeRange(-2, 4, inhomogeneous=True)
+    assert type(bank_for(hom)) is AdmissiblePair
+    assert type(bank_for(inh)) is InhomPartition
+    for r, other, msg in ((hom, inh, "homogeneous ranges need an AdmissiblePair, "
+                                     "got InhomPartition"),
+                          (inh, hom, "inhomogeneous ranges need an InhomPartition, "
+                                     "got AdmissiblePair")):
+        check_bank(bank_for(r), r)
+        with pytest.raises(ValueError) as info:
+            check_bank(bank_for(other), r)
+        assert str(info.value) == msg

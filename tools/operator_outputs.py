@@ -16,6 +16,10 @@ fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
     `cz_kernel_check` at L = 1 and 2;
   - `molecule_check`, `measure_atom_params`, `hilbert_riesz_apply` (every Riesz
     component in 2D) and `diagnose`;
+  - the other callers of `operator_norms` at p = 0.8 and 1.5, on the oscillating
+    weight's reducing family over levels [-1, 1]: `strong_doubling_constant`,
+    `waq_integrability` and `aqw_sup`, under keys that start with `sdc:`,
+    `waq:` and `aqw:`;
   - `analysis(rho, j)` and `synthesis(rho, j)` of the admissible pair and of the
     dyadic partition on the frequency lattice, at every level j whose analysis
     multiplier is nonzero somewhere on it.
@@ -27,6 +31,12 @@ value and the `per_level` array of `tl_norm` (pointwise and cubewise),
 `phi_transform`'s level arrays for both banks.  Their keys start with
 `norm:real:`, `norm:complex:`, `phi:real:` and `phi:complex:`, so that
 `--allow norm:real:=REL` covers the real-field norms and nothing else.
+It also records `operator_norms` of fixed seeded batches of 1 x 1, 2 x 2 and
+3 x 3 matrices, under keys that start with `opnorm:`: standard normal entries
+(`:unit`), and the same scaled per matrix by 2^-600 to 2^600 (`:wide`), so
+that many 2 x 2 matrices lie outside the squared form's range.  As `compare`
+measures a difference against the largest magnitude, `:wide` shows only the
+largest matrices' changes and `:unit` shows the changes of matrices of size 1.
 Each output is one scalar or one array, keyed by routine, grid and case.
 
 `compare` counts the outputs that are bit-identical. An output that differs is
@@ -146,7 +156,8 @@ def dump(src: str) -> dict:
     from bmtl.grid import TorusGrid
     from bmtl.harness import band_limited_noise
     from bmtl.lpa import make_admissible_pair, make_inhom_partition
-    from bmtl.weights import diagnose, oscillating_weight
+    from bmtl.weights import (aqw_sup, diagnose, operator_norms, oscillating_weight,
+                              reducing_operators, strong_doubling_constant, waq_integrability)
 
     out = {}
     for gname, grid in _grids(TorusGrid).items():
@@ -191,6 +202,10 @@ def dump(src: str) -> dict:
         for p in (0.8, 1.5):
             for k, v in sorted(diagnose(W, p, CubeRange(-1, 1)).as_dict().items()):
                 out[f"diagnose:{gname}:p{p}:{k}"] = v
+            fam = reducing_operators(W, p, CubeRange(-1, 1))
+            out[f"sdc:{gname}:p{p}"] = strong_doubling_constant(fam, p, 0.6, 0.9, 0.75)
+            out[f"waq:{gname}:p{p}"] = waq_integrability(W, p, fam, p + 0.5)
+            out[f"aqw:{gname}:p{p}"] = aqw_sup(W, p, fam)
         rho = grid.freq_radius()
         # the lattice radii lie in [2^-side_log2, sqrt(dim) 2^(res_log2 - 1)] and cube
         # level j's band is (2^(j-3), 2^(j-1)), so these windows hold every level
@@ -203,6 +218,12 @@ def dump(src: str) -> dict:
                 if np.any(mult):
                     out[f"analysis:{gname}:{bname}:{j}"] = mult
                     out[f"synthesis:{gname}:{bname}:{j}"] = bank.synthesis(rho, j)
+    rng = np.random.default_rng(20251017)
+    for m in (1, 2, 3):
+        mats = rng.standard_normal((512, m, m))
+        out[f"opnorm:{m}x{m}:unit"] = operator_norms(mats)
+        out[f"opnorm:{m}x{m}:wide"] = operator_norms(
+            mats * 2.0 ** rng.uniform(-600, 600, size=(512, 1, 1)))
     _norms(out)
     return {k: np.asarray(v) for k, v in out.items()}
 
