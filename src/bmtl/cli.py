@@ -138,9 +138,8 @@ def cmd_transform(args) -> int:
     from .wavelets import wavelet_analyze
     if args.direction == "analyze":
         f = fieldio.read_field(args.field)
-        rng = CubeRange(args.j_min if args.j_min is not None else 0,
-                        args.j_max if args.j_max is not None else f.grid.res_log2 - 1)
-        coeffs = wavelet_analyze(f, args.db_order, rng)
+        j_min = args.j_min if args.j_min is not None else 0
+        coeffs = wavelet_analyze(f, args.db_order, CubeRange(j_min, j_min))   # reads j_min only
         for i, seq in coeffs.items():
             fieldio.write_coeffs(f"{args.out}.gen{i}", seq)
         return 0
@@ -266,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--db-order", type=int, default=6)
     p.add_argument("--j-min", type=int, default=None)
-    p.add_argument("--j-max", type=int, default=None)
+    p.add_argument("--j-max", type=int, default=None,
+                   help="phi analysis only; wavelet analysis reads --j-min alone")
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("bound", help="operator boundedness ratio")

@@ -13,6 +13,21 @@ significant of n bits, picks the high-pass filter along axis k (2D: 1=LH,
 2=HL, 3=HH), the order of coeff._child_slices.  Each generator's
 coefficients are one CoeffSequence; every pyramid step writes its subbands
 whole as that level's array, and synthesis reads the level arrays back.
+
+Each step runs in polyphase form along its axis.  With half = n / 2 and the
+phases e = a[0::2], o = a[1::2], a[2k + t] = (e if t is even else o)[(k + t // 2)
+mod half], so analysis tap t adds c_t times one contiguous phase shifted
+cyclically by (t // 2) mod half, copied as two plain slices; synthesis adds tap
+t's c_t * coeff[k] into phase t % 2 at (k + t // 2) mod half and interleaves
+the two phases into the output once.  Every entry still receives the same
+products, each formed as c_t * value, added one by one in tap order (the
+low-pass taps, then the high-pass taps) onto a zero start, as in the per-tap
+gather/scatter form out[(2k + t) mod n]; so the bits are that form's, also on
+the coarse steps where half < P and a shift wraps more than once.  Analysis of
+a real field runs in real arithmetic, and so does synthesis when every
+coefficient is real: the real part of c_t * (x + 0i) is c_t x up to the sign of
+a zero, and a sum that starts at +0 never becomes -0, so every real part equals
+the complex pyramid's.
 """
 
 from __future__ import annotations
@@ -75,31 +90,53 @@ def _filters(db_order: int):
     return lo, hi
 
 
+def _along(axis: int, sl) -> tuple:
+    """Index that applies sl along one axis and keeps every other axis whole."""
+    return (slice(None),) * axis + (sl,)
+
+
 def _analysis_step(a: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    """Periodic convolution + downsample by 2 along one axis: out[k] = sum_t f[t] a[2k+t]."""
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    out = np.zeros((n // 2,) + a.shape[1:], dtype=a.dtype)
-    idx = (2 * np.arange(n // 2))
+    """Periodic convolution + downsample by 2 along one axis: out[k] = sum_t f[t] a[2k+t].
+
+    Polyphase form: a[2k + t] is phase t % 2 at (k + t // 2) mod half, so each tap
+    adds one cyclically shifted copy of a contiguous phase, as two plain slices.
+    """
+    half = a.shape[axis] // 2
+    phases = [np.ascontiguousarray(a[_along(axis, slice(p, None, 2))]) for p in (0, 1)]
+    out = np.zeros_like(phases[0])
+    tmp = np.empty_like(out)
     for t, c in enumerate(filt):
-        out += c * a[(idx + t) % n]
-    return np.moveaxis(out, 0, axis)
+        src, s = phases[t % 2], (t // 2) % half
+        head, tail = _along(axis, slice(None, half - s)), _along(axis, slice(half - s, None))
+        np.multiply(c, src[_along(axis, slice(s, None))], out=tmp[head])
+        np.multiply(c, src[_along(axis, slice(None, s))], out=tmp[tail])
+        out += tmp
+    return out
 
 
 def _synthesis_step(lo_c: np.ndarray, hi_c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     axis: int) -> np.ndarray:
-    """Adjoint of _analysis_step for an orthonormal pair."""
-    lo_c = np.moveaxis(lo_c, axis, 0)
-    hi_c = np.moveaxis(hi_c, axis, 0)
-    half = lo_c.shape[0]
-    n = 2 * half
-    out = np.zeros((n,) + lo_c.shape[1:], dtype=lo_c.dtype)
-    idx = 2 * np.arange(half)
-    for t, c in enumerate(lo):   # (idx + t) % n has no repeats: plain += is exact
-        out[(idx + t) % n] += c * lo_c
-    for t, c in enumerate(hi):
-        out[(idx + t) % n] += c * hi_c
-    return np.moveaxis(out, 0, axis)
+    """Adjoint of _analysis_step for an orthonormal pair.
+
+    Tap t of a filter adds c * coeff[k] to out[2k + t], that is to phase t % 2 at
+    (k + t // 2) mod half; the two phases are accumulated whole and interleaved once.
+    """
+    half = lo_c.shape[axis]
+    phases = [np.zeros_like(lo_c), np.zeros_like(lo_c)]
+    tmp = np.empty_like(lo_c)
+    for coeffs, filt in ((lo_c, lo), (hi_c, hi)):
+        for t, c in enumerate(filt):
+            s = (t // 2) % half
+            head, tail = _along(axis, slice(None, s)), _along(axis, slice(s, None))
+            np.multiply(c, coeffs[_along(axis, slice(half - s, None))], out=tmp[head])
+            np.multiply(c, coeffs[_along(axis, slice(None, half - s))], out=tmp[tail])
+            phases[t % 2] += tmp
+    shape = list(lo_c.shape)
+    shape[axis] = 2 * half
+    out = np.empty(shape, dtype=lo_c.dtype)
+    for p in (0, 1):
+        out[_along(axis, slice(p, None, 2))] = phases[p]
+    return out
 
 
 def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> dict:
@@ -112,8 +149,9 @@ def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> di
     grid = f.grid
     lo, hi = _filters(db_order)
     depth = grid.res_log2 - cube_range.j_min
-    if cube_range.j_min < -grid.side_log2 or depth < 1:
-        raise ValueError(f"transform depth {depth} exceeds grid (j_min {cube_range.j_min})")
+    if not -grid.side_log2 <= cube_range.j_min <= grid.res_log2 - 1:
+        raise ValueError(f"wavelet j_min {cube_range.j_min} outside "
+                         f"[{-grid.side_log2}, {grid.res_log2 - 1}]")
     scale = grid.cell_measure ** 0.5
     out = {i: {} for i in range(2 ** grid.dim)}
     a = f.values.astype(complex if f.is_complex else float)
@@ -136,9 +174,12 @@ def wavelet_synthesize(coeffs: dict, db_order: int) -> SampledField:
     grid = approx.grid
     j_min = min(approx.levels())
     scale = grid.cell_measure ** 0.5
+    # real coefficients give a real pyramid with the complex one's bits (module docstring)
+    real = not any(np.any(a.imag) for seq in coeffs.values() for a in seq.arrays.values())
 
     def band(i: int, j: int) -> np.ndarray:
-        return coeffs[i].level_array(j) / scale
+        b = coeffs[i].level_array(j) / scale
+        return b.real if real else b
 
     a = band(0, j_min)
     for j in range(j_min, grid.res_log2):
@@ -162,16 +203,23 @@ def wavelet_basis_field(grid: TorusGrid, db_order: int, generator: int, cube: Dy
     """One basis function psi_Q^(i) realized on the grid (cascade to resolution)."""
     if generator == 0 and cube.level != j_min:
         raise ValueError("approximation slot lives at j_min")
+    if not -grid.side_log2 <= j_min <= grid.res_log2:
+        raise ValueError(f"j_min {j_min} outside [{-grid.side_log2}, {grid.res_log2}]")
+    cube.validate(grid)
     coeffs = empty_coeffs(grid, channels)
-    anchor = DyadicCube(j_min, (0,) * grid.dim)   # fixes j_min when generator != 0
-    coeffs[0] = CoeffSequence(grid, {anchor: np.zeros(channels)}, channels)
-    coeffs[generator] = CoeffSequence(grid, {cube: np.ones(channels)}, channels)
+    blank = coeffs[0]
+    level = blank.level_array(cube.level).copy()
+    level[cube.index] = 1.0
+    # a zero approximation level fixes j_min when generator != 0
+    coeffs[0] = CoeffSequence(grid, {j_min: blank.level_array(j_min)}, channels)
+    coeffs[generator] = CoeffSequence(grid, {cube.level: level}, channels)
     return wavelet_synthesize(coeffs, db_order)
 
 
 def parseval_defect(f: SampledField, coeffs: dict) -> float:
-    """| sum |coeff|^2 - ||f||_L2^2 | / ||f||_L2^2."""
+    """| sum |coeff|^2 - ||f||_L2^2 | / ||f||_L2^2, or the absolute defect
+    sum |coeff|^2 when ||f|| = 0."""
     total = sum(float(np.sum(np.abs(a) ** 2)) for seq in coeffs.values()
                 for a in seq.arrays.values())
     l2sq = float(np.sum(np.abs(f.values) ** 2) * f.grid.cell_measure)
-    return abs(total - l2sq) / l2sq
+    return abs(total - l2sq) / l2sq if l2sq else total

@@ -79,8 +79,24 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
 
 
 def sym_power(vals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
-    """V diag(vals^t) V^T for batches of symmetric eigendecompositions."""
-    return np.einsum("...ij,...j,...kj->...ik", vecs, vals ** t, vecs)
+    """V diag(vals^t) V^T for batches of symmetric eigendecompositions.
+
+    Entry (i, k) is 0 + sum over j = 0, 1, ... in order of (V[i, j] vals[j]^t) V[k, j],
+    the product and summation order of np.einsum("...ij,...j,...kj->...ik", V,
+    vals^t, V), so the bits are einsum's.  Each product runs over the whole batch
+    into one batch-sized buffer; vals^t and that buffer are the only temporaries.
+    """
+    m = vecs.shape[-1]
+    powers = vals ** t
+    out = np.zeros(vecs.shape)
+    tmp = np.empty(vecs.shape[:-2])
+    for i, k in np.ndindex(m, m):
+        entry = out[..., i, k]
+        for j in range(m):
+            np.multiply(vecs[..., i, j], powers[..., j], out=tmp)
+            tmp *= vecs[..., k, j]
+            entry += tmp
+    return out
 
 
 class MatrixWeight:

@@ -482,6 +482,119 @@ def test_db_order_validation():
         wavelet_analyze(f, 11, CubeRange(0, 2))
 
 
+def test_wavelet_refusals_name_the_j_min_range():
+    # j_min 4 leaves no step on res_log2 = 4, j_min -3 is coarser than the torus
+    g = TorusGrid(1, 2, 4)
+    f = SampledField(g, np.ones(g.shape + (1,)))
+    for j_min in (4, -3):
+        with pytest.raises(ValueError, match=rf"^wavelet j_min {j_min} outside \[-2, 3\]$"):
+            wavelet_analyze(f, 6, CubeRange(j_min, 4))
+
+
+def test_parseval_defect_of_zero_field_is_absolute():
+    g = TorusGrid(2, 1, 3)
+    zero = SampledField(g, np.zeros(g.shape + (2,)))
+    coeffs = wavelet_analyze(zero, 6, CubeRange(0, 2))
+    assert parseval_defect(zero, coeffs) == 0.0
+    coeffs[2] = CoeffSequence(g, {1: np.full((4, 4, 2), 0.5)}, 2)
+    assert parseval_defect(zero, coeffs) == 32 * 0.25
+
+
+def _analysis_by_taps(a, filt, axis):
+    """The per-tap gather form: one fancy-index copy of the whole array per tap."""
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    out = np.zeros((n // 2,) + a.shape[1:], dtype=a.dtype)
+    idx = 2 * np.arange(n // 2)
+    for t, c in enumerate(filt):
+        out += c * a[(idx + t) % n]
+    return np.moveaxis(out, 0, axis)
+
+
+def _synthesis_by_taps(lo_c, hi_c, lo, hi, axis):
+    """The per-tap scatter form, low-pass taps then high-pass taps."""
+    lo_c, hi_c = np.moveaxis(lo_c, axis, 0), np.moveaxis(hi_c, axis, 0)
+    half = lo_c.shape[0]
+    out = np.zeros((2 * half,) + lo_c.shape[1:], dtype=lo_c.dtype)
+    idx = 2 * np.arange(half)
+    for coeffs, filt in ((lo_c, lo), (hi_c, hi)):
+        for t, c in enumerate(filt):
+            out[(idx + t) % (2 * half)] += c * coeffs
+    return np.moveaxis(out, 0, axis)
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want) and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+WAVELET_STEP_SHAPES = [(n, 2) for n in (8, 16, 32, 64, 128, 256)] + [(16, 16, 2), (32, 32, 2)]
+
+
+@pytest.mark.parametrize("db", [2, 6, 10])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_wavelet_steps_match_per_tap_oracle(db, kind):
+    # the polyphase steps against the per-tap gather/scatter form, bit for bit; the
+    # shapes include steps where half < db (a shift wraps more than once)
+    from bmtl.wavelets import _analysis_step, _filters, _synthesis_step
+    rng = np.random.default_rng(db)
+    lo, hi = _filters(db)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x if kind == "real" else x + 1j * rng.standard_normal(shape)
+
+    for shape in WAVELET_STEP_SHAPES:
+        a, b = draw(shape), draw(shape)
+        for axis in range(len(shape) - 1):
+            for filt in (lo, hi):
+                assert _same_bits(_analysis_step(a, filt, axis),
+                                  _analysis_by_taps(a, filt, axis)), (shape, axis)
+            lo_c, hi_c = _analysis_by_taps(a, lo, axis), _analysis_by_taps(b, hi, axis)
+            assert _same_bits(_synthesis_step(lo_c, hi_c, lo, hi, axis),
+                              _synthesis_by_taps(lo_c, hi_c, lo, hi, axis)), (shape, axis)
+
+
+def _synthesize_by_taps(coeffs, db):
+    """The inverse pyramid in complex arithmetic throughout, by per-tap scatters."""
+    from bmtl.wavelets import _filters
+    lo, hi = _filters(db)
+    grid = coeffs[0].grid
+    j_min = min(coeffs[0].levels())
+    scale = grid.cell_measure ** 0.5
+    a = coeffs[0].level_array(j_min) / scale
+    for j in range(j_min, grid.res_log2):
+        bands = [a] + [coeffs[i].level_array(j) / scale for i in range(1, 2 ** grid.dim)]
+        for axis in reversed(range(grid.dim)):
+            bands = [_synthesis_by_taps(bands[k], bands[k + 1], lo, hi, axis)
+                     for k in range(0, len(bands), 2)]
+        a, = bands
+    return a
+
+
+@pytest.mark.parametrize("db", [2, 6, 10])
+def test_wavelet_pyramid_matches_per_tap_oracle(db, monkeypatch):
+    # whole pyramids down to the torus level, so the coarse steps have half = 1, 2, ...;
+    # a real field's coefficients take the real synthesis, whose output must be the
+    # real part of the complex pyramid's, bit for bit
+    from bmtl import wavelets
+    rng = np.random.default_rng(db)
+    for g in (TorusGrid(1, 2, 4), TorusGrid(2, 1, 3)):
+        real = rng.standard_normal(g.shape + (2,))
+        for values in (real, real + 1j * rng.standard_normal(g.shape + (2,))):
+            f = SampledField(g, values)
+            r = CubeRange(-g.side_log2, g.res_log2 - 1)
+            fast = wavelet_analyze(f, db, r)
+            with monkeypatch.context() as patch:
+                patch.setattr(wavelets, "_analysis_step", _analysis_by_taps)
+                slow = wavelet_analyze(f, db, r)
+            for i, seq in slow.items():
+                for j in seq.levels():
+                    assert _same_bits(fast[i].level_array(j), seq.level_array(j)), (g, i, j)
+            back, want = wavelet_synthesize(fast, db).values, _synthesize_by_taps(slow, db)
+            assert _same_bits(back, want if np.iscomplexobj(values) else want.real.copy()), g
+
+
 # ---------------------------------------------------------------------------
 # atoms
 

@@ -350,6 +350,26 @@ def test_cli_norm_truncation_with_every_weighting(tmp_path):
         assert abs(ratios["f", cubewise] / ratios["F", cubewise] - 1.0) <= 0.25, ratios
 
 
+def test_cli_wavelet_analysis_names_the_j_min_range(tmp_path):
+    # wavelet analysis reads --j-min alone: a j_min with no step left is refused with
+    # the admissible range, whatever --j-max says, and an admissible one runs
+    g = TorusGrid(1, 2, 4)
+    fpath = tmp_path / "f.bin"
+    fieldio.write_field(fpath, band_limited_noise(g, 1, 0.5, 4.0, np.random.default_rng(3)))
+    base = ("transform", "--mode", "wavelet", "--direction", "analyze", "--field", str(fpath),
+            "--out", str(tmp_path / "w"))
+    for extra in (("--j-min", "4"), ("--j-min", "4", "--j-max", "2")):
+        res = run_cli(*base, *extra)
+        assert res.returncode == 2, extra
+        assert res.stderr == "error: wavelet j_min 4 outside [-2, 3]\n", res.stderr
+    res = run_cli(*base, "--j-min", "3", "--j-max", "1")
+    assert res.returncode == 0, res.stderr
+    assert fieldio.read_coeffs(tmp_path / "w.gen1").levels() == [3]
+    res = run_cli("transform", "--help")
+    assert res.returncode == 0
+    assert "wavelet analysis reads --j-min alone" in " ".join(res.stdout.split())
+
+
 def test_cli_transform_and_bound(tmp_path):
     g = TorusGrid(1, 2, 7)
     rng = np.random.default_rng(3)

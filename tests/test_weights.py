@@ -621,3 +621,40 @@ def test_diagnose_bundle():
             (diag.ap_char, diag.d, diag.d_tilde, diag.delta_cap),
             (ap_characteristic(W, p, cube_range), *ap_dimensions(W, p, cube_range, i_max=2)),
             rtol=1e-12, atol=0.0, err_msg=str((grid.dim, m, p)))
+
+
+def _sym_power_by_einsum(vals, vecs, t):
+    """The three-operand einsum form of V diag(vals^t) V^T."""
+    return np.einsum("...ij,...j,...kj->...ik", vecs, vals ** t, vecs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sym_power_matches_einsum_oracle(m):
+    # bit for bit at t in {1/p, -1/p, 2/p, 0.5, 1}, with the inverse powers' eigenvalues
+    # clipped at EIG_FLOOR; the draws include diagonal matrices (zero eigenvector
+    # entries) and eigenvalues below the floor
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((300, m, m))
+    spd = a @ np.swapaxes(a, -1, -2)
+    diag = np.zeros((300, m, m))
+    diag[:, range(m), range(m)] = rng.uniform(1e-13, 2.0, (300, m))
+    for mats in (spd, 1e-11 * spd, diag, spd.reshape(20, 15, m, m)):
+        vals, vecs = np.linalg.eigh(mats)
+        for p in (0.8, 1.5):
+            for t in (1 / p, -1 / p, 2 / p, 0.5, 1.0):
+                v = np.maximum(vals, weights.EIG_FLOOR) if t < 0 else vals
+                got, want = weights.sym_power(v, vecs, t), _sym_power_by_einsum(v, vecs, t)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape, (p, t)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_matrix_weight_power_matches_einsum_oracle(m):
+    grid = TorusGrid(2, 1, 3)
+    for name, W in weight_gallery(grid, m).items():
+        vals, vecs = np.linalg.eigh(W.values)
+        for p in (0.8, 1.5):
+            for t in (1 / p, -1 / p, 2 / p, 0.5, 1.0):
+                v = np.maximum(vals, weights.EIG_FLOOR) if t < 0 else vals
+                want = _sym_power_by_einsum(v, vecs, t)
+                assert np.array_equal(W.power(t), want), (name, t)
+                assert W.power(t).tobytes() == want.tobytes(), (name, t)

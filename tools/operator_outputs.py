@@ -22,7 +22,10 @@ fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
     `waq:` and `aqw:`;
   - `analysis(rho, j)` and `synthesis(rho, j)` of the admissible pair and of the
     dyadic partition on the frequency lattice, at every level j whose analysis
-    multiplier is nonzero somewhere on it.
+    multiplier is nonzero somewhere on it;
+  - `MatrixWeight.power(t)` of every `weight_gallery` weight with 1 and 2
+    channels, at t = 1/p, -1/p, 2/p, 0.5 and 1 for p = 0.8 and 1.5, under keys
+    that start with `power:`.
 On 1D N = 256 and 2D 32^2, for one real and one complex 2-channel
 `band_limited_noise` field with the oscillating weight, it also records the
 value and the `per_level` array of `tl_norm` (pointwise and cubewise),
@@ -31,6 +34,10 @@ value and the `per_level` array of `tl_norm` (pointwise and cubewise),
 `phi_transform`'s level arrays for both banks.  Their keys start with
 `norm:real:`, `norm:complex:`, `phi:real:` and `phi:complex:`, so that
 `--allow norm:real:=REL` covers the real-field norms and nothing else.
+On 1D N = 64 and 2D 16^2, for one real and one complex 2-channel field, it
+records every generator's level arrays of `wavelet_analyze` down to the torus
+level and the `wavelet_synthesize` output, for db2, db6 and db10, under keys
+that start with `wavelet:`.
 It also records `operator_norms` of fixed seeded batches of 1 x 1, 2 x 2 and
 3 x 3 matrices, under keys that start with `opnorm:`: standard normal entries
 (`:unit`), and the same scaled per matrix by 2^-600 to 2^600 (`:wide`), so
@@ -147,6 +154,28 @@ def _norms(out: dict):
                     out[f"phi:{tag}:{bname}:{j}"] = seq.level_array(j)
 
 
+def _wavelets(out: dict):
+    """The wavelet pyramids' level arrays and their synthesis (module docstring)."""
+    from bmtl.dyadic import CubeRange
+    from bmtl.fields import SampledField
+    from bmtl.grid import TorusGrid
+    from bmtl.wavelets import wavelet_analyze, wavelet_synthesize
+
+    for gname, grid in (("1d64", TorusGrid(1, 2, 4)), ("2d16", TorusGrid(2, 1, 3))):
+        rng = np.random.default_rng(20251017)
+        real = rng.standard_normal(grid.shape + (2,))
+        fields = {"real": real, "complex": real + 1j * rng.standard_normal(grid.shape + (2,))}
+        for kind, values in fields.items():
+            f = SampledField(grid, values)
+            for db in (2, 6, 10):
+                tag = f"wavelet:{kind}:{gname}:db{db}"
+                coeffs = wavelet_analyze(f, db, CubeRange(-grid.side_log2, grid.res_log2 - 1))
+                for i, seq in coeffs.items():
+                    for j in seq.levels():
+                        out[f"{tag}:gen{i}:{j}"] = seq.level_array(j)
+                out[f"{tag}:synthesis"] = wavelet_synthesize(coeffs, db).values
+
+
 def dump(src: str) -> dict:
     sys.path.insert(0, src)
     from bmtl import operators as ops
@@ -157,7 +186,8 @@ def dump(src: str) -> dict:
     from bmtl.harness import band_limited_noise
     from bmtl.lpa import make_admissible_pair, make_inhom_partition
     from bmtl.weights import (aqw_sup, diagnose, operator_norms, oscillating_weight,
-                              reducing_operators, strong_doubling_constant, waq_integrability)
+                              reducing_operators, strong_doubling_constant, waq_integrability,
+                              weight_gallery)
 
     out = {}
     for gname, grid in _grids(TorusGrid).items():
@@ -206,6 +236,11 @@ def dump(src: str) -> dict:
             out[f"sdc:{gname}:p{p}"] = strong_doubling_constant(fam, p, 0.6, 0.9, 0.75)
             out[f"waq:{gname}:p{p}"] = waq_integrability(W, p, fam, p + 0.5)
             out[f"aqw:{gname}:p{p}"] = aqw_sup(W, p, fam)
+        for m in (1, 2):
+            for wname, Wg in weight_gallery(grid, m).items():
+                for p in (0.8, 1.5):
+                    for t in (1 / p, -1 / p, 2 / p, 0.5, 1.0):
+                        out[f"power:{gname}:m{m}:{wname}:p{p}:t{t!r}"] = Wg.power(t)
         rho = grid.freq_radius()
         # the lattice radii lie in [2^-side_log2, sqrt(dim) 2^(res_log2 - 1)] and cube
         # level j's band is (2^(j-3), 2^(j-1)), so these windows hold every level
@@ -225,6 +260,7 @@ def dump(src: str) -> dict:
         out[f"opnorm:{m}x{m}:wide"] = operator_norms(
             mats * 2.0 ** rng.uniform(-600, 600, size=(512, 1, 1)))
     _norms(out)
+    _wavelets(out)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
