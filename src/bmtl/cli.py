@@ -146,6 +146,22 @@ def cmd_transform(args) -> int:
     raise ValueError("wavelet synthesis needs the full generator set; use the library API")
 
 
+def _bessel_norms(f: SampledField, gamma: float, sp: SpaceParams, norms) -> tuple:
+    """norms(J^gamma f, sp at smoothness s + gamma), J^gamma the multiplier
+    (1+|xi|^2)^(gamma/2); ValueError naming --gamma when s + gamma, the multiplier,
+    the field it gives or either norm overflows (numpy's overflow and invalid-value
+    flags raise inside)."""
+    shifted = sp.s + gamma
+    if not np.isfinite(shifted):
+        raise ValueError(f"--gamma {gamma} overflows the shifted smoothness s + gamma")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return norms(bessel_potential(f, -gamma), dataclasses.replace(sp, s=shifted))
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"--gamma {gamma} overflows the multiplier (1+|xi|^2)^(gamma/2) "
+                         f"or a norm at smoothness s = {sp.s} or s + gamma = {shifted}") from None
+
+
 def cmd_bound(args) -> int:
     if not args.threshold > 0:
         raise ValueError(f"--threshold must be positive, got {args.threshold}")
@@ -158,19 +174,21 @@ def cmd_bound(args) -> int:
     W = fieldio.read_weight(args.weight) if args.weight else identity_weight(f.grid, f.channels)
     pw = PointwiseWeighting(W, sp.p)
     bank = bank_for(rng)
-    den_sp, extra = sp, {}
+    extra = {}
+
+    def norms(out: SampledField, den_sp: SpaceParams = sp) -> tuple:
+        return tl_norm(out, pw, sp, bank, rng).value, tl_norm(f, pw, den_sp, bank, rng).value
     if args.op == "hilbert":
         from .operators import hilbert_riesz_apply
         g = hilbert_riesz_apply(f)
-        out = SampledField(f.grid, g.values.real if not f.is_complex else g.values)
+        num, den = norms(SampledField(f.grid, g.values.real if not f.is_complex else g.values))
     elif args.op == "bessel":
-        out = bessel_potential(f, -args.gamma)
-        den_sp = dataclasses.replace(sp, s=sp.s + args.gamma)
+        num, den = _bessel_norms(f, args.gamma, sp, norms)
     elif args.op == "psdo":
         from .operators import psdo_apply
         if args.symbol is None:
             raise ValueError("--op psdo needs --symbol")
-        out = psdo_apply(fieldio.read_symbol(args.symbol), f)
+        num, den = norms(psdo_apply(fieldio.read_symbol(args.symbol), f))
     else:   # multiplier
         from .lpa import h2_profile_norm
         from .operators import multiplier_apply
@@ -178,11 +196,9 @@ def cmd_bound(args) -> int:
 
         def prof(r):
             return np.exp(-((r / 2.0 ** k) ** 2))
-        out = multiplier_apply([prof], [f])[0]
+        num, den = norms(multiplier_apply([prof], [f])[0])
         extra["h2"] = h2_profile_norm(f.grid, prof(f.grid.freq_radius() * 2.0 ** k),
                                       1.0 / min(1.0, sp.p, sp.q) + f.grid.dim / 2.0 + 0.1)
-    num = tl_norm(out, pw, sp, bank, rng).value
-    den = tl_norm(f, pw, den_sp, bank, rng).value
     ratio = num / (den * extra.get("h2", 1.0)) if den > 0 else float("inf")
     print(json.dumps({"ratio": ratio, "num": num, "den": den, **extra}, indent=1))
     # bessel is two-sided: 1/threshold <= ratio <= threshold

@@ -47,13 +47,12 @@ class DyadicCube:
     def center(self) -> np.ndarray:
         return self.side * (np.asarray(self.index, dtype=float) + 0.5)
 
-    def validate(self, grid: TorusGrid, margin: int = 0) -> "DyadicCube":
+    def validate(self, grid: TorusGrid) -> "DyadicCube":
+        """The cube, or ValueError unless its level lies in [-K, J] and its index on the grid."""
         if self.dim != grid.dim:
             raise ValueError(f"cube dim {self.dim} != grid dim {grid.dim}")
-        if not (-grid.side_log2 <= self.level <= grid.res_log2 - margin):
-            raise ValueError(
-                f"level {self.level} outside [{-grid.side_log2}, {grid.res_log2 - margin}]"
-            )
+        if not (-grid.side_log2 <= self.level <= grid.res_log2):
+            raise ValueError(f"level {self.level} outside [{-grid.side_log2}, {grid.res_log2}]")
         count = cubes_per_axis(grid, self.level)
         if not all(0 <= i < count for i in self.index):
             raise ValueError(f"index {self.index} outside [0, {count})^n")
@@ -154,10 +153,10 @@ class CubeRange:
         lo = max(self.j_min, 0) if self.inhomogeneous else self.j_min
         return range(lo, self.j_max + 1)
 
-    def widened(self, grid: TorusGrid, margin: int = MARGIN) -> "CubeRange":
-        """One extra level on each admissible side, for truncation checks."""
+    def widened(self, grid: TorusGrid) -> "CubeRange":
+        """One extra level on each side within [-K, J - MARGIN], for truncation checks."""
         lo = max(self.j_min - 1, -grid.side_log2)
-        hi = min(self.j_max + 1, grid.res_log2 - margin)
+        hi = min(self.j_max + 1, grid.res_log2 - MARGIN)
         return CubeRange(lo, hi, self.inhomogeneous)
 
 

@@ -149,12 +149,8 @@ def band_limited_noise(grid: TorusGrid, channels: int, lo: float, hi: float,
 
 
 def band_limited_bump(grid: TorusGrid, channels: int, lo: float, hi: float,
-                      center=None, width: float = None) -> SampledField:
+                      center, width: float) -> SampledField:
     """Smooth bump (away from the seam), spectrum clipped to the covered annuli."""
-    if center is None:
-        center = np.full(grid.dim, grid.side / 2.0)
-    if width is None:
-        width = grid.side / 16.0
     coords = np.stack(grid.coords(), axis=-1)
     d = grid.torus_dist(coords, np.asarray(center))
     bump = np.exp(-(d / width) ** 2)

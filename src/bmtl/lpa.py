@@ -266,18 +266,16 @@ def h2_profile_norm(grid: TorusGrid, profile_vals: np.ndarray, s: float) -> floa
     return float(np.sqrt(np.sum(w * np.abs(profile_vals) ** 2) / grid.side ** grid.dim))
 
 
-def holder_zygmund_norm(g: SampledField, ell: float, j_cut: int = None) -> float:
-    """sup_j 2^(j*ell) * max_x |phi_j(D) g| with the (literal) dyadic partition."""
+def holder_zygmund_norm(g: SampledField, ell: float) -> float:
+    """sup_j 2^(j*ell) * max_x |phi_j(D) g| with the (literal) dyadic partition over j <= K + J,
+    the highest level whose ring [2^(j-1), 2^(j+1)] meets the lattice."""
     vals = g.scalar()
     partition = make_inhom_partition()
     grid = g.grid
-    if j_cut is None:
-        # highest level whose ring [2^(j-1), 2^(j+1)] meets the lattice
-        j_cut = grid.side_log2 + grid.res_log2
     G = np.fft.fftn(vals)
     rho = grid.freq_radius()
     best = 0.0
-    for j in range(0, j_cut + 1):
+    for j in range(0, grid.side_log2 + grid.res_log2 + 1):
         mult = partition.level(j)(rho)
         if not np.any(mult):
             continue

@@ -167,12 +167,40 @@ def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> di
     return {i: CoeffSequence(grid, arrays, f.channels) for i, arrays in out.items()}
 
 
-def wavelet_synthesize(coeffs: dict, db_order: int) -> SampledField:
-    """Inverse periodic DWT; exact left inverse of wavelet_analyze."""
-    lo, hi = _filters(db_order)
+def _approximation(coeffs: dict) -> CoeffSequence:
+    """coeffs[0], or a ValueError naming the generator at fault unless the keys are
+    exactly 0..2^n - 1, every sequence has generator 0's grid and channel count, and
+    generator 0 stores exactly one level."""
+    if 0 not in coeffs:
+        raise ValueError("generator 0 (the approximation) is missing")
     approx = coeffs[0]
+    count = 2 ** approx.grid.dim
+    for i in coeffs:
+        if i not in range(count):
+            raise ValueError(f"generator {i!r} is not one of 0..{count - 1}")
+    for i in range(count):
+        if i not in coeffs:
+            raise ValueError(f"generator {i} is missing: keys must be 0..{count - 1}")
+    for i, seq in coeffs.items():
+        if seq.grid != approx.grid:
+            raise ValueError(f"generator {i} lies on {seq.grid}, generator 0 on {approx.grid}")
+        if seq.channels != approx.channels:
+            raise ValueError(f"generator {i} has {seq.channels} channels, "
+                             f"generator 0 has {approx.channels}")
+    if len(approx.levels()) != 1:
+        raise ValueError(f"generator 0 (the approximation) stores levels {approx.levels()}, "
+                         f"expected exactly one")
+    return approx
+
+
+def wavelet_synthesize(coeffs: dict, db_order: int) -> SampledField:
+    """Inverse periodic DWT; exact left inverse of wavelet_analyze.  coeffs holds
+    generators 0..2^n - 1 on one grid with one channel count, generator 0 at one
+    level j_min (ValueError otherwise)."""
+    lo, hi = _filters(db_order)
+    approx = _approximation(coeffs)
     grid = approx.grid
-    j_min = min(approx.levels())
+    j_min, = approx.levels()
     scale = grid.cell_measure ** 0.5
     # real coefficients give a real pyramid with the complex one's bits (module docstring)
     real = not any(np.any(a.imag) for seq in coeffs.values() for a in seq.arrays.values())
@@ -199,20 +227,23 @@ def empty_coeffs(grid: TorusGrid, channels: int) -> dict:
 
 
 def wavelet_basis_field(grid: TorusGrid, db_order: int, generator: int, cube: DyadicCube,
-                        j_min: int, channels: int = 1) -> SampledField:
-    """One basis function psi_Q^(i) realized on the grid (cascade to resolution)."""
+                        j_min: int) -> SampledField:
+    """One basis function psi_Q^(i) realized on the grid (cascade to resolution), as
+    a 1-channel field; generator lies in [0, 2^n)."""
+    if not 0 <= generator < 2 ** grid.dim:
+        raise ValueError(f"generator {generator} outside [0, {2 ** grid.dim})")
     if generator == 0 and cube.level != j_min:
         raise ValueError("approximation slot lives at j_min")
     if not -grid.side_log2 <= j_min <= grid.res_log2:
         raise ValueError(f"j_min {j_min} outside [{-grid.side_log2}, {grid.res_log2}]")
     cube.validate(grid)
-    coeffs = empty_coeffs(grid, channels)
+    coeffs = empty_coeffs(grid, 1)
     blank = coeffs[0]
     level = blank.level_array(cube.level).copy()
     level[cube.index] = 1.0
     # a zero approximation level fixes j_min when generator != 0
-    coeffs[0] = CoeffSequence(grid, {j_min: blank.level_array(j_min)}, channels)
-    coeffs[generator] = CoeffSequence(grid, {cube.level: level}, channels)
+    coeffs[0] = CoeffSequence(grid, {j_min: blank.level_array(j_min)}, 1)
+    coeffs[generator] = CoeffSequence(grid, {cube.level: level}, 1)
     return wavelet_synthesize(coeffs, db_order)
 
 

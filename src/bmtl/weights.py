@@ -156,7 +156,6 @@ class ReducingFamily:
     p: float
     cube_range: CubeRange
     arrays: dict
-    method: str = "second-moment"
 
     def level_array(self, j: int) -> np.ndarray:
         if j not in self.arrays:
@@ -401,11 +400,12 @@ def _random_directions(m: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _unit_directions(m: int, count: int, seed: int = 7) -> np.ndarray:
+def _unit_directions(m: int, count: int) -> np.ndarray:
+    """count unit vectors in R^m: half-circle angles at m = 2, else seed 7's random ones."""
     if m == 2:
         ang = np.pi * (np.arange(count) + 0.5) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return _random_directions(m, count, seed)
+    return _random_directions(m, count, 7)
 
 
 def _quadratic_forms(G: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -437,14 +437,13 @@ def _second_moment_matrices(W: MatrixWeight, p: float, j: int) -> tuple:
     return sym_power(vals, vecs, 0.5), float(np.sqrt(np.min(vals)))
 
 
-def _fit_log_ellipsoids(rho: np.ndarray, dirs: np.ndarray, init: np.ndarray,
-                        iters: int = 40) -> np.ndarray:
+def _fit_log_ellipsoids(rho: np.ndarray, dirs: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Batched SPD fits: G_c minimizing sum_i (log|G_c y_i| - log rho_ci)^2.
 
     Works on the quadratic form P = G^2 (log|Gy| = log(y^T P y)/2), which makes
     the Gauss-Newton step a tiny batched least-squares over the m(m+1)/2 upper
-    triangle; all cubes advance together.  Initialized at the second-moment
-    matrices and eigenvalue-clipped to stay SPD.
+    triangle; all cubes advance together, for at most 40 steps.  Initialized at
+    the second-moment matrices and eigenvalue-clipped to stay SPD.
     """
     nc, _ = rho.shape
     m = dirs.shape[1]
@@ -454,7 +453,7 @@ def _fit_log_ellipsoids(rho: np.ndarray, dirs: np.ndarray, init: np.ndarray,
     basis = dirs[:, iu] * dirs[:, ju] * np.where(iu == ju, 1.0, 2.0)  # (ndirs, npar)
     P = np.einsum("cab,cbd->cad", init, init)
     logrho = np.log(rho)
-    for _ in range(iters):
+    for _ in range(40):
         quad = np.einsum("da,cab,db->cd", dirs, P, dirs)          # (nc, ndirs)
         quad = np.maximum(quad, 1e-300)
         r = 0.5 * np.log(quad) - logrho
@@ -501,16 +500,16 @@ def reducing_operators(W: MatrixWeight, p: float, cube_range: CubeRange,
                 dir_mags = _direction_magnitudes(W, p, dirs)
             mats = _fit_log_ellipsoids(_rho_per_cube(grid, dir_mags, p, j), dirs, mats)
         arrays[j] = mats.reshape((cubes_per_axis(grid, j),) * grid.dim + (m, m))
-    return ReducingFamily(grid, p, cube_range, arrays, method)
+    return ReducingFamily(grid, p, cube_range, arrays)
 
 
 def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
-                       n_dirs: int = 64, seed: int = 11) -> tuple:
-    """(c1, c2): extremes of rho_Q(y) / |A_Q y| over cubes and random unit directions,
-    with |A_Q y| = (y^T A_Q^2 y)^(1/2)."""
+                       n_dirs: int = 64) -> tuple:
+    """(c1, c2): extremes of rho_Q(y) / |A_Q y| over cubes and n_dirs random unit
+    directions drawn with seed 11, with |A_Q y| = (y^T A_Q^2 y)^(1/2)."""
     _check_p(p)
     m = W.channels
-    dirs = _random_directions(m, n_dirs, seed)
+    dirs = _random_directions(m, n_dirs, 11)
     c1, c2 = np.inf, 0.0
     dir_mags = _direction_magnitudes(W, p, dirs)
     for j in family.cube_range.cube_levels():
@@ -522,23 +521,22 @@ def sandwich_constants(W: MatrixWeight, p: float, family: ReducingFamily,
     return (c1, c2)
 
 
-def doubling_exponent(W: MatrixWeight, p: float, samples: int = 200, seed: int = 3,
-                      n_dirs: int = 16) -> float:
+def doubling_exponent(W: MatrixWeight, p: float, samples: int = 200) -> float:
     """log2 of the largest mass ratio int_{2Q} w_y / int_Q w_y over sampled cubes
     and directions, with w_y = |W^(1/p) y|^p and 2Q wrapped on the torus.
 
-    A sampled estimate, not the sup over all cubes: `samples` seeded cubes, each
-    at a random level j in [1 - K, J - 2] and a random position, against n_dirs
-    fixed unit directions.  The mass of Q is its level-j cube sum.  2Q is the
-    concentric cube of twice the side: its mass is the sum of the 4^n
-    level-(j+1) cube sums centred on Q, torus-wrapped.  At the coarsest level,
-    2 side(Q) = L, those 4^n cubes tile the whole torus once.
+    A sampled estimate, not the sup over all cubes: `samples` cubes drawn with
+    seed 3, each at a random level j in [1 - K, J - 2] and a random position,
+    against the 16 fixed unit directions of _unit_directions.  The mass of Q is
+    its level-j cube sum.  2Q is the concentric cube of twice the side: its mass
+    is the sum of the 4^n level-(j+1) cube sums centred on Q, torus-wrapped.  At
+    the coarsest level, 2 side(Q) = L, those 4^n cubes tile the whole torus once.
     """
     _check_p(p)
     grid = W.grid
     n = grid.dim
-    rng = np.random.default_rng(seed)
-    mags = _direction_magnitudes(W, p, _unit_directions(W.channels, n_dirs))
+    rng = np.random.default_rng(3)
+    mags = _direction_magnitudes(W, p, _unit_directions(W.channels, 16))
     levels = list(range(1 - grid.side_log2, grid.res_log2 - 1))
     drawn = {}
     for _ in range(samples):
@@ -554,7 +552,7 @@ def doubling_exponent(W: MatrixWeight, p: float, samples: int = 200, seed: int =
         # axis a's four level-(j+1) indices go on gather axis 1 + a: (k,) + (4,)*n
         gather = tuple(ring[:, a].reshape((len(idx),) + (1,) * a + (4,) + (1,) * (n - 1 - a))
                        for a in range(n))
-        outer = sums[j + 1][gather].sum(axis=tuple(range(1, n + 1)))      # (k, n_dirs)
+        outer = sums[j + 1][gather].sum(axis=tuple(range(1, n + 1)))      # (k, ndirs)
         best = max(best, float(np.max(outer / sums[j][tuple(idx.T)])))
     return float(np.log2(best))
 
@@ -605,9 +603,9 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
 
 
 def strong_doubling_constant(family: ReducingFamily, p: float, d: float, d_tilde: float,
-                             delta_cap: float, max_pairs: int = 20000, seed: int = 5) -> float:
+                             delta_cap: float, max_pairs: int = 20000) -> float:
     """max over cube pairs of ||A_Q A_R^-1|| over its strong-doubling envelope; past
-    max_pairs pairs, over max_pairs seeded random pairs (a sampled lower bound)."""
+    max_pairs pairs, over max_pairs pairs drawn with seed 5 (a sampled lower bound)."""
     grid = family.grid
     n = grid.dim
     mats = np.concatenate([a.reshape((-1,) + a.shape[-2:]) for a in family.arrays.values()])
@@ -618,7 +616,7 @@ def strong_doubling_constant(family: ReducingFamily, p: float, d: float, d_tilde
     if ncubes ** 2 <= max_pairs:
         qi, ri = np.divmod(np.arange(ncubes ** 2), ncubes)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(5)
         qi = rng.integers(ncubes, size=max_pairs)
         ri = rng.integers(ncubes, size=max_pairs)
     nrm = operator_norms(mats[qi] @ np.linalg.inv(mats)[ri])
@@ -695,15 +693,15 @@ def power_weight(grid: TorusGrid, alpha: float) -> MatrixWeight:
     return MatrixWeight(grid, w[..., None, None])
 
 
-def rotated_diag_weight(grid: TorusGrid, alpha: float = 0.5, angle: float = np.pi / 5) -> MatrixWeight:
-    """Fixed rotation of diag(|x|^alpha, 1): two channels, same A_p behavior as the diagonal.
+def rotated_diag_weight(grid: TorusGrid, alpha: float = 0.5) -> MatrixWeight:
+    """diag(|x|^alpha, 1) rotated by pi/5: two channels, same A_p behavior as the diagonal.
 
     At the default alpha = 0.5 and p = 1.5 (the gallery's rotated_power), the 1D
     weight lies on the A_1.5 boundary: W^(-p'/p) behaves like |x|^(-2 alpha), which
     is integrable in 1D only for alpha < 1/2, so its characteristic grows like
     log N.  The 2D weight lies inside A_1.5."""
     w = np.maximum(grid.radius(), grid.spacing) ** alpha
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
     R = np.array([[c, -s], [s, c]])
     diag = np.zeros(grid.shape + (2, 2))
     diag[..., 0, 0] = w
@@ -711,10 +709,11 @@ def rotated_diag_weight(grid: TorusGrid, alpha: float = 0.5, angle: float = np.p
     return MatrixWeight(grid, np.einsum("ab,...bc,dc->...ad", R, diag, R))
 
 
-def oscillating_weight(grid: TorusGrid, kappa: float = 4.0, amp: float = 0.6) -> MatrixWeight:
-    """R(x) diag(1, kappa) R(x)^T with slowly varying rotation angle."""
+def oscillating_weight(grid: TorusGrid) -> MatrixWeight:
+    """R(x) diag(1, kappa) R(x)^T, kappa = 4, with rotation angle 0.6 sin(2 pi x_1 / L)."""
+    kappa = 4.0
     x0 = grid.coords()[0]
-    theta = amp * np.sin(2.0 * np.pi * x0 / grid.side)
+    theta = 0.6 * np.sin(2.0 * np.pi * x0 / grid.side)
     c, s = np.cos(theta), np.sin(theta)
     vals = np.zeros(grid.shape + (2, 2))
     vals[..., 0, 0] = c * c + kappa * s * s

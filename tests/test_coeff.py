@@ -434,6 +434,49 @@ def test_wavelet_2d_generators_are_separable_in_axis_order(db):
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), i
 
 
+@pytest.mark.parametrize("g", [TorusGrid(1, 1, 4), TorusGrid(2, 1, 3)], ids=["1d", "2d"])
+def test_wavelet_basis_field_rejects_generator_outside_range(g):
+    # generators 2^n and -1 gave a zero field: their sequence was never read
+    count = 2 ** g.dim
+    cube = DyadicCube(2, (0,) * g.dim)
+    for generator in (count, count + 3, -1):
+        with pytest.raises(ValueError, match=rf"generator {generator} outside \[0, {count}\)"):
+            wavelet_basis_field(g, 6, generator, cube, 1)
+    assert np.max(np.abs(wavelet_basis_field(g, 6, count - 1, cube, 1).values)) > 0
+
+
+def _wavelet_set_faults(g: TorusGrid) -> dict:
+    """{fault: (generator set, message)} for wavelet_synthesize: each set breaks one rule."""
+    from bmtl.wavelets import empty_coeffs
+    rng = np.random.default_rng(12)
+    f = SampledField(g, rng.standard_normal(g.shape + (1,)))
+    good = wavelet_analyze(f, 2, CubeRange(0, g.res_log2 - 1))
+    last = 2 ** g.dim - 1
+    two = CoeffSequence(g, {2: np.zeros((cubes_per_axis(g, 2),) * g.dim + (2,))}, 2)
+    other = CoeffSequence(TorusGrid(g.dim, g.side_log2, g.res_log2 + 1), {}, 1)
+    levels = CoeffSequence(g, {j: good[0].level_array(j) for j in (0, 1)}, 1)
+    return {"no_approx_level": (empty_coeffs(g, 1), r"generator 0 \(the approximation\) "
+                                r"stores levels \[\], expected exactly one"),
+            "two_approx_levels": ({**good, 0: levels}, r"stores levels \[0, 1\]"),
+            "approx_alone": ({0: good[0]}, rf"generator 1 is missing: keys must be 0..{last}"),
+            "no_approx": ({i: good[i] for i in range(1, last + 1)},
+                          r"generator 0 \(the approximation\) is missing"),
+            "extra_key": ({**good, last + 1: good[1]}, rf"generator {last + 1} is not one of"),
+            "channels": ({**good, 1: two}, "generator 1 has 2 channels, generator 0 has 1"),
+            "grid": ({**good, last: other}, rf"generator {last} lies on TorusGrid")}
+
+
+@pytest.mark.parametrize("fault", ["no_approx_level", "two_approx_levels", "approx_alone",
+                                   "no_approx", "extra_key", "channels", "grid"])
+@pytest.mark.parametrize("g", [TorusGrid(1, 1, 4), TorusGrid(2, 1, 3)], ids=["1d", "2d"])
+def test_wavelet_synthesize_rejects_malformed_generator_sets(g, fault):
+    # these ended in min() of an empty sequence, a KeyError, numpy's
+    # "non-broadcastable output operand", or a synthesis that ignored some levels
+    coeffs, message = _wavelet_set_faults(g)[fault]
+    with pytest.raises(ValueError, match=message):
+        wavelet_synthesize(coeffs, 2)
+
+
 def test_wavelet_linearity():
     rng = np.random.default_rng(9)
     g = TorusGrid(1, 1, 6)

@@ -614,6 +614,34 @@ def test_cli_overflow_and_nonfinite_gamma(tmp_path):
         assert message in res.stderr, res.stderr
 
 
+def test_cli_bessel_overflow_names_gamma(tmp_path):
+    # a large Bessel order overflowed the multiplier: numpy RuntimeWarnings, then an
+    # error that named no option
+    g = TorusGrid(1, 2, 6)
+    fpath = tmp_path / "f.bin"
+    fieldio.write_field(fpath, band_limited_noise(g, 1, 0.5, 4.0, np.random.default_rng(6)))
+    window = json.dumps({"s": 0.5, "p": 1.5, "q": 1.5, "t": 2, "j_min": -2, "j_max": 3})
+    for gamma, code in (("1e6", 2), ("400", 2), ("200", 2), ("-400", 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_cli("bound", "--op", "bessel", f"--gamma={gamma}", "--params", window,
+                          "--field", str(fpath))
+        assert res.returncode == code, (gamma, res.stderr)
+        if code == 2:
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: --gamma ") and res.stderr.count("\n") == 1, \
+                res.stderr
+        else:
+            assert res.stderr == ""
+            assert 0.0 < json.loads(res.stdout)["ratio"] < 1.0
+    # s + gamma itself overflows
+    huge = json.dumps({"s": 1e308, "p": 1.5, "q": 1.5, "t": 2, "j_min": -2, "j_max": 3})
+    res = run_cli("bound", "--op", "bessel", "--gamma=1e308", "--params", huge,
+                  "--field", str(fpath))
+    assert res.returncode == 2
+    assert res.stderr == "error: --gamma 1e+308 overflows the shifted smoothness s + gamma\n"
+
+
 def test_equivalence_experiment_2d(tmp_path):
     cfg = small_config(tmp_path, dim=2, side_log2=1, res_log2=4, j_min=-1, j_max=2,
                        weights=["identity", "oscillating"],

@@ -25,7 +25,14 @@ fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
     multiplier is nonzero somewhere on it;
   - `MatrixWeight.power(t)` of every `weight_gallery` weight with 1 and 2
     channels, at t = 1/p, -1/p, 2/p, 0.5 and 1 for p = 0.8 and 1.5, under keys
-    that start with `power:`.
+    that start with `power:`;
+  - the values of every `weight_gallery` weight with 1 and 2 channels, under keys
+    that start with `weight:`;
+  - the level arrays of `reducing_operators(..., method="ellipsoid-fit")` over
+    levels [-1, 1] at p = 0.8 and 1.5, for every `weight_gallery` weight with 2
+    channels and one seeded 3-channel weight, under keys that start with `reduce:`;
+  - the fields of `function_gallery` (2 channels, two of each kind), under keys
+    that start with `gallery:`.
 On 1D N = 256 and 2D 32^2, for one real and one complex 2-channel
 `band_limited_noise` field with the oscillating weight, it also records the
 value and the `per_level` array of `tl_norm` (pointwise and cubewise),
@@ -183,11 +190,11 @@ def dump(src: str) -> dict:
     from bmtl.dyadic import CubeRange, DyadicCube
     from bmtl.fields import scalar_field
     from bmtl.grid import TorusGrid
-    from bmtl.harness import band_limited_noise
+    from bmtl.harness import band_limited_noise, function_gallery
     from bmtl.lpa import make_admissible_pair, make_inhom_partition
-    from bmtl.weights import (aqw_sup, diagnose, operator_norms, oscillating_weight,
-                              reducing_operators, strong_doubling_constant, waq_integrability,
-                              weight_gallery)
+    from bmtl.weights import (MatrixWeight, aqw_sup, diagnose, operator_norms,
+                              oscillating_weight, reducing_operators, strong_doubling_constant,
+                              waq_integrability, weight_gallery)
 
     out = {}
     for gname, grid in _grids(TorusGrid).items():
@@ -241,6 +248,18 @@ def dump(src: str) -> dict:
                 for p in (0.8, 1.5):
                     for t in (1 / p, -1 / p, 2 / p, 0.5, 1.0):
                         out[f"power:{gname}:m{m}:{wname}:p{p}:t{t!r}"] = Wg.power(t)
+                out[f"weight:{gname}:m{m}:{wname}"] = Wg.values
+        B = np.random.default_rng(20251017).standard_normal(grid.shape + (3, 3))
+        fitted = dict(weight_gallery(grid, 2),
+                      random3=MatrixWeight(grid, B @ np.swapaxes(B, -1, -2) + np.eye(3)))
+        for wname, Wg in fitted.items():
+            for p in (0.8, 1.5):
+                fam = reducing_operators(Wg, p, CubeRange(-1, 1), method="ellipsoid-fit")
+                for j, arr in fam.arrays.items():
+                    out[f"reduce:{gname}:{wname}:p{p}:{j}"] = arr
+        spec = {"band_random": 2, "bump": 2, "harmonic": 2}
+        for name, fld in function_gallery(grid, CubeRange(-1, grid.res_log2 - 2), 2, spec, 7):
+            out[f"gallery:{gname}:{name}"] = fld.values
         rho = grid.freq_radius()
         # the lattice radii lie in [2^-side_log2, sqrt(dim) 2^(res_log2 - 1)] and cube
         # level j's band is (2^(j-3), 2^(j-1)), so these windows hold every level
