@@ -33,7 +33,8 @@ import numpy as np
 
 from .coeffseq import CoeffSequence
 from .dyadic import CubeRange, DyadicCube, cubes_per_axis
-from .fields import SampledField, multi_indices, spectral_derivative, to_spectral
+from .fields import (SampledField, SpectralField, from_spectral, multi_indices,
+                     spectral_derivative, to_spectral)
 from .grid import TorusGrid
 from .lpa import band_outputs, check_bank
 
@@ -71,7 +72,8 @@ def phi_synthesis(coeffs: CoeffSequence, bank, levels=None) -> SampledField:
     its sample) has stride s = 2^(J-j) on each axis, so its DFT is the small
     level array's DFT tiled s times per axis: bin k holds entry k mod M (M cubes
     per axis).  Each level's comb spectrum times bank.synthesis at j adds into
-    one grid spectrum, on the multiplier's support.
+    one grid spectrum, on the multiplier's support (a delta's h^(-n) cancels the
+    DFT's h^n).
     """
     grid, ch = coeffs.grid, coeffs.channels
     n = grid.dim
@@ -80,13 +82,12 @@ def phi_synthesis(coeffs: CoeffSequence, bank, levels=None) -> SampledField:
     total = np.zeros(grid.shape + (ch,), dtype=complex)
     flat = total.reshape(-1, ch)
     for j in coeffs.levels() if levels is None else levels:
-        scale = 2.0 ** (-j * n / 2.0) / grid.cell_measure
-        comb = np.fft.fftn(coeffs.level_array(j) * scale, axes=axes)
+        comb = np.fft.fftn(coeffs.level_array(j) * 2.0 ** (-j * n / 2.0), axes=axes)
         mult = bank.synthesis(rho, j).ravel()
         bins = np.flatnonzero(mult)          # the multiplier's support
         tiled = tuple(k % comb.shape[0] for k in np.unravel_index(bins, grid.shape))
         flat[bins] += mult[bins, None] * comb[tiled]
-    return SampledField(grid, np.fft.ifftn(total, axes=axes))
+    return from_spectral(SpectralField(grid, total))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +173,7 @@ def ad_enumerate(grid: TorusGrid, cube_range: CubeRange, prof: ADProfile,
     dropped = 0.0
     for jQ in levels:
         for jP in levels:
-            diff = grid.wrap_delta(corners[jQ][:, None, :] - corners[jP][None, :, :])
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            dist = grid.torus_dist(corners[jQ][:, None, :], corners[jP][None, :, :])
             om = _omega_arrays(grid, 2.0 ** (-jQ), 2.0 ** (-jP), dist, prof, variant)
             keep = om >= drop_tol
             dropped += float(np.sum(om[~keep]))

@@ -55,8 +55,11 @@ class CoeffSequence:
         given = self.arrays
         if any(isinstance(key, DyadicCube) for key in given):
             given = self._levels_from_cubes(given)
+        lo, hi = -self.grid.side_log2, self.grid.res_log2
         arrays = {}
         for j in sorted(given):
+            if not lo <= j <= hi:
+                raise ValueError(f"cube level must lie in [{lo}, {hi}], got {j}")
             arr = np.array(given[j], dtype=complex)
             if arr.shape != self._shape(j):
                 raise ValueError(f"level {j} array has shape {arr.shape}, expected {self._shape(j)}")

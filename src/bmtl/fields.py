@@ -4,6 +4,11 @@ Fourier convention is cyclic: F(xi) = integral f(x) exp(-2*pi*i*x.xi) dx, discre
 as h^n times the DFT, so a lattice harmonic exp(2*pi*i*xi0.x) has the single
 coefficient L^n at xi0.  Midpoint quadrature (h^n times the sample sum) commutes
 exactly with this transform.
+
+The scales live here: to_spectral and half_spectrum apply h^n, and
+SpectralField.samples, the one inverse transform, applies 1/h^n for every
+caller (lpa.band_outputs, coeff.phi_synthesis, operators.psdo_apply).  Only
+operators.kernel_weighted_mass and the dense psdo lattice sum keep their own.
 """
 
 from __future__ import annotations
@@ -44,9 +49,6 @@ class SampledField:
             raise ValueError(f"expected scalar field, got {self.channels} channels")
         return self.values[..., 0]
 
-    def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.values.copy())
-
 
 @dataclass
 class SpectralField:
@@ -73,6 +75,17 @@ class SpectralField:
     def channels(self) -> int:
         return self.coeffs.shape[-1]
 
+    def samples(self) -> np.ndarray:
+        """The inverse transform, 1/h^n times the inverse DFT (irfftn for a half
+        spectrum), as an array of grid.shape + (channels,)."""
+        axes = tuple(range(self.grid.dim))
+        if self.half:
+            values = np.fft.irfftn(self.coeffs, s=self.grid.shape, axes=axes)
+        else:
+            values = np.fft.ifftn(self.coeffs, axes=axes)
+        values *= 1.0 / self.grid.cell_measure     # in place: values is the FFT's own output
+        return values
+
 
 def scalar_field(grid: TorusGrid, values: np.ndarray) -> SampledField:
     """Wrap a channel-less array as a 1-channel field."""
@@ -97,12 +110,7 @@ def half_spectrum(f: SampledField) -> SpectralField:
 
 def from_spectral(F: SpectralField) -> SampledField:
     """The field of a spectrum: real (irfftn) for a half spectrum."""
-    axes = tuple(range(F.grid.dim))
-    if F.half:
-        values = np.fft.irfftn(F.coeffs, s=F.grid.shape, axes=axes)
-    else:
-        values = np.fft.ifftn(F.coeffs, axes=axes)
-    return SampledField(F.grid, values * (1.0 / F.grid.cell_measure))
+    return SampledField(F.grid, F.samples())
 
 
 def quad_integral(g: SampledField, region=None) -> float:
@@ -133,9 +141,7 @@ def fourier_multiply(f: SampledField, mult: np.ndarray) -> SampledField:
     Real when f and mult are real and mult is even, mult(-xi) = mult(xi) on the
     lattice (checked exactly); complex otherwise: a real odd multiplier such as
     sign(xi_1) turns a real field into a mostly imaginary one."""
-    axes = tuple(range(f.grid.dim))
-    spec = np.fft.fftn(f.values, axes=axes) * f.grid.cell_measure
-    values = np.fft.ifftn(spec * mult[..., None], axes=axes) * (1.0 / f.grid.cell_measure)
+    values = SpectralField(f.grid, to_spectral(f).coeffs * mult[..., None]).samples()
     if not f.is_complex and not np.iscomplexobj(mult) and np.array_equal(mult, _reflect(mult)):
         values = values.real
     return SampledField(f.grid, values)

@@ -18,7 +18,9 @@ lives only in the banks' analysis and synthesis methods (AdmissiblePair for
 homogeneous levels, InhomPartition for levels j >= 0 with a low-pass slot at
 0).  band_outputs applies the analysis side level by level for every norm and
 the phi-transform; phi synthesis applies the synthesis side to its one
-spectral sum.
+spectral sum.  Both banks are fixed objects, their profiles class-level
+functions.  Each band comes back by SpectralField.samples, the one inverse
+transform (fields), which applies its 1/h^n.
 
 Band outputs of a real field are real: the function-side norms
 (spaces._band_pass) hand band_outputs the half spectrum (rfftn), and each band
@@ -31,7 +33,6 @@ the JSONL coefficient files it feeds, whose bytes perfbench/reference.json pins.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +90,16 @@ def _over_square_sum(num: np.ndarray, rho: np.ndarray, level_at, k_min: int = No
     return out
 
 
-@dataclass
 class AdmissiblePair:
     """Analysis/synthesis profiles with supp in the annulus [1/2, 2] and
-    sum_v conj(phi_v) psi_v = 1 for all xi != 0."""
+    sum_v conj(phi_v) psi_v = 1 for all xi != 0; psi is phi over its dyadic square sum."""
 
-    phi: Callable
-    psi: Callable
+    phi = staticmethod(_phi_profile)
+
+    @staticmethod
+    def psi(rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
+        return _over_square_sum(_phi_profile(rho), rho, lambda v, r: _phi_profile(r * 2.0 ** -v))
 
     def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Level-j analysis multiplier: conj-reflected phi on cube level j's band."""
@@ -115,23 +119,17 @@ class AdmissiblePair:
 
 
 def make_admissible_pair() -> AdmissiblePair:
-    """Standard bump-based admissible pair; psi is phi over its dyadic square sum."""
-    def phi_at(v, rho):
-        return _phi_profile(rho * 2.0 ** (-v))
-
-    def psi(rho):
-        rho = np.asarray(rho, dtype=float)
-        return _over_square_sum(_phi_profile(rho), rho, phi_at)
-
-    return AdmissiblePair(_phi_profile, psi)
+    """The admissible pair (its profiles are fixed)."""
+    return AdmissiblePair()
 
 
-@dataclass
 class InhomPartition:
     """Dyadic partition of unity: phi0 = 1 on |xi|<=1, supported in |xi|<=2;
     phi_j = phi0(2^-j xi) - phi0(2^-j+1 xi) for j >= 1; sums telescope to 1."""
 
-    phi0: Callable
+    @staticmethod
+    def phi0(rho) -> np.ndarray:
+        return _smooth_step(2.0 - np.asarray(rho, dtype=float))
 
     def analysis(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Level-j analysis multiplier: phi_j on cube level j's band (j >= 0)."""
@@ -168,10 +166,8 @@ class InhomPartition:
 
 
 def make_inhom_partition() -> InhomPartition:
-    def phi0(rho):
-        return _smooth_step(2.0 - np.asarray(rho, dtype=float))
-
-    return InhomPartition(phi0)
+    """The dyadic partition of unity (its low-pass is fixed)."""
+    return InhomPartition()
 
 
 def band_filter(f: SampledField, profile: Callable, j: int) -> SampledField:
@@ -206,16 +202,10 @@ def band_outputs(F: SpectralField, bank, levels):
     the half of a Hermitian spectrum.  A full spectrum gives complex bands by
     ifftn; coeff.phi_transform takes that path for every field (module docstring).
     """
-    grid = F.grid
-    axes = tuple(range(grid.dim))
-    rho = grid.freq_radius()[tuple(slice(k) for k in F.coeffs.shape[:-1])]
-    scale = 1.0 / grid.cell_measure
+    rho = F.grid.freq_radius()[tuple(slice(k) for k in F.coeffs.shape[:-1])]
     for j in levels:
-        spec = F.coeffs * bank.analysis(rho, j)[..., None]
-        if F.half:
-            yield j, np.fft.irfftn(spec, s=grid.shape, axes=axes) * scale
-        else:
-            yield j, np.fft.ifftn(spec, axes=axes) * scale
+        yield j, SpectralField(F.grid, F.coeffs * bank.analysis(rho, j)[..., None],
+                               F.half).samples()
 
 
 def covered_band(range_levels) -> tuple:

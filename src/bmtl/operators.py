@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (SampledField, fourier_multiply, multi_indices, scalar_field,
-                     spectral_derivative, to_spectral)
+from .fields import (SampledField, SpectralField, fourier_multiply, multi_indices,
+                     scalar_field, spectral_derivative, to_spectral)
 from .grid import TorusGrid
 from .lpa import holder_zygmund_norm, make_inhom_partition
 
@@ -136,18 +136,18 @@ def psdo_apply(sigma: SymbolGrid | SeparatedSymbol, f: SampledField) -> SampledF
     itself, which equals the frequency mod N.
 
     A SeparatedSymbol takes R Fourier multipliers, sum_r a_r F^-1[b_r F f]: one
-    forward transform of f and one inverse transform per term.
+    forward transform of f and one inverse transform per term.  The dense
+    lattice sum is its own DFT, with its own 1/L^n.
     """
     grid = sigma.grid
     if f.grid != grid:
         raise ValueError("symbol and field grids differ")
     F = to_spectral(f)
     if isinstance(sigma, SeparatedSymbol):
-        axes = tuple(range(grid.dim))
         out = np.zeros(F.coeffs.shape, dtype=complex)
         for a, b in zip(sigma.xparts, sigma.xiparts):
-            out += a[..., None] * np.fft.ifftn(F.coeffs * b[..., None], axes=axes)
-        return SampledField(grid, out * (1.0 / grid.cell_measure))
+            out += a[..., None] * SpectralField(grid, F.coeffs * b[..., None]).samples()
+        return SampledField(grid, out)
     n, npts = grid.points_per_axis, grid.npoints
     sig = sigma.values.reshape(npts, npts)
     Fc = F.coeffs.reshape(npts, f.channels)
@@ -351,8 +351,6 @@ class ParaPieces:
 
     grid: TorusGrid
     pieces: dict  # (j, l) -> SymbolGrid
-    j_cut: int
-    l_cut: int
 
     def reconstruction(self) -> np.ndarray:
         return sum(p.values for p in self.pieces.values())
@@ -377,14 +375,15 @@ def paradecompose(sigma: SymbolGrid | SeparatedSymbol, j_cut: int, l_cut: int) -
             xpart = np.fft.ifftn(hat1 * zeta_mult.reshape(grid.shape + (1,) * grid.dim),
                                  axes=sigma.x_axes)
             pieces[(j, l)] = SymbolGrid(grid, xpart * xi_mult)
-    return ParaPieces(grid, pieces, j_cut, l_cut)
+    return ParaPieces(grid, pieces)
 
 
 def kernel_weighted_mass(piece: SymbolGrid, j: int, a: float) -> float:
     """max over x of int |F_xi sigma_(j,l)(x, .)(y)| (1 + 2^j |y|)^a dy.
 
     The xi -> y transform maps the lattice to the sample grid; y is wrapped to
-    the symmetric fundamental domain.
+    the symmetric fundamental domain.  It transforms the xi axes of a symbol
+    table, not a field's spectrum, so it keeps its own 1/h^n = N^n / L^n.
     """
     grid = piece.grid
     M = np.fft.ifftn(piece.values, axes=piece.xi_axes) * (grid.npoints / grid.side ** grid.dim)

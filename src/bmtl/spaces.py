@@ -183,21 +183,18 @@ def _abs2(v: np.ndarray) -> np.ndarray:
 
 
 class PointwiseWeighting:
-    """Apply W^(1/p)(x) at every sample."""
+    """Apply W^(1/p)(x) at every sample (MatrixWeight.power caches the root)."""
 
     def __init__(self, W: MatrixWeight, p: float):
         self.W = W
         self.p = p
-        self._root = None
 
     @property
     def channels(self) -> int:
         return self.W.channels
 
     def magnitude(self, j: int, vectors: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            self._root = self.W.power(1.0 / self.p)
-        return _matvec_norm(self._root, vectors)
+        return _matvec_norm(self.W.power(1.0 / self.p), vectors)
 
 
 class CubewiseWeighting:
@@ -217,9 +214,13 @@ class CubewiseWeighting:
         return _matvec_norm(A, level_block_view(grid, vectors, j)).reshape(grid.shape)
 
 
-def _check_weighting(w, f_channels: int):
+def _check_weighting(w, f_channels: int, p: float):
+    """ValueError unless w has f_channels channels and was built at p."""
     if w.channels != f_channels:
         raise ValueError(f"weighting has {w.channels} channels, field has {f_channels}")
+    w_p = w.family.p if isinstance(w, CubewiseWeighting) else w.p
+    if w_p != p:
+        raise ValueError(f"weighting was built at p = {w_p}, the space has p = {p}")
 
 
 def _nonneg_scalar(g: SampledField) -> np.ndarray:
@@ -458,7 +459,7 @@ def _band_pass(f: SampledField, ws, sp: SpaceParams, bank, cube_range: CubeRange
     A real f takes the half spectrum, so its bands are real arrays (lpa.band_outputs).
     """
     for w in ws:
-        _check_weighting(w, f.channels)
+        _check_weighting(w, f.channels, sp.p)
     check_bank(bank, cube_range)
     if sp.homogeneous == cube_range.inhomogeneous:
         raise ValueError(f"homogeneous = {sp.homogeneous} params disagree with the range")
@@ -496,9 +497,9 @@ def seq_norm(coeffs: CoeffSequence, w, sp: SpaceParams, cube_range: CubeRange,
 
     masks, when given, replaces chi_Q by chi_{E_Q}: a dict level j -> boolean
     array of grid.shape marking the retained samples of every level-j cube
-    (levels without a mask keep every sample).
+    (levels without a mask keep every sample).  w must be built at sp.p.
     """
-    _check_weighting(w, coeffs.channels)
+    _check_weighting(w, coeffs.channels, sp.p)
     cube_range.validate(coeffs.grid)
     grid = coeffs.grid
     levels = cube_range.band_levels()

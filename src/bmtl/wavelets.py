@@ -169,8 +169,9 @@ def wavelet_analyze(f: SampledField, db_order: int, cube_range: CubeRange) -> di
 
 def _approximation(coeffs: dict) -> CoeffSequence:
     """coeffs[0], or a ValueError naming the generator at fault unless the keys are
-    exactly 0..2^n - 1, every sequence has generator 0's grid and channel count, and
-    generator 0 stores exactly one level."""
+    exactly 0..2^n - 1, every sequence has generator 0's grid and channel count,
+    generator 0 stores exactly one level j_min, and every detail generator stores
+    levels in [j_min, J - 1] only (the pyramid reads no other)."""
     if 0 not in coeffs:
         raise ValueError("generator 0 (the approximation) is missing")
     approx = coeffs[0]
@@ -190,6 +191,11 @@ def _approximation(coeffs: dict) -> CoeffSequence:
     if len(approx.levels()) != 1:
         raise ValueError(f"generator 0 (the approximation) stores levels {approx.levels()}, "
                          f"expected exactly one")
+    j_min, top = approx.levels()[0], approx.grid.res_log2 - 1
+    for i in range(1, count):
+        for j in coeffs[i].levels():
+            if not j_min <= j <= top:
+                raise ValueError(f"generator {i} stores level {j} outside [{j_min}, {top}]")
     return approx
 
 

@@ -166,6 +166,8 @@ class ReducingFamily:
 
 @dataclass
 class WeightDiagnostics:
+    """diagnose's bundle; delta_w is the nominal 0.5 (diagnose)."""
+
     ap_char: float
     beta: float
     d: float
@@ -298,17 +300,6 @@ def _product_norms(X: np.ndarray, Y: np.ndarray, e: float = 1.0) -> np.ndarray:
 _MUCK_BLOCK_PAIRS = 1 << 15
 
 
-def _kernel_passes(W: MatrixWeight, p: float) -> list:
-    """(root, iroot, p) of W's Muckenhoupt kernel and, for p > 1, of the dual
-    weight's: W~^(1/p') = W^(-1/p) and W~^(-1/p') = W^(1/p), so the dual pass is
-    W's cached roots swapped at p'.  W^(-1/p) clips W's eigenvalues at EIG_FLOOR,
-    W^(1/p) clips none."""
-    passes = [(W.power(1.0 / p), W.power(-1.0 / p), p)]
-    if p > 1.0:
-        passes.append((W.power(-1.0 / p), W.power(1.0 / p), conj_exponent(p)))
-    return passes
-
-
 def _muckenhoupt_levels(grid: TorusGrid, passes: list, cube_range: CubeRange,
                         i_max: int) -> list:
     """One {j: D} table per pass (root, iroot, p) of passes, with D[i, c] the
@@ -317,7 +308,7 @@ def _muckenhoupt_levels(grid: TorusGrid, passes: list, cube_range: CubeRange,
     with 2^i side(Q) <= L.
 
     root and iroot hold V^(1/p) and V^(-1/p) per grid point (grid.shape + (m, m)) for
-    a weight V: W, or the dual weight of ap_dimensions (see _kernel_passes).
+    a weight V: W, or the dual weight of ap_dimensions (see _muckenhoupt_tables).
     With e = p' for p > 1 and e = p for p <= 1:
     p > 1: D_i = avg_x ( avg_y ||root(x) iroot(y)||^e )^(p/e);
     p <= 1: D_i = max_y avg_x ||root(x) iroot(y)||^e.
@@ -374,6 +365,20 @@ def _muckenhoupt_levels(grid: TorusGrid, passes: list, cube_range: CubeRange,
     return out
 
 
+def _muckenhoupt_tables(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int,
+                        primal_only: bool = False) -> list:
+    """The _muckenhoupt_levels tables of W's primal pass (W^(1/p), W^(-1/p), p) and,
+    for p > 1 unless primal_only, of the dual weight W~'s: W~^(1/p') = W^(-1/p) and
+    W~^(-1/p') = W^(1/p), W's cached roots swapped at p'.  A numerically singular
+    W is refused: its W^(-1/p), clipped at EIG_FLOOR, would give meaningless numbers."""
+    _check_p(p)
+    W.reject_if_degenerate()
+    passes = [(W.power(1.0 / p), W.power(-1.0 / p), p)]
+    if p > 1.0 and not primal_only:
+        passes.append((W.power(-1.0 / p), W.power(1.0 / p), conj_exponent(p)))
+    return _muckenhoupt_levels(W.grid, passes, cube_range, i_max)
+
+
 def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float:
     """Matrix Muckenhoupt characteristic over the cubes of the range.
 
@@ -381,14 +386,10 @@ def ap_characteristic(W: MatrixWeight, p: float, cube_range: CubeRange) -> float
     p <= 1: sup_Q max_y avg_x ||W^(1/p)(x) W^(-1/p)(y)||^p.
     The averages run over an evenly strided subsample of at most 64 points per axis
     of each cube (8 in 2D), so the value is a sampled estimate, not the exact sup.
-    It is the D_0 row of _muckenhoupt_levels on the primal pass of _kernel_passes:
-    the norms take _form_norms (the squared form, hypot outside its range) and
-    each y-average is centred on one of its samples, so every constant weight
-    gives the same value on every cube.
+    It is the D_0 row of _muckenhoupt_tables' primal table, so every constant
+    weight gives the same value on every cube (_muckenhoupt_levels).
     """
-    _check_p(p)
-    W.reject_if_degenerate()
-    [levels] = _muckenhoupt_levels(W.grid, _kernel_passes(W, p)[:1], cube_range, 0)
+    [levels] = _muckenhoupt_tables(W, p, cube_range, 0, primal_only=True)
     return max(float(np.max(D[0])) for D in levels.values())
 
 
@@ -569,7 +570,7 @@ def _growth_exponent(levels: dict, dim: int) -> float:
 
 
 def _dimensions(tables: list, p: float, dim: int) -> tuple:
-    """(d, d~, Delta) from the _muckenhoupt_levels tables of _kernel_passes: d from
+    """(d, d~, Delta) from the tables of _muckenhoupt_tables: d from
     the primal table, d~ from the dual one (0 when p <= 1 has none)."""
     d = _growth_exponent(tables[0], dim)
     d_t = _growth_exponent(tables[1], dim) if len(tables) > 1 else 0.0
@@ -583,23 +584,14 @@ def ap_dimensions(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int =
     i = 1..i_max with 2^i side(Q) <= L, clamped to [0, n), where D_i is the
     Muckenhoupt quantity of Q with its y-average taken over 2^i Q
     (torus-wrapped) instead of Q.  d~ is the same for W~ = W^(-1/(p-1)) at exponent
-    p' when p > 1 and is 0 otherwise; Delta = d/p + d~/p'.  As W~^(1/p') = W^(-1/p)
-    and W~^(-1/p') = W^(1/p), d~ is d's kernel at p' with W's cached roots swapped:
-    W^(-1/p) clips W's eigenvalues at EIG_FLOOR, W^(1/p) clips none.  The averages
+    p' when p > 1 and is 0 otherwise; Delta = d/p + d~/p'.  The averages
     run over at most 64 evenly strided points per axis of Q and of 2^i Q (8 in 2D),
     and only dyadic dilations are tried, so the exponents are sampled estimates.
-    One _muckenhoupt_levels call builds each level's window samples and column
-    table once for both passes; each D_i reads its window's columns of one shared
-    product table, the norms take _form_norms (the squared form, hypot outside
-    its range), and each y-average is centred on one of its samples, so every
-    constant weight has D_i = D_0 bit for bit and exponents 0.  A numerically
-    singular weight is refused, as by ap_characteristic and diagnose: its
-    clipped W^(-1/p) would give meaningless exponents.
+    One _muckenhoupt_tables call serves both passes, and every constant weight
+    has D_i = D_0 bit for bit (_muckenhoupt_levels), so exponents 0.  A
+    numerically singular weight is refused.
     """
-    _check_p(p)
-    W.reject_if_degenerate()
-    return _dimensions(_muckenhoupt_levels(W.grid, _kernel_passes(W, p), cube_range, i_max),
-                       p, W.grid.dim)
+    return _dimensions(_muckenhoupt_tables(W, p, cube_range, i_max), p, W.grid.dim)
 
 
 def strong_doubling_constant(family: ReducingFamily, p: float, d: float, d_tilde: float,
@@ -659,18 +651,17 @@ def aqw_sup(W: MatrixWeight, p: float, family: ReducingFamily) -> float:
 
 def diagnose(W: MatrixWeight, p: float, cube_range: CubeRange, i_max: int = 4) -> WeightDiagnostics:
     """Assemble the full diagnostics bundle for one weight at one exponent: one
-    _muckenhoupt_levels call at i_max builds its sample tables once for the primal
-    and dual passes and gives ap_char (the largest primal D_0), d and d~."""
-    _check_p(p)
-    W.reject_if_degenerate()
-    tables = _muckenhoupt_levels(W.grid, _kernel_passes(W, p), cube_range, i_max)
+    _muckenhoupt_tables call at i_max builds its sample tables once for the primal
+    and dual passes and gives ap_char (the largest primal D_0), d and d~.
+    delta_w is the nominal 0.5, not a measurement: waq_integrability is finite for
+    every weight MatrixWeight accepts, so its finiteness says nothing of delta_W."""
+    tables = _muckenhoupt_tables(W, p, cube_range, i_max)
     ap = max(float(np.max(D[0])) for D in tables[0].values())
     beta = doubling_exponent(W, p)
     d, d_t, delta = _dimensions(tables, p, W.grid.dim)
     family = reducing_operators(W, p, cube_range)
     c1, c2 = sandwich_constants(W, p, family)
-    delta_w = 0.5 if np.isfinite(waq_integrability(W, p, family, p + 0.5)) else 0.0
-    return WeightDiagnostics(ap, beta, d, d_t, delta, delta_w, (c1, c2))
+    return WeightDiagnostics(ap, beta, d, d_t, delta, 0.5, (c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +714,13 @@ def oscillating_weight(grid: TorusGrid) -> MatrixWeight:
 
 
 def weight_gallery(grid: TorusGrid, m: int = 2) -> dict:
-    """Built-in weights spanning identity, constant, power, and rotating cases."""
+    """Built-in weights with m channels spanning identity, constant, power, and
+    rotating cases; for m other than 1 and 2 the identity alone."""
     gallery = {"identity": identity_weight(grid, m)}
     if m == 1:
         gallery["constant"] = constant_weight(grid, np.array([[2.5]]))
         gallery["power_half"] = power_weight(grid, 0.5)
-    else:
+    elif m == 2:
         base = np.array([[2.0, 0.5], [0.5, 1.0]])
         gallery["constant"] = constant_weight(grid, base)
         gallery["rotated_power"] = rotated_diag_weight(grid, 0.5)

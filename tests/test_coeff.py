@@ -455,6 +455,14 @@ def _wavelet_set_faults(g: TorusGrid) -> dict:
     two = CoeffSequence(g, {2: np.zeros((cubes_per_axis(g, 2),) * g.dim + (2,))}, 2)
     other = CoeffSequence(TorusGrid(g.dim, g.side_log2, g.res_log2 + 1), {}, 1)
     levels = CoeffSequence(g, {j: good[0].level_array(j) for j in (0, 1)}, 1)
+    # detail levels outside [j_min, J - 1] = [1, J - 1] were dropped without a word
+    fine = wavelet_analyze(f, 2, CubeRange(1, g.res_log2 - 1))
+    top = g.res_log2 - 1
+
+    def with_ones(i, j):
+        arrays = {**fine[i].arrays, j: np.ones((cubes_per_axis(g, j),) * g.dim + (1,))}
+        return {**fine, i: CoeffSequence(g, arrays, 1)}
+
     return {"no_approx_level": (empty_coeffs(g, 1), r"generator 0 \(the approximation\) "
                                 r"stores levels \[\], expected exactly one"),
             "two_approx_levels": ({**good, 0: levels}, r"stores levels \[0, 1\]"),
@@ -463,11 +471,15 @@ def _wavelet_set_faults(g: TorusGrid) -> dict:
                           r"generator 0 \(the approximation\) is missing"),
             "extra_key": ({**good, last + 1: good[1]}, rf"generator {last + 1} is not one of"),
             "channels": ({**good, 1: two}, "generator 1 has 2 channels, generator 0 has 1"),
-            "grid": ({**good, last: other}, rf"generator {last} lies on TorusGrid")}
+            "grid": ({**good, last: other}, rf"generator {last} lies on TorusGrid"),
+            "below_j_min": (with_ones(1, 0), rf"generator 1 stores level 0 outside \[1, {top}\]"),
+            "at_J": (with_ones(last, g.res_log2),
+                     rf"generator {last} stores level {g.res_log2} outside \[1, {top}\]")}
 
 
 @pytest.mark.parametrize("fault", ["no_approx_level", "two_approx_levels", "approx_alone",
-                                   "no_approx", "extra_key", "channels", "grid"])
+                                   "no_approx", "extra_key", "channels", "grid",
+                                   "below_j_min", "at_J"])
 @pytest.mark.parametrize("g", [TorusGrid(1, 1, 4), TorusGrid(2, 1, 3)], ids=["1d", "2d"])
 def test_wavelet_synthesize_rejects_malformed_generator_sets(g, fault):
     # these ended in min() of an empty sequence, a KeyError, numpy's

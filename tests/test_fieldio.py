@@ -4,6 +4,7 @@ and both must agree with one json.dumps / json.loads per record."""
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ def test_empty_and_zero_records(tmp_path):
     path.write_text(head + "\n" + json.dumps({"cube": [0, [1, 0]], "value": [[0, 0]]}) + "\n")
     back = fieldio.read_coeffs(path)
     assert back.levels() == [0] and not np.any(back.arrays[0])
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 1, 4), TorusGrid(2, 1, 3)], ids=["1d", "2d"])
+def test_coeff_sequence_refuses_levels_off_the_grid(tmp_path, grid):
+    # a level finer than the grid was accepted and written, then read_coeffs refused
+    # the file and phi_synthesis gave a zero field; it is refused in the reader's words
+    lo, hi = -grid.side_log2, grid.res_log2
+    for j in (hi + 1, hi + 2, lo - 1):
+        count = 2 ** max(j + grid.side_log2, 0)
+        with pytest.raises(ValueError, match=re.escape(f"cube level must lie in [{lo}, {hi}], "
+                                                       f"got {j}")):
+            CoeffSequence(grid, {j: np.ones((count,) * grid.dim + (1,))}, 1)
+    # the finest and coarsest legal levels survive the write-then-read round trip
+    rng = np.random.default_rng(3)
+    seq = CoeffSequence(grid, {j: rng.standard_normal((cubes_per_axis(grid, j),) * grid.dim + (2,))
+                               for j in (lo, hi)}, 2)
+    fieldio.write_coeffs(tmp_path / "c.jsonl", seq)
+    assert_same(fieldio.read_coeffs(tmp_path / "c.jsonl"), seq)
 
 
 #: one malformed record per check of the reader, with its exact message

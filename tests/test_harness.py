@@ -532,6 +532,26 @@ def test_cli_bad_config_exit_code(tmp_path):
             assert "'nope'" in res.stderr and named[path.read_text()][1] in res.stderr
 
 
+def test_cli_equiv_gallery_has_one_channel_count(tmp_path):
+    # at channels = 3 the gallery mixed 3-channel identity with 2-channel weights,
+    # and the sweep failed with "weighting has 2 channels, field has 3"
+    grid = TorusGrid(1, 2, 5)
+    for m, names in ((1, ["identity", "constant", "power_half"]),
+                     (2, ["identity", "constant", "rotated_power", "oscillating"]),
+                     (3, ["identity"]), (4, ["identity"])):
+        gallery = weight_gallery(grid, m)
+        assert list(gallery) == names, m
+        assert {W.channels for W in gallery.values()} == {m}
+    cfg = small_config(tmp_path, channels=3, weights=["identity", "oscillating"],
+                       functions={"band_random": 1})
+    cfg_path = tmp_path / "cfg.json"
+    cfg.to_json(cfg_path)
+    res = run_cli("equiv", "--config", str(cfg_path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: weights: unknown 'oscillating'; known: identity\n"
+
+
 def test_cli_malformed_field_files(tmp_path):
     g = TorusGrid(1, 2, 4)
     good = tmp_path / "f.bin"

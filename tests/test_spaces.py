@@ -999,3 +999,32 @@ def test_per_level_computed_on_first_read(monkeypatch):
     tl_norm(f, PointwiseWeighting(oscillating_weight(grid), p),
             SpaceParams(0.5, p, q, t, r), PAIR, cube_range)
     assert batches == [1]
+
+
+def test_weighting_built_at_another_p_is_refused():
+    # PointwiseWeighting(W, 3.0) under p = 1.5 gave tl_norm 3.92 (5.61 at the
+    # space's p) and raised nothing; every band-pass norm and seq_norm now refuse it
+    grid = TorusGrid(1, 2, 6)
+    hom, inh = CubeRange(-2, 3), CubeRange(-2, 3, inhomogeneous=True)
+    sp = SpaceParams(0.5, 1.5, 1.5, 2.0, np.inf)
+    sp_inh = SpaceParams(3.0, 1.5, 1.5, 2.0, np.inf, homogeneous=False)
+    W = oscillating_weight(grid)
+    f = band_limited_noise(grid, 2, 0.5, 4.0, np.random.default_rng(5))
+    pw = PointwiseWeighting(W, 3.0)
+    cw = CubewiseWeighting(reducing_operators(W, 3.0, hom))
+    coeffs = phi_transform(f, PAIR, hom)
+    calls = [lambda: tl_norm(f, pw, sp, PAIR, hom),
+             lambda: tl_norm(f, cw, sp, PAIR, hom),
+             lambda: peetre_norm(f, pw, sp, 4.0, PAIR, hom),
+             lambda: lusin_norm(f, pw, sp, PAIR, hom),
+             lambda: glambda_norm(f, pw, sp, 3.0, PAIR, hom),
+             lambda: approx_norm(f, pw, sp_inh, PART, inh),
+             lambda: seq_norm(coeffs, pw, sp, hom),
+             lambda: seq_norm(coeffs, cw, sp, hom)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"built at p = 3\.0, the space has p = 1\.5"):
+            call()
+    # built at the space's p, both weightings are taken
+    assert tl_norm(f, PointwiseWeighting(W, 1.5), sp, PAIR, hom).value > 0
+    assert seq_norm(coeffs, CubewiseWeighting(reducing_operators(W, 1.5, hom)), sp,
+                    hom).value > 0

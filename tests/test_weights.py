@@ -476,8 +476,7 @@ def test_constant_weights_give_exact_zeros(grid, cube_range):
     for name, W in gallery.items():
         for p in (0.8, 1.5, 4.0):
             assert ap_dimensions(W, p, cube_range, i_max=4) == (0.0, 0.0, 0.0), (name, p)
-            passes = weights._kernel_passes(W, p)
-            for levels in weights._muckenhoupt_levels(grid, passes, cube_range, 4):
+            for levels in weights._muckenhoupt_tables(W, p, cube_range, 4):
                 for j, D in levels.items():
                     assert np.all(D == D[0]), (name, p, j)
 

@@ -32,15 +32,18 @@ fixed set of seeded calls on 1D N = 64, 128 and 2D 8^2, 16^2:
     levels [-1, 1] at p = 0.8 and 1.5, for every `weight_gallery` weight with 2
     channels and one seeded 3-channel weight, under keys that start with `reduce:`;
   - the fields of `function_gallery` (2 channels, two of each kind), under keys
-    that start with `gallery:`.
+    that start with `gallery:`;
+  - `fourier_multiply` of one real and one complex 2-channel field by a real
+    even, a real odd and a complex multiplier, under keys that start with `fmul:`.
 On 1D N = 256 and 2D 32^2, for one real and one complex 2-channel
 `band_limited_noise` field with the oscillating weight, it also records the
 value and the `per_level` array of `tl_norm` (pointwise and cubewise),
 `peetre_norm`, `lusin_norm`, `glambda_norm` (q = 1.5 and 2), the inhomogeneous
-`tl_norm` and `approx_norm`, the four values of `harness.four_norms`, and
-`phi_transform`'s level arrays for both banks.  Their keys start with
-`norm:real:`, `norm:complex:`, `phi:real:` and `phi:complex:`, so that
-`--allow norm:real:=REL` covers the real-field norms and nothing else.
+`tl_norm` and `approx_norm`, the four values of `harness.four_norms`,
+`phi_transform`'s level arrays for both banks, and `phi_synthesis` of those
+coefficients.  Their keys start with `norm:real:`, `norm:complex:`,
+`phi:real:`, `phi:complex:` and `phi_synth:`, so that `--allow norm:real:=REL`
+covers the real-field norms and nothing else.
 On 1D N = 64 and 2D 16^2, for one real and one complex 2-channel field, it
 records every generator's level arrays of `wavelet_analyze` down to the torus
 level and the `wavelet_synthesize` output, for db2, db6 and db10, under keys
@@ -112,7 +115,7 @@ def _norms(out: dict):
     """The function-side norms and the phi-transform level arrays (module docstring)."""
     import warnings
 
-    from bmtl.coeff import phi_transform
+    from bmtl.coeff import phi_synthesis, phi_transform
     from bmtl.dyadic import CubeRange
     from bmtl.fields import SampledField
     from bmtl.grid import TorusGrid
@@ -159,6 +162,24 @@ def _norms(out: dict):
                 seq = phi_transform(f, bank, cube_range)
                 for j in seq.levels():
                     out[f"phi:{tag}:{bname}:{j}"] = seq.level_array(j)
+                out[f"phi_synth:{tag}:{bname}"] = phi_synthesis(seq, bank).values
+
+
+def _fourier_multiply(out: dict, grid, gname: str):
+    """fourier_multiply of a real and a complex field by a real even, a real odd
+    and a complex multiplier (module docstring)."""
+    from bmtl.fields import SampledField, fourier_multiply
+
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal(grid.shape + (2,))
+    fields = {"real": real, "complex": real + 1j * rng.standard_normal(grid.shape + (2,))}
+    rho, xi1 = grid.freq_radius(), grid.freqs()[0]
+    mults = {"even": (1.0 + rho ** 2) ** -0.5, "odd": xi1,
+             "complex": (1.0 + rho ** 2) ** 0.25 * np.exp(0.5j * xi1)}
+    for kind, values in fields.items():
+        for mname, mult in mults.items():
+            out[f"fmul:{gname}:{kind}:{mname}"] = \
+                fourier_multiply(SampledField(grid, values), mult).values
 
 
 def _wavelets(out: dict):
@@ -260,6 +281,7 @@ def dump(src: str) -> dict:
         spec = {"band_random": 2, "bump": 2, "harmonic": 2}
         for name, fld in function_gallery(grid, CubeRange(-1, grid.res_log2 - 2), 2, spec, 7):
             out[f"gallery:{gname}:{name}"] = fld.values
+        _fourier_multiply(out, grid, gname)
         rho = grid.freq_radius()
         # the lattice radii lie in [2^-side_log2, sqrt(dim) 2^(res_log2 - 1)] and cube
         # level j's band is (2^(j-3), 2^(j-1)), so these windows hold every level
